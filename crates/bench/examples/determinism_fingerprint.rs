@@ -1,7 +1,7 @@
 //! Determinism-fingerprint gate for the fast simulator kernels.
 //!
 //! The decoded-block cache, the MMIO read lease with poll-loop
-//! fast-forward, and the blocked convolution kernel are host-side
+//! fast-forward, and the convolution kernels are host-side
 //! speedups only: they must not change a single modeled cycle, retired
 //! instruction, or output byte. This example *proves* that for a set
 //! of real firmwares and convolution shapes, and CI runs it as a hard
@@ -19,10 +19,14 @@
 //!   waits agree exactly;
 //! * a fully warm run decodes nothing: zero block-cache misses.
 //!
-//! Separately, the blocked convolution kernel is checked bit-for-bit
-//! against the naive tap-at-a-time reference over shapes covering
-//! padding, stride, grouping, depthwise and fully-clipped windows, in
-//! both INT8 and FP16 (where the summation order is the contract).
+//! Separately, the convolution kernels are checked bit-for-bit against
+//! the naive tap-at-a-time references over shapes covering padding,
+//! stride, grouping, depthwise, pointwise, one-wide outputs, channel
+//! counts off the lane block and fully-clipped windows: the engine in
+//! both INT8 and FP16, and the golden f32 kernel with a bias (in f32
+//! the summation order is the contract). The golden executor on that
+//! kernel must yield LeNet-5's and ResNet-18's calibration tables byte
+//! for byte as the naive executor does.
 //!
 //! Finally, the observability layer's honesty contract is gated the
 //! same way: firmware runs and serve simulations with an armed
@@ -32,6 +36,9 @@
 use rvnv_bench::inference_fingerprint;
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{compile, Artifacts, CompileOptions};
+use rvnv_nn::conv::{conv2d, conv2d_naive};
+use rvnv_nn::exec::Executor;
+use rvnv_nn::quant::CalibrationTable;
 use rvnv_nn::zoo::Model;
 use rvnv_nn::Tensor;
 use rvnv_nvdla::config::Precision;
@@ -313,6 +320,27 @@ fn conv_desc(
     }
 }
 
+/// `d` in the other precision too.
+fn both_precisions(d: ConvDesc) -> [ConvDesc; 2] {
+    let fp16 = ConvDesc {
+        precision: Precision::Fp16,
+        wt_bytes: d.wt_bytes * 2,
+        ..d.clone()
+    };
+    [d, fp16]
+}
+
+fn assert_same_bits(what: &str, fast: &[f32], slow: &[f32]) {
+    assert_eq!(fast.len(), slow.len(), "{what}: length");
+    for (j, (a, b)) in fast.iter().zip(slow).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{what} output {j}: kernel {a} vs reference {b}"
+        );
+    }
+}
+
 fn check_conv_kernel() {
     let shapes = [
         conv_desc(1, 3, 1, 2, 1, 0, 1, Precision::Int8),
@@ -327,8 +355,25 @@ fn check_conv_kernel() {
         conv_desc(2, 5, 2, 5, 1, 4, 1, Precision::Fp16),
         conv_desc(16, 5, 10, 5, 1, 0, 1, Precision::Fp16),
     ];
-    let mut outputs = 0usize;
-    for (i, d) in shapes.into_iter().enumerate() {
+    // What the lanes-across-outputs kernels add, each in both
+    // precisions (appended, so the shapes above keep their patterns).
+    let shapes = shapes.into_iter().chain(
+        [
+            conv_desc(64, 14, 40, 1, 1, 0, 1, Precision::Int8), // pointwise, ResNet-50's dominant op
+            conv_desc(8, 20, 4, 1, 1, 0, 1, Precision::Int8),   // pointwise, plane > one tile
+            conv_desc(3, 9, 4, 3, 2, 1, 1, Precision::Int8),    // stride 2, pad, odd width
+            conv_desc(5, 7, 1, 3, 1, 1, 1, Precision::Int8),    // 1 channel per group
+            conv_desc(5, 7, 3, 3, 2, 1, 1, Precision::Int8),    // 3
+            conv_desc(4, 6, 10, 3, 1, 0, 2, Precision::Int8),   // 5
+            conv_desc(4, 6, 12, 3, 1, 0, 2, Precision::Int8),   // 6
+            conv_desc(4, 3, 21, 3, 1, 0, 1, Precision::Int8),   // out_w == 1, 21 channels
+            conv_desc(6, 5, 6, 3, 1, 1, 6, Precision::Int8),    // depthwise 3x3
+        ]
+        .into_iter()
+        .flat_map(both_precisions),
+    );
+    let (mut outputs, mut golden_outputs) = (0usize, 0usize);
+    for (i, d) in shapes.enumerate() {
         let elem = d.precision.bytes() as usize;
         let mut feature = pattern(
             (d.in_c * d.in_h * d.in_w) as usize * elem,
@@ -341,22 +386,50 @@ fn check_conv_kernel() {
         }
         let fast = conv::compute(&d, &feature, &weights);
         let slow = conv::compute_reference(&d, &feature, &weights);
-        assert_eq!(fast.len(), slow.len(), "conv shape {i}: length");
-        for (j, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "conv shape {i} output {j}: blocked {a} vs reference {b}"
-            );
-        }
+        assert_same_bits(&format!("conv shape {i}"), &fast, &slow);
         outputs += fast.len();
+
+        // The golden kernel on the same shape, from its bias: the
+        // INT8 pattern bytes read as small reals.
+        if d.precision == Precision::Int8 {
+            let g = d.geom();
+            let x = rvnv_nvdla::engines::to_real(&feature, Precision::Int8, d.in_scale);
+            let w = rvnv_nvdla::engines::to_real(&weights, Precision::Int8, d.wt_scale);
+            let bias: Vec<f32> = (0..g.out_c).map(|oc| 0.37 - 0.11 * oc as f32).collect();
+            let fast = conv2d(&g, &x, &w, Some(&bias));
+            let slow = conv2d_naive(&g, &x, &w, Some(&bias));
+            assert_same_bits(&format!("golden conv shape {i}"), &fast, &slow);
+            golden_outputs += fast.len();
+        }
     }
-    println!("conv blocked == reference bit-for-bit across {outputs} outputs  ok");
+    println!("conv engine == reference bit-for-bit across {outputs} outputs  ok");
+    println!("conv golden == naive bit-for-bit across {golden_outputs} outputs  ok");
+}
+
+/// The calibration tables the compiler quantizes by must not notice
+/// the golden kernel: the production executor's table is the naive
+/// executor's, byte for byte.
+fn check_calibration_tables() {
+    for model in [Model::LeNet5, Model::ResNet18] {
+        let net = model.build(1);
+        let inputs = [Tensor::random(net.input_shape(), 2)];
+        let fast = CalibrationTable::calibrate(&net, &inputs).expect("calibrate");
+        let slow =
+            CalibrationTable::calibrate_with(&Executor::naive(&net), &inputs).expect("calibrate");
+        assert_eq!(
+            fast.to_text(),
+            slow.to_text(),
+            "{}: calibration table moved",
+            model.name()
+        );
+    }
+    println!("calibration tables (LeNet-5, ResNet-18) == naive executor's, byte for byte  ok");
 }
 
 fn main() {
     check_soc_kernels();
     check_conv_kernel();
+    check_calibration_tables();
     check_tracing_invisible();
     println!("determinism fingerprint: all fast-kernel paths are architecturally invisible");
 }

@@ -10,6 +10,8 @@
 
 use rvnv_nn::graph::{ConvParams, Network, Op, PoolKind};
 use rvnv_nn::tensor::{Shape, WeightTensor};
+use rvnv_nvdla::config::Precision;
+use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_riscv::encode;
 use rvnv_riscv::inst::{AluOp, BranchOp, CsrOp, Inst, MemWidth, MulOp};
 use rvnv_riscv::reg::Reg;
@@ -447,6 +449,109 @@ pub fn net_plan(seed: u64) -> NetPlan {
     }
 }
 
+/// One convolution for the `conv` target: nine dimensions, a
+/// precision, and the seed its operand data derives from. The output
+/// size is derived, never stored, so every shrunk case is either a
+/// consistent convolution or none at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvCase {
+    /// `[groups, in_per_group, out_per_group, in_h, in_w, kh, kw,
+    /// stride, pad]`.
+    pub dims: [u32; 9],
+    /// FP16 on the engine side (else INT8).
+    pub fp16: bool,
+    /// Seed for features, weights and bias.
+    pub data_seed: u64,
+}
+
+impl ConvCase {
+    /// Smallest value each of [`ConvCase::dims`] may shrink to.
+    pub const FLOORS: [u32; 9] = [1, 1, 1, 1, 1, 1, 1, 1, 0];
+
+    /// The engine descriptor, or `None` when a dimension is below its
+    /// floor or the padded input is smaller than the kernel.
+    #[must_use]
+    pub fn desc(&self) -> Option<ConvDesc> {
+        let [groups, in_per_group, out_per_group, in_h, in_w, kh, kw, stride, pad] = self.dims;
+        if self.dims.iter().zip(Self::FLOORS).any(|(&d, f)| d < f) {
+            return None;
+        }
+        let out = |len: u32, k: u32| Some((len + 2 * pad).checked_sub(k)? / stride + 1);
+        let precision = if self.fp16 {
+            Precision::Fp16
+        } else {
+            Precision::Int8
+        };
+        Some(ConvDesc {
+            src: 0,
+            in_w,
+            in_h,
+            in_c: groups * in_per_group,
+            wt_addr: 0,
+            wt_bytes: groups * out_per_group * in_per_group * kh * kw * precision.bytes(),
+            stride,
+            pad,
+            out_w: out(in_w, kw)?,
+            out_h: out(in_h, kh)?,
+            out_c: groups * out_per_group,
+            kw,
+            kh,
+            groups,
+            in_scale: 0.031,
+            wt_scale: 0.27,
+            precision,
+        })
+    }
+}
+
+/// A seeded convolution: 1–4 groups (one in six depthwise-like, one
+/// channel in and out), up to 20 output channels a group (across the
+/// kernels' channel blocks), inputs up to 12×12 and now and then wider
+/// than an accumulator tile, kernels up to 5×5 — not square, and larger
+/// than the input when the padding makes up for it — stride 1–3, and
+/// padding from none to beyond the kernel, so windows clip on every
+/// edge.
+#[must_use]
+pub fn conv_case(seed: u64) -> ConvCase {
+    let mut rng = SplitMix64::new(seed);
+    let depthwise = rng.chance(1, 6);
+    let groups = rng.range(1, 4) as u32;
+    let in_per_group = if depthwise { 1 } else { rng.range(1, 6) as u32 };
+    let out_per_group = if depthwise {
+        1
+    } else {
+        rng.range(1, 20) as u32
+    };
+    let in_h = rng.range(1, 12) as u32;
+    let in_w = if rng.chance(1, 8) {
+        rng.range(250, 300) as u32
+    } else {
+        rng.range(1, 12) as u32
+    };
+    let (kh, kw) = (rng.range(1, 5) as u32, rng.range(1, 5) as u32);
+    let stride = rng.range(1, 3) as u32;
+    // Enough padding that the kernel fits, then up to two past it.
+    let fit = (kh.saturating_sub(in_h))
+        .max(kw.saturating_sub(in_w))
+        .div_ceil(2);
+    let pad = rng.range(u64::from(fit), u64::from(kh.max(kw) + 2)) as u32;
+    ConvCase {
+        dims: [
+            groups,
+            in_per_group,
+            out_per_group,
+            in_h,
+            in_w,
+            kh,
+            kw,
+            stride,
+            pad,
+        ],
+        fp16: rng.chance(1, 2),
+        data_seed: rng.next_u64(),
+    }
+}
+
 /// A seeded interleaved frame stream over `models` resident models:
 /// `(model index, input seed)` pairs, FIFO enqueue order.
 #[must_use]
@@ -469,6 +574,7 @@ mod tests {
             assert_eq!(bus_program(seed), bus_program(seed));
             assert_eq!(net_plan(seed), net_plan(seed));
             assert_eq!(frame_stream(seed, 2, 6), frame_stream(seed, 2, 6));
+            assert_eq!(conv_case(seed), conv_case(seed));
         }
     }
 
@@ -486,6 +592,14 @@ mod tests {
             }
         }
         assert_eq!(built, 100);
+    }
+
+    #[test]
+    fn generated_conv_cases_are_consistent() {
+        for seed in 0..200u64 {
+            let case = conv_case(seed);
+            assert!(case.desc().is_some(), "seed {seed}: {case:?}");
+        }
     }
 
     /// Promoted regression: the first 100-seed sweep caught this

@@ -17,8 +17,8 @@
 //! shrinking is hand-rolled in [`shrink`]: delete-chunk over element
 //! lists, bisection over scalar knobs.
 //!
-//! Targets: `riscv`, `bus`, `net`, `batch`, `serve`, `fleet` — see
-//! each module for the oracle it enforces.
+//! Targets: `riscv`, `bus`, `net`, `batch`, `serve`, `fleet`, `conv` —
+//! see each module for the oracle it enforces.
 
 use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
@@ -26,6 +26,7 @@ use std::sync::Mutex;
 
 pub mod batch;
 pub mod bus;
+pub mod conv;
 pub mod fleet;
 pub mod gen;
 pub mod net;
@@ -184,7 +185,7 @@ pub fn drive<T: FuzzTarget>(
 }
 
 /// Every CLI-addressable target name, in the order `all` runs them.
-pub const TARGETS: [&str; 6] = ["riscv", "bus", "net", "batch", "serve", "fleet"];
+pub const TARGETS: [&str; 7] = ["riscv", "bus", "net", "batch", "serve", "fleet", "conv"];
 
 /// Drive targets by CLI name (`all` runs every target in [`TARGETS`]
 /// order). Returns one report per target driven.
@@ -213,6 +214,7 @@ pub fn run(
             "batch" => drive(&batch::BatchTarget, base_seed, budget, do_shrink),
             "serve" => drive(&serve::ServeTarget, base_seed, budget, do_shrink),
             "fleet" => drive(&fleet::FleetTarget, base_seed, budget, do_shrink),
+            "conv" => drive(&conv::ConvTarget, base_seed, budget, do_shrink),
             _ => unreachable!("names are drawn from TARGETS"),
         })
         .collect())
@@ -259,6 +261,12 @@ mod tests {
     #[test]
     fn fleet_oracle_holds() {
         let r = drive(&fleet::FleetTarget, 0xF5, 2, true);
+        assert!(r.passed(), "{:#?}", r.counterexample);
+    }
+
+    #[test]
+    fn conv_oracle_holds() {
+        let r = drive(&conv::ConvTarget, 0xF6, 40, true);
         assert!(r.passed(), "{:#?}", r.counterexample);
     }
 

@@ -5,14 +5,18 @@
 //! the integration tests, exactly as the paper validates its SoC output
 //! against the NVDLA virtual platform.
 
+use crate::conv::{self, ConvGeom};
 use crate::graph::{ConvParams, GraphError, Network, NodeId, Op, PoolKind};
 use crate::tensor::{Shape, Tensor};
+
+type ConvFn = fn(&ConvGeom, &[f32], &[f32], Option<&[f32]>) -> Vec<f32>;
 
 /// Executes a network and retains every intermediate activation.
 #[derive(Debug)]
 pub struct Executor<'a> {
     net: &'a Network,
     shapes: Vec<Shape>,
+    conv: ConvFn,
 }
 
 impl<'a> Executor<'a> {
@@ -27,7 +31,26 @@ impl<'a> Executor<'a> {
         let shapes = net
             .infer_shapes()
             .expect("network shapes must be consistent");
-        Executor { net, shapes }
+        Executor {
+            net,
+            shapes,
+            conv: conv::conv2d,
+        }
+    }
+
+    /// The oracle: as [`Executor::new`], but convolving with the
+    /// tap-at-a-time [`conv::conv2d_naive`]. Every activation must
+    /// equal the production executor's bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Executor::new`].
+    #[must_use]
+    pub fn naive(net: &'a Network) -> Self {
+        Executor {
+            conv: conv::conv2d_naive,
+            ..Executor::new(net)
+        }
     }
 
     /// Inferred output shape of each node.
@@ -69,7 +92,7 @@ impl<'a> Executor<'a> {
             let get = |k: usize| -> &Tensor { &acts[node.inputs[k].index()] };
             let out = match &node.op {
                 Op::Input => input.clone(),
-                Op::Conv2d(p) => conv2d(get(0), p, out_shape),
+                Op::Conv2d(p) => conv2d(self.conv, get(0), p, out_shape),
                 Op::FullyConnected {
                     weights,
                     out,
@@ -112,39 +135,23 @@ impl<'a> Executor<'a> {
     }
 }
 
-fn conv2d(x: &Tensor, p: &ConvParams, out_shape: Shape) -> Tensor {
-    let mut y = Tensor::zeros(out_shape);
+fn conv2d(kernel: ConvFn, x: &Tensor, p: &ConvParams, out_shape: Shape) -> Tensor {
     let in_shape = x.shape();
-    let (kh, kw) = (p.weights.kh, p.weights.kw);
-    let in_per_group = p.weights.in_c;
-    let out_per_group = p.weights.out_c / p.groups;
-    for oc in 0..out_shape.c {
-        let g = oc / out_per_group;
-        let in_base = g * in_per_group;
-        for oy in 0..out_shape.h {
-            for ox in 0..out_shape.w {
-                let mut acc = p.bias[oc];
-                for ic in 0..in_per_group {
-                    for ky in 0..kh {
-                        let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                        if iy < 0 || iy as usize >= in_shape.h {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                            if ix < 0 || ix as usize >= in_shape.w {
-                                continue;
-                            }
-                            acc += x.at(in_base + ic, iy as usize, ix as usize)
-                                * p.weights.at(oc, ic, ky, kx);
-                        }
-                    }
-                }
-                y.set(oc, oy, ox, acc);
-            }
-        }
-    }
-    y
+    let geom = ConvGeom {
+        in_c: in_shape.c,
+        in_h: in_shape.h,
+        in_w: in_shape.w,
+        out_c: out_shape.c,
+        out_h: out_shape.h,
+        out_w: out_shape.w,
+        kh: p.weights.kh,
+        kw: p.weights.kw,
+        stride: p.stride,
+        pad: p.pad,
+        groups: p.groups,
+    };
+    let y = kernel(&geom, x.data(), p.weights.data(), Some(&p.bias));
+    Tensor::from_vec(out_shape, y)
 }
 
 fn fully_connected(x: &Tensor, weights: &[f32], out: usize, in_dim: usize, bias: &[f32]) -> Tensor {
@@ -169,7 +176,6 @@ fn pool(x: &Tensor, kind: PoolKind, k: usize, stride: usize, pad: usize, out: Sh
             for ox in 0..out.w {
                 let mut best = f32::NEG_INFINITY;
                 let mut sum = 0.0f32;
-                let mut count = 0usize;
                 for ky in 0..k {
                     let iy = (oy * stride + ky) as isize - pad as isize;
                     if iy < 0 || iy as usize >= s.h {
@@ -183,7 +189,6 @@ fn pool(x: &Tensor, kind: PoolKind, k: usize, stride: usize, pad: usize, out: Sh
                         let v = x.at(c, iy as usize, ix as usize);
                         best = best.max(v);
                         sum += v;
-                        count += 1;
                     }
                 }
                 let v = match kind {
@@ -191,7 +196,6 @@ fn pool(x: &Tensor, kind: PoolKind, k: usize, stride: usize, pad: usize, out: Sh
                     // Caffe averages over the full window including padding.
                     PoolKind::Avg => sum / (k * k) as f32,
                 };
-                let _ = count;
                 y.set(c, oy, ox, v);
             }
         }

@@ -93,8 +93,18 @@ impl CalibrationTable {
     ///
     /// Returns [`GraphError`] if an input does not match the network.
     pub fn calibrate(net: &Network, calib_inputs: &[Tensor]) -> Result<Self, GraphError> {
-        let exec = Executor::new(net);
-        let mut max_abs = vec![0.0f32; net.nodes().len()];
+        Self::calibrate_with(&Executor::new(net), calib_inputs)
+    }
+
+    /// As [`CalibrationTable::calibrate`], through a given executor
+    /// (the gate runs [`Executor::naive`] here and demands the same
+    /// table byte for byte).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError`] if an input does not match the network.
+    pub fn calibrate_with(exec: &Executor, calib_inputs: &[Tensor]) -> Result<Self, GraphError> {
+        let mut max_abs = vec![0.0f32; exec.shapes().len()];
         for input in calib_inputs {
             let acts = exec.run_all(input)?;
             for (m, t) in max_abs.iter_mut().zip(&acts) {

@@ -7,6 +7,7 @@
 
 use crate::config::Precision;
 use crate::regs::{self, Block};
+use rvnv_nn::conv::ConvGeom;
 
 /// Register-read function for a block (`offset -> value`).
 pub(crate) type RegRead<'a> = &'a dyn Fn(Block, u32) -> u32;
@@ -102,6 +103,24 @@ impl ConvDesc {
     #[must_use]
     pub fn feature_bytes(&self) -> usize {
         (self.in_c * self.in_h * self.in_w * self.precision.bytes()) as usize
+    }
+
+    /// The convolution's shape, as the kernels take it.
+    #[must_use]
+    pub fn geom(&self) -> ConvGeom {
+        ConvGeom {
+            in_c: self.in_c as usize,
+            in_h: self.in_h as usize,
+            in_w: self.in_w as usize,
+            out_c: self.out_c as usize,
+            out_h: self.out_h as usize,
+            out_w: self.out_w as usize,
+            kh: self.kh as usize,
+            kw: self.kw as usize,
+            stride: self.stride as usize,
+            pad: self.pad as usize,
+            groups: self.groups as usize,
+        }
     }
 
     /// Multiply-accumulates for the whole operation.

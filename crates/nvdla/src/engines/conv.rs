@@ -6,27 +6,22 @@
 //! do) and converts to real values with the input×weight scale; FP16
 //! accumulates in f32 (the RTL uses wider-than-fp16 accumulation too).
 //!
-//! Two implementations share the same tap order:
-//!
-//! * [`compute`] — the production path: an `im2col`-style *blocked*
-//!   loop that gathers each output window's input patch into a flat
-//!   buffer once per `(oy, ox)` position and reuses it across every
-//!   output channel, with a bounds-check-free inner dot product.
-//! * [`compute_reference`] — the original naive tap-at-a-time loop,
-//!   kept as the bit-exactness oracle for tests, the determinism
-//!   fingerprint and the perf harness.
-//!
-//! Bit-identical outputs are guaranteed because both paths visit the
-//! taps of each output in the same `(ic, ky, kx)` order (f32 addition
-//! is not associative, so the *sequence* of adds is part of the
-//! contract), and padding taps are skipped rather than added as zeros
-//! (adding `0.0` could flip a `-0.0` partial sum to `+0.0`). The one
-//! exception is NaN *inputs*, whose payload propagation IEEE 754 (and
-//! the compiler) leaves underdetermined — encoded model data never
-//! contains them.
+//! * [`compute`] — the production path. One rule makes it fast and
+//!   keeps it exact: **SIMD/ILP lanes run across independent outputs,
+//!   never along one output's tap reduction**. FP16 decodes to f32 and
+//!   calls [`rvnv_nn::conv::conv2d`], the kernel the golden executor
+//!   runs, which keeps every output's `(ic, ky, kx)` add sequence and
+//!   skips padding taps. INT8 sums are exact in any order, so that
+//!   path may vectorize the reduction too: each window is gathered
+//!   once into a zero-padded patch and reduced against four output
+//!   channels' weight rows at a time.
+//! * [`compute_reference`] — the naive tap-at-a-time loop, kept as the
+//!   bit-exactness oracle for tests, the determinism fingerprint, the
+//!   `conv` fuzz target and the perf harness.
 
 use crate::config::Precision;
 use crate::descriptor::ConvDesc;
+use rvnv_nn::conv::{conv2d, conv2d_naive, ConvGeom};
 use rvnv_nn::F16;
 
 /// Compute the convolution accumulator as real (f32) values in NCHW
@@ -40,28 +35,21 @@ use rvnv_nn::F16;
 /// Panics if the buffers are smaller than the descriptor implies.
 #[must_use]
 pub fn compute(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
-    let d = Dims::of(desc);
+    let g = desc.geom();
     match desc.precision {
         Precision::Int8 => {
-            assert!(feature.len() >= d.in_elems, "feature buffer too small");
-            assert!(weights.len() >= d.wt_elems, "weight buffer too small");
-            let f: Vec<i32> = feature[..d.in_elems]
-                .iter()
-                .map(|&b| i32::from(b as i8))
-                .collect();
-            let w: Vec<i32> = weights[..d.wt_elems]
-                .iter()
-                .map(|&b| i32::from(b as i8))
-                .collect();
+            let (f, w) = int8_operands(&g, feature, weights);
+            let widen = |bytes: &[u8]| bytes.iter().map(|&b| i16::from(b as i8)).collect();
+            let (f, w): (Vec<i16>, Vec<i16>) = (widen(f), widen(w));
             let acc_scale = desc.in_scale * desc.wt_scale;
-            compute_blocked(&d, &f, &w, |acc: i32| acc as f32 * acc_scale)
+            conv_int8(&g, &f, &w)
+                .into_iter()
+                .map(|acc| acc as f32 * acc_scale)
+                .collect()
         }
         Precision::Fp16 => {
-            assert!(feature.len() >= d.in_elems * 2, "feature buffer too small");
-            assert!(weights.len() >= d.wt_elems * 2, "weight buffer too small");
-            let f: Vec<f32> = decode_f16(&feature[..d.in_elems * 2]);
-            let w: Vec<f32> = decode_f16(&weights[..d.wt_elems * 2]);
-            compute_blocked(&d, &f, &w, |acc: f32| acc)
+            let (f, w) = decode_f16(&g, feature, weights);
+            conv2d(&g, &f, &w, None)
         }
     }
 }
@@ -69,275 +57,151 @@ pub fn compute(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
 /// The original tap-at-a-time implementation — slow, obviously
 /// correct, and the oracle [`compute`] is differentially tested
 /// against (bit-identical output required).
+///
+/// # Panics
+///
+/// Panics if the buffers are smaller than the descriptor implies.
 #[must_use]
 pub fn compute_reference(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
+    let g = desc.geom();
     match desc.precision {
-        Precision::Int8 => reference_int8(desc, feature, weights),
-        Precision::Fp16 => reference_fp16(desc, feature, weights),
-    }
-}
-
-fn decode_f16(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(2)
-        .map(|p| F16::from_bits(u16::from_le_bytes([p[0], p[1]])).to_f32())
-        .collect()
-}
-
-/// Multiply-accumulate element: `i32` for INT8 (exact), `f32` for FP16.
-trait Mac: Copy + Default {
-    fn mac(acc: Self, f: Self, w: Self) -> Self;
-
-    /// Full-window dot product over equal-length slices. The default
-    /// is a strict left-to-right fold; element types whose addition is
-    /// associative may override with a vectorizable loop.
-    fn dot(a: &[Self], b: &[Self]) -> Self {
-        a.iter()
-            .zip(b)
-            .fold(Self::default(), |acc, (&f, &w)| Self::mac(acc, f, w))
-    }
-}
-
-impl Mac for i32 {
-    fn mac(acc: Self, f: Self, w: Self) -> Self {
-        acc + f * w
-    }
-
-    /// Integer addition is associative, so the compiler is free to
-    /// vectorize this reduction — the result is exact regardless of
-    /// order (int8 products cannot overflow a realistic i32 sum).
-    fn dot(a: &[Self], b: &[Self]) -> Self {
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut acc = 0;
-        for i in 0..n {
-            acc += a[i] * b[i];
+        Precision::Int8 => {
+            let (f, w) = int8_operands(&g, feature, weights);
+            let acc_scale = desc.in_scale * desc.wt_scale;
+            reference_int8(&g, f, w)
+                .into_iter()
+                .map(|acc| acc as f32 * acc_scale)
+                .collect()
         }
-        acc
-    }
-}
-
-impl Mac for f32 {
-    /// f32 keeps the strict sequential default: the summation order is
-    /// the bit-exactness contract.
-    fn mac(acc: Self, f: Self, w: Self) -> Self {
-        acc + f * w
-    }
-}
-
-/// Blocked convolution over pre-converted element buffers.
-///
-/// For each `(group, oy, ox)`, the valid kernel window is computed
-/// once, the input patch is gathered row-contiguously into `patch` in
-/// `(ic, ky, kx)` tap order, and every output channel of the group
-/// reduces that same patch against its (contiguous, OIHW) weight row.
-/// Interior outputs — the vast majority — see a full window, where the
-/// patch layout coincides with the weight row layout and the reduction
-/// is a straight `zip` dot product; border outputs index the weight
-/// row through a per-window offset table instead.
-fn compute_blocked<T: Mac>(
-    d: &Dims,
-    feature: &[T],
-    weights: &[T],
-    finish: impl Fn(T) -> f32,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; d.out_c * d.out_h * d.out_w];
-    let plane = d.in_h * d.in_w;
-    let wt_per_oc = d.in_per_group * d.kh * d.kw;
-    let groups = d.out_c / d.out_per_group;
-    let mut patch: Vec<T> = Vec::with_capacity(wt_per_oc);
-    // Weight-row offsets (`ic*kh*kw + ky*kw + kx`) of the gathered
-    // taps, rebuilt only for clipped (border) windows.
-    let mut widx: Vec<usize> = Vec::with_capacity(wt_per_oc);
-    for g in 0..groups {
-        let in_base = g * d.in_per_group * plane;
-        for oy in 0..d.out_h {
-            let base_y = (oy * d.stride) as isize - d.pad;
-            let ky0 = usize::try_from(-base_y).unwrap_or(0).min(d.kh);
-            let ky1 = usize::try_from(d.in_h as isize - base_y)
-                .unwrap_or(0)
-                .min(d.kh);
-            for ox in 0..d.out_w {
-                let base_x = (ox * d.stride) as isize - d.pad;
-                let kx0 = usize::try_from(-base_x).unwrap_or(0).min(d.kw);
-                let kx1 = usize::try_from(d.in_w as isize - base_x)
-                    .unwrap_or(0)
-                    .min(d.kw);
-                let row_len = kx1.saturating_sub(kx0);
-                let full = ky0 == 0 && ky1 == d.kh && kx0 == 0 && kx1 == d.kw;
-                // A kernel spanning the whole input plane (fully-
-                // connected layers lowered to conv) needs no gather at
-                // all: the patch *is* the group's feature slice.
-                let whole_plane = full && d.kw == d.in_w && d.kh == d.in_h;
-
-                patch.clear();
-                if row_len > 0 && !whole_plane {
-                    let ix0 = (base_x + kx0 as isize) as usize;
-                    if full && d.kw == d.in_w {
-                        // Full-width kernel rows are contiguous across
-                        // ky — one copy per input channel.
-                        for ic in 0..d.in_per_group {
-                            let start = in_base + ic * plane + base_y as usize * d.in_w;
-                            patch.extend_from_slice(&feature[start..start + d.kh * d.in_w]);
-                        }
-                    } else {
-                        for ic in 0..d.in_per_group {
-                            let fplane = &feature[in_base + ic * plane..][..plane];
-                            for ky in ky0..ky1 {
-                                let iy = (base_y + ky as isize) as usize;
-                                let start = iy * d.in_w + ix0;
-                                patch.extend_from_slice(&fplane[start..start + row_len]);
-                            }
-                        }
-                    }
-                }
-                let patch_taps: &[T] = if whole_plane {
-                    &feature[in_base..in_base + d.in_per_group * plane]
-                } else {
-                    &patch
-                };
-                if !full {
-                    widx.clear();
-                    for ic in 0..d.in_per_group {
-                        for ky in ky0..ky1 {
-                            for kx in kx0..kx1 {
-                                widx.push((ic * d.kh + ky) * d.kw + kx);
-                            }
-                        }
-                    }
-                }
-
-                for oc_in_g in 0..d.out_per_group {
-                    let oc = g * d.out_per_group + oc_in_g;
-                    let wrow = &weights[oc * wt_per_oc..][..wt_per_oc];
-                    let acc = if full {
-                        // Full window: gathered tap order equals the
-                        // OIHW weight-row order — contiguous dot.
-                        T::dot(patch_taps, wrow)
-                    } else {
-                        patch_taps
-                            .iter()
-                            .zip(&widx)
-                            .fold(T::default(), |acc, (&f, &wi)| T::mac(acc, f, wrow[wi]))
-                    };
-                    out[(oc * d.out_h + oy) * d.out_w + ox] = finish(acc);
-                }
-            }
+        Precision::Fp16 => {
+            let (f, w) = decode_f16(&g, feature, weights);
+            conv2d_naive(&g, &f, &w, None)
         }
     }
-    out
 }
 
-fn reference_int8(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
-    let d = Dims::of(desc);
-    assert!(feature.len() >= d.in_elems, "feature buffer too small");
-    assert!(weights.len() >= d.wt_elems, "weight buffer too small");
-    let acc_scale = desc.in_scale * desc.wt_scale;
-    let mut out = vec![0.0f32; desc.out_elems()];
-    d.for_each_output(|oc, oy, ox, out_idx| {
-        let mut acc: i32 = 0;
-        d.for_each_tap(oc, oy, ox, |f_idx, w_idx| {
-            acc += i32::from(feature[f_idx] as i8) * i32::from(weights[w_idx] as i8);
-        });
-        out[out_idx] = acc as f32 * acc_scale;
-    });
-    out
+/// The INT8 feature and weight bytes the geometry covers.
+fn int8_operands<'a>(g: &ConvGeom, feature: &'a [u8], weights: &'a [u8]) -> (&'a [u8], &'a [u8]) {
+    assert!(feature.len() >= g.in_elems(), "feature buffer too small");
+    assert!(weights.len() >= g.wt_elems(), "weight buffer too small");
+    (&feature[..g.in_elems()], &weights[..g.wt_elems()])
 }
 
-fn reference_fp16(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
-    let d = Dims::of(desc);
-    assert!(feature.len() >= d.in_elems * 2, "feature buffer too small");
-    assert!(weights.len() >= d.wt_elems * 2, "weight buffer too small");
-    let f16_at = |buf: &[u8], i: usize| -> f32 {
-        F16::from_bits(u16::from_le_bytes([buf[2 * i], buf[2 * i + 1]])).to_f32()
+fn decode_f16(g: &ConvGeom, feature: &[u8], weights: &[u8]) -> (Vec<f32>, Vec<f32>) {
+    assert!(
+        feature.len() >= g.in_elems() * 2,
+        "feature buffer too small"
+    );
+    assert!(weights.len() >= g.wt_elems() * 2, "weight buffer too small");
+    let decode = |bytes: &[u8]| {
+        bytes
+            .chunks_exact(2)
+            .map(|p| F16::from_bits(u16::from_le_bytes([p[0], p[1]])).to_f32())
+            .collect()
     };
-    let mut out = vec![0.0f32; desc.out_elems()];
-    d.for_each_output(|oc, oy, ox, out_idx| {
-        let mut acc: f32 = 0.0;
-        d.for_each_tap(oc, oy, ox, |f_idx, w_idx| {
-            acc += f16_at(feature, f_idx) * f16_at(weights, w_idx);
-        });
-        out[out_idx] = acc;
-    });
+    (
+        decode(&feature[..g.in_elems() * 2]),
+        decode(&weights[..g.wt_elems() * 2]),
+    )
+}
+
+/// Output channels reduced against one gathered patch at a time.
+const ROWS: usize = 4;
+
+/// INT8 convolution over operands widened to `i16`, whose products the
+/// compiler can form pairwise (`pmaddwd`) without leaving `i32`.
+///
+/// For each `(group, oy, ox)` the input window is gathered once into
+/// `patch`, laid out exactly like an OIHW weight row with the padding
+/// taps left zero (adding an integer zero is exact), and every block
+/// of [`ROWS`] output channels of the group reduces that same patch
+/// against its weight rows.
+fn conv_int8(g: &ConvGeom, feature: &[i16], weights: &[i16]) -> Vec<i32> {
+    let (ipg, opg, taps) = (g.in_per_group(), g.out_per_group(), g.taps());
+    let (in_plane, out_plane) = (g.in_h * g.in_w, g.out_h * g.out_w);
+    let mut out = vec![0i32; g.out_elems()];
+    let mut patch = vec![0i16; taps];
+    for group in 0..g.groups {
+        let planes = &feature[group * ipg * in_plane..][..ipg * in_plane];
+        let group_rows = &weights[group * opg * taps..][..opg * taps];
+        for oy in 0..g.out_h {
+            let kys = g.taps_inside(oy, g.in_h, g.kh);
+            for ox in 0..g.out_w {
+                let kxs = g.taps_inside(ox, g.in_w, g.kw);
+                if kys.len() * kxs.len() < g.kh * g.kw {
+                    patch.fill(0);
+                }
+                if !kxs.is_empty() {
+                    let ix0 = ox * g.stride + kxs.start - g.pad;
+                    for (ic, plane) in planes.chunks_exact(in_plane).enumerate() {
+                        for ky in kys.clone() {
+                            let iy = oy * g.stride + ky - g.pad;
+                            patch[(ic * g.kh + ky) * g.kw + kxs.start..][..kxs.len()]
+                                .copy_from_slice(&plane[iy * g.in_w + ix0..][..kxs.len()]);
+                        }
+                    }
+                }
+                let at = group * opg * out_plane + oy * g.out_w + ox;
+                for (block, rows) in group_rows.chunks(ROWS * taps).enumerate() {
+                    let sums = dot_rows(&patch, rows);
+                    for (j, sum) in sums.into_iter().take(rows.len() / taps).enumerate() {
+                        out[at + (block * ROWS + j) * out_plane] = sum;
+                    }
+                }
+            }
+        }
+    }
     out
 }
 
-/// Loop bounds shared by both precisions (indices are element indices).
-struct Dims {
-    in_w: usize,
-    in_h: usize,
-    in_per_group: usize,
-    out_w: usize,
-    out_h: usize,
-    out_c: usize,
-    out_per_group: usize,
-    kw: usize,
-    kh: usize,
-    stride: usize,
-    pad: isize,
-    in_elems: usize,
-    wt_elems: usize,
+/// Dot products of `patch` with each of the (up to [`ROWS`]) weight
+/// rows packed in `rows`; a missing row repeats the last one. Integer
+/// addition is associative, so the compiler may vectorize each
+/// reduction — int8 products cannot overflow a realistic `i32` sum.
+fn dot_rows(patch: &[i16], rows: &[i16]) -> [i32; ROWS] {
+    let n = patch.len();
+    let last = rows.len() / n - 1;
+    let rows: [&[i16]; ROWS] = std::array::from_fn(|j| &rows[j.min(last) * n..][..n]);
+    let mut sums = [0i32; ROWS];
+    for (i, &p) in patch.iter().enumerate() {
+        for (sum, row) in sums.iter_mut().zip(rows) {
+            *sum += i32::from(p) * i32::from(row[i]);
+        }
+    }
+    sums
 }
 
-impl Dims {
-    fn of(desc: &ConvDesc) -> Self {
-        let groups = desc.groups as usize;
-        let in_per_group = desc.in_c as usize / groups;
-        let out_per_group = desc.out_c as usize / groups;
-        Dims {
-            in_w: desc.in_w as usize,
-            in_h: desc.in_h as usize,
-            in_per_group,
-            out_w: desc.out_w as usize,
-            out_h: desc.out_h as usize,
-            out_c: desc.out_c as usize,
-            out_per_group,
-            kw: desc.kw as usize,
-            kh: desc.kh as usize,
-            stride: desc.stride as usize,
-            pad: desc.pad as isize,
-            in_elems: (desc.in_c * desc.in_h * desc.in_w) as usize,
-            wt_elems: (desc.out_c * (desc.in_c / desc.groups) * desc.kh * desc.kw) as usize,
-        }
-    }
-
-    fn for_each_output(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
-        let mut idx = 0;
-        for oc in 0..self.out_c {
-            for oy in 0..self.out_h {
-                for ox in 0..self.out_w {
-                    f(oc, oy, ox, idx);
-                    idx += 1;
-                }
-            }
-        }
-    }
-
-    /// Visit every (feature, weight) element-index pair for one output.
-    fn for_each_tap(&self, oc: usize, oy: usize, ox: usize, mut f: impl FnMut(usize, usize)) {
-        let g = oc / self.out_per_group;
-        let in_base_c = g * self.in_per_group;
-        for ic in 0..self.in_per_group {
-            let f_plane = (in_base_c + ic) * self.in_h * self.in_w;
-            let w_plane = ((oc * self.in_per_group) + ic) * self.kh * self.kw;
-            for ky in 0..self.kh {
-                let iy = (oy * self.stride + ky) as isize - self.pad;
-                if iy < 0 || iy as usize >= self.in_h {
-                    continue;
-                }
-                for kx in 0..self.kw {
-                    let ix = (ox * self.stride + kx) as isize - self.pad;
-                    if ix < 0 || ix as usize >= self.in_w {
-                        continue;
+fn reference_int8(g: &ConvGeom, feature: &[u8], weights: &[u8]) -> Vec<i32> {
+    let (ipg, opg) = (g.in_per_group(), g.out_per_group());
+    let mut out = Vec::with_capacity(g.out_elems());
+    for oc in 0..g.out_c {
+        let in_base = oc / opg * ipg;
+        for oy in 0..g.out_h {
+            for ox in 0..g.out_w {
+                let mut acc: i32 = 0;
+                for ic in 0..ipg {
+                    for ky in 0..g.kh {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        if iy < 0 || iy as usize >= g.in_h {
+                            continue;
+                        }
+                        for kx in 0..g.kw {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if ix < 0 || ix as usize >= g.in_w {
+                                continue;
+                            }
+                            let f = feature
+                                [((in_base + ic) * g.in_h + iy as usize) * g.in_w + ix as usize];
+                            let w = weights[((oc * ipg + ic) * g.kh + ky) * g.kw + kx];
+                            acc += i32::from(f as i8) * i32::from(w as i8);
+                        }
                     }
-                    f(
-                        f_plane + iy as usize * self.in_w + ix as usize,
-                        w_plane + ky * self.kw + kx,
-                    );
                 }
+                out.push(acc);
             }
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -435,11 +299,13 @@ mod tests {
         let fbytes = super::super::from_real(&fvals, Precision::Fp16, 1.0);
         let wbytes = super::super::from_real(&wvals, Precision::Fp16, 1.0);
         let out = compute(&d, &fbytes, &wbytes);
-        // Reference: exact f32 conv (values chosen representable in f16).
-        let d8 = desc(2, 4, 3, 3, 1, 1, 1, Precision::Int8);
-        let _ = d8;
+        let slow = compute_reference(&d, &fbytes, &wbytes);
         assert_eq!(out.len(), 3 * 4 * 4);
-        // Spot check one output by direct summation.
+        for (a, b) in out.iter().zip(&slow) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        }
+        // Spot check one output by direct f32 summation (the values
+        // are exactly representable in f16).
         let mut expect = 0.0f32;
         for ic in 0..2 {
             for ky in 0..3 {
@@ -506,7 +372,30 @@ mod tests {
             desc(4, 6, 6, 5, 2, 2, 2, Precision::Fp16),
             desc(2, 5, 2, 5, 1, 4, 1, Precision::Fp16),
         ];
-        for (i, mut d) in shapes.into_iter().enumerate() {
+        let both = |d: ConvDesc| {
+            let fp16 = ConvDesc {
+                precision: Precision::Fp16,
+                wt_bytes: d.wt_bytes * 2,
+                ..d.clone()
+            };
+            [d, fp16]
+        };
+        let shapes = shapes.into_iter().chain(
+            [
+                desc(16, 14, 24, 1, 1, 0, 1, Precision::Int8), // pointwise
+                desc(3, 9, 4, 3, 2, 1, 1, Precision::Int8),    // stride 2, pad, odd width
+                desc(5, 7, 1, 3, 1, 1, 1, Precision::Int8),    // channels off the block
+                desc(5, 7, 3, 3, 2, 1, 1, Precision::Int8),
+                desc(4, 6, 10, 3, 1, 0, 2, Precision::Int8), // 5 per group
+                desc(4, 6, 12, 3, 1, 0, 2, Precision::Int8), // 6 per group
+                desc(16, 5, 10, 5, 1, 0, 1, Precision::Int8), // fc-style, out_w == 1
+                desc(2, 4, 9, 3, 3, 4, 1, Precision::Int8),  // pad beyond the kernel
+                desc(6, 5, 6, 3, 1, 1, 6, Precision::Int8),  // depthwise 3x3
+            ]
+            .into_iter()
+            .flat_map(both),
+        );
+        for (i, mut d) in shapes.enumerate() {
             d.in_scale = 0.031;
             d.wt_scale = 0.27;
             let elem = d.precision.bytes() as usize;

@@ -112,7 +112,7 @@ fn main() -> ExitCode {
                  \tcycle-exactly. See docs/FLEET.md.\n\
                  fuzz <target|all> [--seed S] [--budget N] [--shrink]\n\
                  \tSeeded differential fuzzing over the standing\n\
-                 \tcontracts (targets riscv|bus|net|batch|serve|fleet).\n\
+                 \tcontracts (targets riscv|bus|net|batch|serve|fleet|conv).\n\
                  \tCase i derives its input from seed S+i and checks the\n\
                  \ttarget's oracle; with --shrink a failure is reduced to\n\
                  \ta minimal input and printed as a one-line replay\n\
@@ -1168,7 +1168,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), AnyError> {
         i += 1;
     }
     let target =
-        target.ok_or("missing fuzz target (one of riscv|bus|net|batch|serve|fleet|all)")?;
+        target.ok_or("missing fuzz target (one of riscv|bus|net|batch|serve|fleet|conv|all)")?;
     let seed = parse_number(args, "--seed")?.unwrap_or(1);
     let budget = match parse_number(args, "--budget")? {
         Some(b) => b,
