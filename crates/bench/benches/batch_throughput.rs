@@ -29,6 +29,7 @@ use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{ArtifactCache, Artifacts, CompileOptions};
 use rvnv_nn::zoo::Model;
 use rvnv_nn::Tensor;
+use rvnv_obs::Tracer;
 use rvnv_soc::batch::{
     layout_models, run_parallel, BatchScheduler, Frame, PipelinedScheduler, Policy,
 };
@@ -191,6 +192,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
                 wfi_codegen(),
                 &frames,
                 threads,
+                false,
+                &Tracer::disarmed(),
             )
             .expect("fan-out")
             .total_cycles()

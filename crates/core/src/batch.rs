@@ -44,10 +44,10 @@
 //! Both report per-model cycles, per-frame service latency, arbiter
 //! contention and end-to-end throughput in a [`BatchReport`].
 //!
-//! For host-side scale-out, [`run_parallel`] (and its pipelined twin
-//! [`run_parallel_pipelined`]) shards a frame stream across worker
-//! threads via [`crate::sweep::fan_out`], one SoC replica (with all
-//! models resident) per worker.
+//! For host-side scale-out, [`run_parallel`] (serial or pipelined
+//! workers) shards a frame stream across worker threads via
+//! [`crate::sweep::fan_out`], one SoC replica (with all models
+//! resident) per worker.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -829,15 +829,30 @@ pub struct Frame {
 
 /// Drain `frames` across `threads` SoC replicas, each with every model
 /// in `models` resident, sharding the stream round-robin (frame `i` to
-/// worker `i % threads`) and merging the per-worker reports. Modeled
-/// cycles are shard-independent — each frame is a full in-place reset —
-/// so the merged totals equal a single-SoC drain of the same frames;
-/// only host wall-clock changes with the fan-out.
+/// worker `i % threads`) and merging the per-worker reports.
+///
+/// With serial workers (`pipelined == false`) modeled cycles are
+/// shard-independent — each frame is a full in-place reset — so the
+/// merged totals equal a single-SoC drain of the same frames; only host
+/// wall-clock changes with the fan-out. With **pipelined** workers each
+/// replica drains its shard through a [`PipelinedScheduler`],
+/// overlapping every shard-internal preload: output bytes stay
+/// bit-identical to the serial drain, each worker's modeled cycles
+/// reflect its own shard's contention, and the merged makespan keeps
+/// the single-SoC serving semantics (shards summed).
+///
+/// Spans land in `tracer` (pass [`Tracer::disarmed`] for none): each
+/// worker shard drains on its own "batch worker N" sync track —
+/// per-frame `preload`/`compute` spans on the shard's modeled clock, or
+/// for pipelined workers one `drain` parent span wrapping the `ps_burst`
+/// fill and the per-frame `compute`/`ps_burst` pipeline children.
+/// Arming the tracer never changes a modeled cycle or output byte.
 ///
 /// ```
 /// use rvnv_compiler::codegen::CodegenOptions;
 /// use rvnv_compiler::{ArtifactCache, CompileOptions};
 /// use rvnv_nn::{zoo, Tensor};
+/// use rvnv_obs::Tracer;
 /// use rvnv_soc::batch::{layout_models, run_parallel, Frame, Policy};
 /// use rvnv_soc::soc::SocConfig;
 ///
@@ -861,6 +876,8 @@ pub struct Frame {
 ///     CodegenOptions::default(),
 ///     &frames,
 ///     2,
+///     false,
+///     &Tracer::disarmed(),
 /// )?;
 /// assert_eq!(report.total_frames(), 2);
 /// # Ok(())
@@ -874,6 +891,7 @@ pub struct Frame {
 /// # Panics
 ///
 /// Panics if a worker thread panics (propagated by [`fan_out`]).
+#[allow(clippy::too_many_arguments)]
 pub fn run_parallel(
     config: &SocConfig,
     policy: Policy,
@@ -881,54 +899,28 @@ pub fn run_parallel(
     codegen: CodegenOptions,
     frames: &[Frame],
     threads: usize,
-) -> Result<BatchReport, BatchError> {
-    run_parallel_traced(
-        config,
-        policy,
-        models,
-        codegen,
-        frames,
-        threads,
-        &Tracer::disarmed(),
-    )
-}
-
-/// [`run_parallel`], emitting spans into `tracer`: each worker shard
-/// drains on its own "batch worker N" sync track (per-frame
-/// `preload`/`compute` spans on the shard's modeled clock). Arming the
-/// tracer never changes a modeled cycle or output byte.
-///
-/// # Errors
-///
-/// The first worker error, in worker order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated by [`fan_out`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_traced(
-    config: &SocConfig,
-    policy: Policy,
-    models: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    frames: &[Frame],
-    threads: usize,
+    pipelined: bool,
     tracer: &Tracer,
 ) -> Result<BatchReport, BatchError> {
     let threads = threads.clamp(1, frames.len().max(1));
     let mut shards = fan_out(threads, threads, |w| -> Result<BatchReport, BatchError> {
-        let mut sched = BatchScheduler::new(config.clone(), policy);
+        let shard = frames.iter().skip(w).step_by(threads);
+        let mut sched = PipelinedScheduler::loaded(
+            config,
+            policy,
+            models,
+            codegen,
+            shard.map(|f| (f.model, f.bytes.clone())),
+        )?;
         if tracer.is_armed() {
             let track = tracer.track(&format!("batch worker {w}"), TrackKind::Sync);
             sched.set_tracer(tracer.clone(), track);
         }
-        for artifacts in models {
-            sched.add_model(artifacts.clone(), codegen)?;
+        if pipelined {
+            sched.run()
+        } else {
+            sched.inner.run()
         }
-        for frame in frames.iter().skip(w).step_by(threads) {
-            sched.enqueue_bytes(frame.model, frame.bytes.clone())?;
-        }
-        sched.run()
     })
     .into_iter();
     let mut merged = shards.next().expect("at least one worker")?;
@@ -1015,6 +1007,42 @@ impl PipelinedScheduler {
     pub fn new(config: SocConfig, policy: Policy) -> Self {
         PipelinedScheduler {
             inner: BatchScheduler::new(config, policy),
+        }
+    }
+
+    /// A scheduler over a fresh SoC with `models` resident and `frames`
+    /// — `(model, input bytes)` — queued in order: the set-up every
+    /// [`run_parallel`] shard and every serving replay
+    /// ([`crate::serve`]) starts from. The worker mode is a property of
+    /// the drain, not of the scheduler, so one constructor serves both.
+    pub(crate) fn loaded(
+        config: &SocConfig,
+        policy: Policy,
+        models: &[Arc<Artifacts>],
+        codegen: CodegenOptions,
+        frames: impl IntoIterator<Item = (usize, Vec<u8>)>,
+    ) -> Result<Self, BatchError> {
+        let mut sched = PipelinedScheduler::new(config.clone(), policy);
+        for artifacts in models {
+            sched.add_model(artifacts.clone(), codegen)?;
+        }
+        for (model, bytes) in frames {
+            sched.enqueue_bytes(model, bytes)?;
+        }
+        Ok(sched)
+    }
+
+    /// [`PipelinedScheduler::run_sequence`] when `pipelined`, else the
+    /// serial [`BatchScheduler::run_sequence`] on the same SoC.
+    pub(crate) fn drain_sequence(
+        &mut self,
+        pipelined: bool,
+        seq: &[usize],
+    ) -> Result<BatchReport, BatchError> {
+        if pipelined {
+            self.run_sequence(seq)
+        } else {
+            self.inner.run_sequence(seq)
         }
     }
 
@@ -1151,23 +1179,8 @@ impl PipelinedScheduler {
         let (slots, _) = self.staging()?;
         let sched = &mut self.inner;
         let mut frame_latencies = Vec::new();
-        let report = |sched: &mut BatchScheduler, latencies: Vec<FrameLatency>, span: u64| {
-            let per_model = sched
-                .models
-                .iter_mut()
-                .map(|m| (m.artifacts.model.clone(), std::mem::take(&mut m.stats)))
-                .collect();
-            BatchReport {
-                policy: sched.policy,
-                pipelined: true,
-                per_model,
-                frame_latencies: latencies,
-                makespan_cycles: span,
-                host_seconds: start.elapsed().as_secs_f64(),
-            }
-        };
         let Some(mut cur) = pick(sched, None) else {
-            return Ok(report(sched, frame_latencies, 0));
+            return Ok(sched.report(true, frame_latencies, 0, start));
         };
         let first_bytes = sched.models[cur]
             .queue
@@ -1294,7 +1307,7 @@ impl PipelinedScheduler {
         }
         sched.tracer.end(drain_ref, prev_completion);
         // The stream's span ends at the last frame's completion.
-        Ok(report(sched, frame_latencies, prev_completion))
+        Ok(sched.report(true, frame_latencies, prev_completion, start))
     }
 
     /// Drain every queued frame with overlapped preload. See
@@ -1359,83 +1372,4 @@ impl PipelinedScheduler {
         let mut order = seq.iter().copied();
         self.drain_with(move |_, _| order.next(), |_, _| {})
     }
-}
-
-/// [`run_parallel`] with **pipelined** workers: each worker SoC replica
-/// drains its shard through a [`PipelinedScheduler`], overlapping every
-/// shard-internal preload. Output bytes stay bit-identical to the
-/// serial drain; each worker's modeled cycles reflect its own shard's
-/// contention, and the merged makespan keeps the single-SoC serving
-/// semantics (shards summed).
-///
-/// # Errors
-///
-/// The first worker error, in worker order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated by [`fan_out`]).
-pub fn run_parallel_pipelined(
-    config: &SocConfig,
-    policy: Policy,
-    models: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    frames: &[Frame],
-    threads: usize,
-) -> Result<BatchReport, BatchError> {
-    run_parallel_pipelined_traced(
-        config,
-        policy,
-        models,
-        codegen,
-        frames,
-        threads,
-        &Tracer::disarmed(),
-    )
-}
-
-/// [`run_parallel_pipelined`], emitting spans into `tracer`: each
-/// worker shard drains on its own "batch worker N" sync track, with one
-/// `drain` parent span per drain wrapping the `ps_burst` fill and the
-/// per-frame `compute`/`ps_burst` pipeline children. Arming the tracer
-/// never changes a modeled cycle or output byte.
-///
-/// # Errors
-///
-/// The first worker error, in worker order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated by [`fan_out`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_pipelined_traced(
-    config: &SocConfig,
-    policy: Policy,
-    models: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    frames: &[Frame],
-    threads: usize,
-    tracer: &Tracer,
-) -> Result<BatchReport, BatchError> {
-    let threads = threads.clamp(1, frames.len().max(1));
-    let mut shards = fan_out(threads, threads, |w| -> Result<BatchReport, BatchError> {
-        let mut sched = PipelinedScheduler::new(config.clone(), policy);
-        if tracer.is_armed() {
-            let track = tracer.track(&format!("batch worker {w}"), TrackKind::Sync);
-            sched.set_tracer(tracer.clone(), track);
-        }
-        for artifacts in models {
-            sched.add_model(artifacts.clone(), codegen)?;
-        }
-        for frame in frames.iter().skip(w).step_by(threads) {
-            sched.enqueue_bytes(frame.model, frame.bytes.clone())?;
-        }
-        sched.run()
-    })
-    .into_iter();
-    let mut merged = shards.next().expect("at least one worker")?;
-    for shard in shards {
-        merged.merge(&shard?);
-    }
-    Ok(merged)
 }

@@ -53,7 +53,6 @@
 //! See `docs/FLEET.md` for the flag grammar, the autoscaler control
 //! loop and how to read the capacity-planning output.
 
-use std::collections::VecDeque;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,8 +66,10 @@ use rvnv_nvdla::HwConfig;
 use rvnv_obs::{Json, MetricsRegistry, SpanKind, Tracer, TrackId, TrackKind};
 
 use crate::batch::{layout_models, Policy};
+use crate::queueing::{Chaos, Dispatch, Probe, Station};
 use crate::serve::{
-    replay_sequences, LatencyStats, Request, RequestTrace, ServeError, ServiceModel,
+    divergence, input_for, replay_sequences, LatencyStats, Request, RequestOutcome, RequestRecord,
+    RequestTrace, ServeError, ServiceModel, Tally,
 };
 use crate::soc::SocConfig;
 use crate::sweep::fan_out;
@@ -882,142 +883,64 @@ impl FleetReport {
     }
 }
 
-/// Event-driven state of one simulated pool.
+/// One simulated pool: a [`Station`] of serial workers with a single
+/// arrival-order queue, plus what only a fleet knows about it — the
+/// balancer's books and the autoscaler's rolling SLO window.
 struct SimPool<'a> {
     profile: &'a PoolProfile,
     spec: &'a PoolSpec,
-    /// Completion cycle of each active worker's in-flight frame
-    /// (`<= now` means idle).
-    active: Vec<u64>,
-    /// FIFO of admitted, undispatched request indices.
-    queue: VecDeque<usize>,
+    station: Station<'a>,
     /// Rolling SLO events `(cycle, met)` for the autoscaler window.
     window: Vec<(u64, bool)>,
-    /// Request indices in dispatch order (the spot-replay source).
-    dispatched: Vec<usize>,
+    /// Entries of the station's dispatch log already in `window`.
+    windowed: usize,
     /// Smooth weighted-round-robin credit.
     credit: i64,
     mean_svc: u64,
     routed: u64,
-    busy: u64,
+    /// Busy cycles of workers the autoscaler drained.
+    drained_busy: u64,
     low: usize,
     high: usize,
     ups: u64,
     downs: u64,
-    /// Span-emission state; inert (empty / [`TrackId::NONE`]) when the
-    /// tracer is disarmed. `tracks` stays parallel to `active` — worker
-    /// identities survive autoscaler churn via `serial`, so a departed
-    /// worker's track is never reused.
-    prefix: String,
-    tracks: Vec<TrackId>,
-    serial: usize,
-    queue_track: TrackId,
+    /// The sync track of instant `autoscale` markers.
     auto_track: TrackId,
 }
 
-/// Span-emission context shared by every pool: the tracer handle plus
-/// the global model names used as span labels.
-struct FleetTrace<'a> {
-    tracer: &'a Tracer,
-    names: &'a [String],
+/// A pool's track names and pool-local model names; empty (and never
+/// read) when the tracer is disarmed.
+#[derive(Default)]
+struct PoolLabels {
+    queue: String,
+    autoscaler: String,
+    worker_prefix: String,
+    names: Vec<String>,
 }
 
 impl SimPool<'_> {
-    /// Register a sync track for one new worker, named by the pool
-    /// prefix and a never-reused serial number.
-    fn push_track(&mut self, tracer: &Tracer) {
-        let id = tracer.track(
-            &format!("{} w{}", self.prefix, self.serial),
-            TrackKind::Sync,
-        );
-        self.serial += 1;
-        self.tracks.push(id);
-    }
-
-    /// Dispatch queued requests into workers becoming free up to
-    /// `until`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &mut self,
-        pool_idx: usize,
-        records: &mut [FleetRecord],
-        until: u64,
-        slo_cycles: u64,
-        track_window: bool,
-        tr: &FleetTrace<'_>,
-    ) {
-        while !self.queue.is_empty() {
-            let mut wi = 0;
-            for (i, &f) in self.active.iter().enumerate() {
-                if f < self.active[wi] {
-                    wi = i;
-                }
-            }
-            let free_at = self.active[wi];
-            if free_at > until {
-                break;
-            }
-            let req = self.queue.pop_front().expect("nonempty queue");
-            let rec = &mut records[req];
-            let lm = self
-                .profile
-                .local(rec.model)
-                .expect("balancer routed to a resident pool");
-            let svc = self.profile.service.preload[lm] + self.profile.service.compute[lm];
-            let start = free_at.max(rec.arrival);
-            let completion = start + svc;
-            let wait = start - rec.arrival;
-            if tr.tracer.is_armed() {
-                let name = &tr.names[rec.model];
-                if wait > 0 {
-                    tr.tracer.span(
-                        self.queue_track,
-                        SpanKind::QueueWait,
-                        rec.arrival,
-                        start,
-                        &format!("req {req}"),
-                    );
-                }
-                let preload = self.profile.service.preload[lm];
-                tr.tracer.span(
-                    self.tracks[wi],
-                    SpanKind::Preload,
-                    start,
-                    start + preload,
-                    name,
-                );
-                tr.tracer.span(
-                    self.tracks[wi],
-                    SpanKind::Compute,
-                    start + preload,
-                    completion,
-                    name,
-                );
-            }
-            rec.outcome = FleetOutcome::Served {
-                pool: pool_idx,
-                queue_wait: wait,
-                service: svc,
+    /// Feed the frames dispatched since the last look into the
+    /// autoscaler's SLO window, each at its completion cycle. Only the
+    /// evaluation at a window boundary reads the window, so that is
+    /// when the dispatch log is caught up with.
+    fn watch(&mut self, ledger: &[RequestRecord], slo_cycles: u64) {
+        for d in &self.station.log[self.windowed..] {
+            if let RequestOutcome::Served {
+                queue_wait,
+                service,
                 completion,
-            };
-            self.active[wi] = completion;
-            self.busy += svc;
-            if track_window {
-                self.window.push((completion, wait + svc <= slo_cycles));
+                ..
+            } = ledger[d.request].outcome
+            {
+                self.window
+                    .push((completion, queue_wait + service <= slo_cycles));
             }
-            self.dispatched.push(req);
         }
+        self.windowed = self.station.log.len();
     }
 
     /// One autoscaler evaluation at boundary cycle `b`.
-    fn autoscale(
-        &mut self,
-        b: u64,
-        window_cycles: u64,
-        scale_up_below: u32,
-        scale_down_above: u32,
-        tr: &FleetTrace<'_>,
-    ) {
+    fn autoscale(&mut self, b: u64, window_cycles: u64, spec: &FleetSpec, tracer: &Tracer) {
         self.window.retain(|&(c, _)| c + window_cycles > b);
         let mut met = 0u64;
         let mut total = 0u64;
@@ -1030,59 +953,29 @@ impl SimPool<'_> {
         if total == 0 {
             return;
         }
-        if met * 100 < u64::from(scale_up_below) * total {
-            if self.active.len() < self.spec.max_workers {
+        let workers = self.station.workers.len();
+        if met * 100 < u64::from(spec.scale_up_below) * total {
+            if workers < self.spec.max_workers {
                 // A new worker is warm capacity only after the re-warm
                 // charge: every resident weight image streams back in.
-                self.active.push(b + self.profile.service.rewarm);
-                self.busy += self.profile.service.rewarm;
+                self.station.add_worker(b, self.profile.service.rewarm);
                 self.ups += 1;
-                self.high = self.high.max(self.active.len());
-                if tr.tracer.is_armed() {
-                    self.push_track(tr.tracer);
-                    let track = *self.tracks.last().expect("just pushed");
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Rewarm,
-                        b,
-                        b + self.profile.service.rewarm,
-                        "scale-up",
-                    );
-                    tr.tracer
-                        .instant(self.auto_track, SpanKind::Autoscale, b, "up");
-                }
+                self.high = self.high.max(workers + 1);
+                tracer.instant(self.auto_track, SpanKind::Autoscale, b, "up");
             }
-        } else if met * 100 > u64::from(scale_down_above) * total
-            && self.active.len() > self.spec.min_workers
+        } else if met * 100 > u64::from(spec.scale_down_above) * total
+            && workers > self.spec.min_workers
         {
-            // Drain the most-loaded worker: it finishes its in-flight
-            // frame (already accounted at dispatch) and leaves.
-            let mut victim = 0;
-            for (i, &f) in self.active.iter().enumerate() {
-                if f > self.active[victim] {
-                    victim = i;
-                }
-            }
-            self.active.remove(victim);
+            self.drained_busy += self.station.drain_worker().busy_cycles;
             self.downs += 1;
-            self.low = self.low.min(self.active.len());
-            if tr.tracer.is_armed() {
-                self.tracks.remove(victim);
-                tr.tracer
-                    .instant(self.auto_track, SpanKind::Autoscale, b, "down");
-            }
+            self.low = self.low.min(workers - 1);
+            tracer.instant(self.auto_track, SpanKind::Autoscale, b, "down");
         }
-    }
-
-    /// Workers currently busy at `now` plus the queued backlog.
-    fn load(&self, now: u64) -> u64 {
-        let busy = self.active.iter().filter(|&&f| f > now).count();
-        busy as u64 + self.queue.len() as u64
     }
 
     /// The balancer's estimate of a new arrival's queue wait.
     fn est_wait(&self, now: u64) -> u64 {
-        self.load(now) * self.mean_svc / self.active.len().max(1) as u64
+        self.station.load(now) * self.mean_svc / self.station.workers.len().max(1) as u64
     }
 }
 
@@ -1123,10 +1016,13 @@ fn route_pick(route: RoutePolicy, cands: &[usize], pools: &mut [SimPool<'_>], no
 /// The candidate with the lowest backlog per active worker
 /// (cross-multiplied to stay in integers), ties to the lowest index.
 fn least_loaded(cands: &[usize], pools: &[SimPool<'_>], now: u64) -> usize {
+    let load = |c: usize| {
+        let station = &pools[c].station;
+        (station.load(now), station.workers.len() as u64)
+    };
     let mut pick = cands[0];
     for &c in &cands[1..] {
-        let (lc, ac) = (pools[c].load(now), pools[c].active.len() as u64);
-        let (lp, ap) = (pools[pick].load(now), pools[pick].active.len() as u64);
+        let ((lc, ac), (lp, ap)) = (load(c), load(pick));
         if lc * ap < lp * ac {
             pick = c;
         }
@@ -1134,20 +1030,21 @@ fn least_loaded(cands: &[usize], pools: &[SimPool<'_>], now: u64) -> usize {
     pick
 }
 
-/// Run the fleet queueing system over `trace` in modeled time and
-/// build the report plus per-pool dispatch orders. Pure: no SoC is
-/// touched (the property tests drive this with synthetic profiles).
-/// Spans land in `tracer` (disarmed in the plain [`simulate`] path);
-/// emission only records values this function computed anyway, keeping
-/// the traced run bit- and cycle-identical to the untraced one.
-fn simulate_plan(
+/// Run the fleet queueing system over `trace` in modeled time — shaped
+/// arrivals routed, shed or admitted into one [`Station`] per pool, the
+/// autoscaler adding and draining their workers — and build the report
+/// plus per-pool dispatch logs. Pure: no SoC is touched (the property
+/// tests drive this with synthetic profiles). Spans land in `tracer`;
+/// emission only records values the simulation computed anyway, keeping
+/// a traced run bit- and cycle-identical to an untraced one.
+fn simulate_logged(
     trace: &RequestTrace,
     profiles: &[PoolProfile],
     spec: &FleetSpec,
     names: &[String],
     soc_hz: u64,
     tracer: &Tracer,
-) -> (FleetReport, Vec<Vec<usize>>) {
+) -> (FleetReport, Vec<Vec<Dispatch>>) {
     assert_eq!(
         profiles.len(),
         spec.pools.len(),
@@ -1160,42 +1057,66 @@ fn simulate_plan(
         .saturating_mul((soc_hz / 1000).max(1))
         .max(1);
     let autoscaling = spec.pools.iter().any(|p| p.max_workers > p.min_workers);
+    let labels: Vec<PoolLabels> = profiles
+        .iter()
+        .zip(&spec.pools)
+        .enumerate()
+        .map(|(p, (profile, pspec))| {
+            if !tracer.is_armed() {
+                return PoolLabels::default();
+            }
+            let prefix = format!("pool{p} {}", pspec.class.name());
+            PoolLabels {
+                queue: format!("{prefix} queue"),
+                autoscaler: format!("{prefix} autoscaler"),
+                worker_prefix: format!("{prefix} w"),
+                names: profile.models.iter().map(|&g| names[g].clone()).collect(),
+            }
+        })
+        .collect();
     let mut pools: Vec<SimPool<'_>> = profiles
         .iter()
         .zip(&spec.pools)
-        .map(|(profile, pspec)| SimPool {
-            profile,
-            spec: pspec,
-            active: vec![0u64; pspec.workers],
-            queue: VecDeque::new(),
-            window: Vec::new(),
-            dispatched: Vec::new(),
-            credit: 0,
-            mean_svc: profile.mean_svc(),
-            routed: 0,
-            busy: 0,
-            low: pspec.workers,
-            high: pspec.workers,
-            ups: 0,
-            downs: 0,
-            prefix: String::new(),
-            tracks: Vec::new(),
-            serial: 0,
-            queue_track: TrackId::NONE,
-            auto_track: TrackId::NONE,
+        .zip(&labels)
+        .map(|((profile, pspec), labels)| {
+            let probe = Probe {
+                tracer,
+                names: &labels.names,
+                worker_prefix: &labels.worker_prefix,
+                queue: tracer.track(&labels.queue, TrackKind::Async),
+            };
+            let auto_track = tracer.track(&labels.autoscaler, TrackKind::Sync);
+            // Serial workers, one queue: every policy is arrival order.
+            let mut station = Station::new(
+                &profile.service,
+                Policy::RoundRobin,
+                false,
+                pspec.queue_depth,
+                1,
+                Chaos::default(),
+                probe,
+            );
+            for _ in 0..pspec.workers {
+                station.add_worker(0, 0);
+            }
+            SimPool {
+                profile,
+                spec: pspec,
+                station,
+                window: Vec::new(),
+                windowed: 0,
+                credit: 0,
+                mean_svc: profile.mean_svc(),
+                routed: 0,
+                drained_busy: 0,
+                low: pspec.workers,
+                high: pspec.workers,
+                ups: 0,
+                downs: 0,
+                auto_track,
+            }
         })
         .collect();
-    let tr = FleetTrace { tracer, names };
-    if tracer.is_armed() {
-        for (p, pool) in pools.iter_mut().enumerate() {
-            pool.prefix = format!("pool{p} {}", pool.spec.class.name());
-            pool.queue_track = tracer.track(&format!("{} queue", pool.prefix), TrackKind::Async);
-            pool.auto_track = tracer.track(&format!("{} autoscaler", pool.prefix), TrackKind::Sync);
-            for _ in 0..pool.spec.workers {
-                pool.push_track(tracer);
-            }
-        }
-    }
     // Candidate pools per global model — routing is *structurally*
     // restricted to pools with the model resident.
     let candidates: Vec<Vec<usize>> = (0..names.len())
@@ -1205,35 +1126,33 @@ fn simulate_plan(
                 .collect()
         })
         .collect();
-    let mut records: Vec<FleetRecord> = trace
+    // The stations' ledger: each request's `model` becomes its
+    // pool-local slot once routed; `homes` remembers which pool that
+    // was (`None` = shed at the front door).
+    let mut ledger: Vec<RequestRecord> = trace
         .requests
         .iter()
-        .map(|r| FleetRecord {
+        .map(|r| RequestRecord {
             model: r.model,
             arrival: r.arrival,
-            outcome: FleetOutcome::Shed,
+            outcome: RequestOutcome::Dropped,
         })
         .collect();
-    let mut shed = 0u64;
+    let mut homes: Vec<Option<usize>> = vec![None; ledger.len()];
     let mut next_eval = window_cycles;
 
     for (i, r) in trace.requests.iter().enumerate() {
         // Autoscaler boundaries strictly before this arrival.
         while autoscaling && next_eval <= r.arrival {
-            for (p, pool) in pools.iter_mut().enumerate() {
-                pool.advance(p, &mut records, next_eval, slo_cycles, true, &tr);
-                pool.autoscale(
-                    next_eval,
-                    window_cycles,
-                    spec.scale_up_below,
-                    spec.scale_down_above,
-                    &tr,
-                );
+            for pool in &mut pools {
+                pool.station.advance(next_eval, &mut ledger);
+                pool.watch(&ledger, slo_cycles);
+                pool.autoscale(next_eval, window_cycles, spec, tracer);
             }
             next_eval += window_cycles;
         }
-        for (p, pool) in pools.iter_mut().enumerate() {
-            pool.advance(p, &mut records, r.arrival, slo_cycles, autoscaling, &tr);
+        for pool in &mut pools {
+            pool.station.advance(r.arrival, &mut ledger);
         }
         let cands = &candidates[r.model];
         assert!(
@@ -1245,87 +1164,93 @@ fn simulate_plan(
             .iter()
             .all(|&p| pools[p].est_wait(r.arrival) > SHED_SLOS * slo_cycles)
         {
-            shed += 1;
-            continue; // records[i] already says Shed
+            continue; // homes[i] already says shed
         }
         let p = route_pick(spec.route, cands, &mut pools, r.arrival);
-        pools[p].routed += 1;
-        if pools[p].queue.len() < pools[p].spec.queue_depth {
-            pools[p].queue.push_back(i);
-            pools[p].advance(p, &mut records, r.arrival, slo_cycles, autoscaling, &tr);
-        } else {
-            records[i].outcome = FleetOutcome::Dropped { pool: p };
-            if autoscaling {
-                pools[p].window.push((r.arrival, false));
-            }
+        let pool = &mut pools[p];
+        pool.routed += 1;
+        homes[i] = Some(p);
+        ledger[i].model = pool
+            .profile
+            .local(r.model)
+            .expect("balancer routed to a resident pool");
+        if !pool.station.offer(i, &mut ledger) && autoscaling {
+            pool.window.push((r.arrival, false));
         }
     }
     // Drain: no arrivals remain, so the autoscaler holds its size.
-    for (p, pool) in pools.iter_mut().enumerate() {
-        pool.advance(p, &mut records, u64::MAX, slo_cycles, false, &tr);
+    for pool in &mut pools {
+        pool.station.advance(u64::MAX, &mut ledger);
     }
 
-    // Aggregate.
-    let mut waits = Vec::new();
-    let mut services = Vec::new();
-    let mut totals = Vec::new();
-    let mut makespan = 0u64;
-    let mut slo_attained = 0u64;
-    let mut pool_waits: Vec<Vec<u64>> = vec![Vec::new(); pools.len()];
-    let mut pool_services: Vec<Vec<u64>> = vec![Vec::new(); pools.len()];
-    let mut pool_totals: Vec<Vec<u64>> = vec![Vec::new(); pools.len()];
-    let mut pool_served = vec![0u64; pools.len()];
+    let mut all = Tally::default();
+    let mut by_pool = vec![Tally::default(); pools.len()];
     let mut pool_dropped = vec![0u64; pools.len()];
-    let mut pool_slo = vec![0u64; pools.len()];
-    for rec in &records {
-        match rec.outcome {
-            FleetOutcome::Served {
-                pool,
-                queue_wait,
-                service,
-                completion,
-            } => {
-                let total = queue_wait + service;
-                waits.push(queue_wait);
-                services.push(service);
-                totals.push(total);
+    let mut makespan = 0u64;
+    let mut shed = 0u64;
+    let mut records = Vec::with_capacity(ledger.len());
+    for ((r, rec), &home) in trace.requests.iter().zip(&ledger).zip(&homes) {
+        let outcome = match (home, rec.outcome) {
+            (None, _) => {
+                shed += 1;
+                FleetOutcome::Shed
+            }
+            (Some(pool), RequestOutcome::Dropped) => {
+                pool_dropped[pool] += 1;
+                FleetOutcome::Dropped { pool }
+            }
+            (
+                Some(pool),
+                RequestOutcome::Served {
+                    queue_wait,
+                    service,
+                    completion,
+                    ..
+                },
+            ) => {
+                all.push(queue_wait, service, slo_cycles);
+                by_pool[pool].push(queue_wait, service, slo_cycles);
                 makespan = makespan.max(completion);
-                pool_served[pool] += 1;
-                pool_waits[pool].push(queue_wait);
-                pool_services[pool].push(service);
-                pool_totals[pool].push(total);
-                if total <= slo_cycles {
-                    slo_attained += 1;
-                    pool_slo[pool] += 1;
+                FleetOutcome::Served {
+                    pool,
+                    queue_wait,
+                    service,
+                    completion,
                 }
             }
-            FleetOutcome::Dropped { pool } => pool_dropped[pool] += 1,
-            FleetOutcome::Shed => {}
-        }
+        };
+        records.push(FleetRecord {
+            model: r.model,
+            arrival: r.arrival,
+            outcome,
+        });
     }
     let per_pool: Vec<PoolReport> = pools
         .iter()
-        .enumerate()
-        .map(|(p, pool)| PoolReport {
-            class: pool.spec.class,
-            models: pool.profile.models.clone(),
-            workers_start: pool.spec.workers,
-            workers_low: pool.low,
-            workers_high: pool.high,
-            workers_final: pool.active.len(),
-            scale_ups: pool.ups,
-            scale_downs: pool.downs,
-            routed: pool.routed,
-            served: pool_served[p],
-            dropped: pool_dropped[p],
-            busy_cycles: pool.busy,
-            queue_wait: LatencyStats::from_samples(&mut pool_waits[p]),
-            service: LatencyStats::from_samples(&mut pool_services[p]),
-            total: LatencyStats::from_samples(&mut pool_totals[p]),
-            slo_attained: pool_slo[p],
+        .zip(by_pool.iter_mut().zip(&pool_dropped))
+        .map(|(pool, (tally, &dropped))| {
+            let workers = &pool.station.workers;
+            PoolReport {
+                class: pool.spec.class,
+                models: pool.profile.models.clone(),
+                workers_start: pool.spec.workers,
+                workers_low: pool.low,
+                workers_high: pool.high,
+                workers_final: workers.len(),
+                scale_ups: pool.ups,
+                scale_downs: pool.downs,
+                routed: pool.routed,
+                served: tally.served(),
+                dropped,
+                busy_cycles: pool.drained_busy
+                    + workers.iter().map(|w| w.stats.busy_cycles).sum::<u64>(),
+                queue_wait: tally.queue_wait(),
+                service: tally.service(),
+                total: tally.total(),
+                slo_attained: tally.slo_attained,
+            }
         })
         .collect();
-    let served = totals.len() as u64;
     let report = FleetReport {
         route: spec.route,
         shape: spec.shape,
@@ -1335,22 +1260,22 @@ fn simulate_plan(
         duration_cycles: trace.duration,
         slo_cycles,
         offered: records.len() as u64,
-        served,
+        served: all.served(),
         dropped: pool_dropped.iter().sum(),
         shed,
         makespan_cycles: makespan,
-        queue_wait: LatencyStats::from_samples(&mut waits),
-        service: LatencyStats::from_samples(&mut services),
-        total: LatencyStats::from_samples(&mut totals),
+        queue_wait: all.queue_wait(),
+        service: all.service(),
+        total: all.total(),
         per_pool,
-        slo_attained,
+        slo_attained: all.slo_attained,
         records,
         replay_divergence: 0,
         replayed_frames: 0,
         host_seconds: 0.0,
     };
-    let dispatched = pools.into_iter().map(|p| p.dispatched).collect();
-    (report, dispatched)
+    let logs = pools.into_iter().map(|p| p.station.log).collect();
+    (report, logs)
 }
 
 /// Simulate a fleet trace against pool profiles without touching a SoC
@@ -1370,7 +1295,7 @@ pub fn simulate(
     names: &[String],
     soc_hz: u64,
 ) -> FleetReport {
-    simulate_plan(trace, profiles, spec, names, soc_hz, &Tracer::disarmed()).0
+    simulate_traced(trace, profiles, spec, names, soc_hz, &Tracer::disarmed())
 }
 
 /// [`simulate`], emitting spans into `tracer`: per pool, one sync track
@@ -1394,28 +1319,37 @@ pub fn simulate_traced(
     soc_hz: u64,
     tracer: &Tracer,
 ) -> FleetReport {
-    simulate_plan(trace, profiles, spec, names, soc_hz, tracer).0
+    simulate_logged(trace, profiles, spec, names, soc_hz, tracer).0
 }
 
-/// One pool's compiled-and-calibrated runtime state.
+/// One pool's compiled runtime state (its calibrated profile sits at
+/// the same index of [`Fleet::profiles`]).
+#[derive(Clone)]
 struct PoolRuntime {
     class: SocClass,
     config: SocConfig,
     /// Pool-local artifacts (subset of the class layout, in local slot
     /// order).
     artifacts: Vec<Arc<Artifacts>>,
-    profile: PoolProfile,
 }
 
 /// A fleet of heterogeneous pools over one model zoo: compiles every
 /// model per hardware class, calibrates each distinct `(class, resident
 /// subset)` once, then plans (or plans-and-spot-replays) any number of
-/// [`FleetSpec`] experiments that keep the same pool shapes.
+/// [`FleetSpec`] experiments that keep the same pool shapes. Cloning
+/// shares the compiled artifacts and copies the calibrated profiles — no
+/// SoC runs.
+#[derive(Clone)]
 pub struct Fleet {
     codegen: CodegenOptions,
     names: Vec<String>,
     pools: Vec<PoolRuntime>,
+    /// Calibrated profile of each pool, in pool order.
+    profiles: Vec<PoolProfile>,
     soc_hz: u64,
+    /// Span sink for [`Fleet::plan`] and [`Fleet::run`] (disarmed by
+    /// default).
+    tracer: Tracer,
 }
 
 impl Fleet {
@@ -1450,7 +1384,7 @@ impl Fleet {
             class_layouts.push((p.class, layout));
         }
         let mut pools: Vec<PoolRuntime> = Vec::with_capacity(spec.pools.len());
-        let mut calibrated: Vec<(SocClass, Vec<usize>, ServiceModel)> = Vec::new();
+        let mut profiles: Vec<PoolProfile> = Vec::with_capacity(spec.pools.len());
         for p in &spec.pools {
             let globals: Vec<usize> = p
                 .models
@@ -1464,25 +1398,25 @@ impl Fleet {
             let artifacts: Vec<Arc<Artifacts>> =
                 globals.iter().map(|&g| layout[g].clone()).collect();
             let config = p.class.config();
-            let service = match calibrated
+            // An earlier pool of the same class and residency already
+            // measured this profile.
+            let calibrated = pools
                 .iter()
-                .find(|(c, g, _)| *c == p.class && *g == globals)
-            {
-                Some((_, _, s)) => s.clone(),
-                None => {
-                    let s = ServiceModel::calibrate(&config, &artifacts, codegen)?;
-                    calibrated.push((p.class, globals.clone(), s.clone()));
-                    s
-                }
+                .zip(&profiles)
+                .find(|(rt, prof)| rt.class == p.class && prof.models == globals)
+                .map(|(_, prof)| prof.service.clone());
+            let service = match calibrated {
+                Some(service) => service,
+                None => ServiceModel::calibrate(&config, &artifacts, codegen)?,
             };
             pools.push(PoolRuntime {
                 class: p.class,
                 config,
                 artifacts,
-                profile: PoolProfile {
-                    service,
-                    models: globals,
-                },
+            });
+            profiles.push(PoolProfile {
+                service,
+                models: globals,
             });
         }
         let soc_hz = pools[0].config.soc_hz;
@@ -1494,8 +1428,19 @@ impl Fleet {
             codegen,
             names,
             pools,
+            profiles,
             soc_hz,
+            tracer: Tracer::disarmed(),
         })
+    }
+
+    /// Emit the fleet simulation's spans into `tracer` from now on (see
+    /// [`simulate_traced`] for the track layout and the bit-identity
+    /// contract). Only the planning half of [`Fleet::run`] emits — the
+    /// spot-replay is a cross-check of the very cycles the plan's spans
+    /// already carry.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// The fleet's model names, in global index order.
@@ -1511,7 +1456,7 @@ impl Fleet {
     /// Panics when `p` is out of range.
     #[must_use]
     pub fn pool_profile(&self, p: usize) -> &PoolProfile {
-        &self.pools[p].profile
+        &self.profiles[p]
     }
 
     /// Reject a spec whose pool shapes (count, class, residency)
@@ -1528,12 +1473,13 @@ impl Fleet {
                 spec.pools.len()
             )));
         }
-        for (i, (p, rt)) in spec.pools.iter().zip(&self.pools).enumerate() {
+        let built = self.pools.iter().zip(&self.profiles);
+        for (i, (p, (rt, profile))) in spec.pools.iter().zip(built).enumerate() {
             let globals: Vec<usize> = p
                 .models
                 .clone()
                 .unwrap_or_else(|| (0..self.names.len()).collect());
-            if p.class != rt.class || globals != rt.profile.models {
+            if p.class != rt.class || globals != profile.models {
                 return Err(ServeError::Config(format!(
                     "pool {i} changed class or residency since the fleet was built \
                      (build a new Fleet to change pool shapes)"
@@ -1556,6 +1502,24 @@ impl Fleet {
         )
     }
 
+    /// Check `spec`, generate its trace and simulate it.
+    fn simulate(
+        &self,
+        spec: &FleetSpec,
+    ) -> Result<(RequestTrace, FleetReport, Vec<Vec<Dispatch>>), ServeError> {
+        self.check_spec(spec)?;
+        let trace = self.trace(spec);
+        let (report, logs) = simulate_logged(
+            &trace,
+            &self.profiles,
+            spec,
+            &self.names,
+            self.soc_hz,
+            &self.tracer,
+        );
+        Ok((trace, report, logs))
+    }
+
     /// Plan `spec` without running frames: shaped trace generation plus
     /// the multi-pool queueing simulation on the calibrated profiles.
     /// Host-cheap — what makes capacity sweeps
@@ -1565,27 +1529,8 @@ impl Fleet {
     ///
     /// [`ServeError::Config`] for a degenerate or shape-changing spec.
     pub fn plan(&self, spec: &FleetSpec) -> Result<FleetReport, ServeError> {
-        self.plan_traced(spec, &Tracer::disarmed())
-    }
-
-    /// [`Fleet::plan`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] for a degenerate or shape-changing spec.
-    pub fn plan_traced(
-        &self,
-        spec: &FleetSpec,
-        tracer: &Tracer,
-    ) -> Result<FleetReport, ServeError> {
-        self.check_spec(spec)?;
         let start = Instant::now();
-        let trace = self.trace(spec);
-        let profiles: Vec<PoolProfile> = self.pools.iter().map(|p| p.profile.clone()).collect();
-        let (mut report, _) =
-            simulate_plan(&trace, &profiles, spec, &self.names, self.soc_hz, tracer);
+        let (_, mut report, _) = self.simulate(spec)?;
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
@@ -1609,39 +1554,17 @@ impl Fleet {
     ///
     /// Panics if a replay thread panics (propagated by [`fan_out`]).
     pub fn run(&self, spec: &FleetSpec) -> Result<FleetReport, ServeError> {
-        self.run_traced(spec, &Tracer::disarmed())
-    }
-
-    /// [`Fleet::run`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
-    /// contract). Only the planning half emits — the spot-replay is a
-    /// cross-check of the very cycles the plan's spans already carry.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] for a degenerate or shape-changing spec,
-    /// [`ServeError::Batch`] when a replay SoC fails to build or a
-    /// frame fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replay thread panics (propagated by [`fan_out`]).
-    pub fn run_traced(&self, spec: &FleetSpec, tracer: &Tracer) -> Result<FleetReport, ServeError> {
-        self.check_spec(spec)?;
         let start = Instant::now();
-        let trace = self.trace(spec);
-        let profiles: Vec<PoolProfile> = self.pools.iter().map(|p| p.profile.clone()).collect();
-        let (mut report, dispatched) =
-            simulate_plan(&trace, &profiles, spec, &self.names, self.soc_hz, tracer);
+        let (trace, mut report, logs) = self.simulate(spec)?;
         // Sample K evenly-spaced windows of W consecutive dispatches
         // per pool (fewer when a pool dispatched less than that).
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-        for (p, disp) in dispatched.iter().enumerate() {
-            if disp.is_empty() {
+        let mut windows: Vec<(usize, &[Dispatch])> = Vec::new();
+        for (p, log) in logs.iter().enumerate() {
+            if log.is_empty() {
                 continue;
             }
-            let w = spec.window_frames.min(disp.len());
-            let span = disp.len() - w;
+            let w = spec.window_frames.min(log.len());
+            let span = log.len() - w;
             let mut prev = None;
             for j in 0..spec.spot_windows {
                 let s = if spec.spot_windows == 1 {
@@ -1653,31 +1576,27 @@ impl Fleet {
                     continue;
                 }
                 prev = Some(s);
-                jobs.push((p, s, w));
+                windows.push((p, &log[s..s + w]));
             }
         }
-        let input_for = |pool: usize, lm: usize, request: usize| -> Vec<u8> {
-            let mut rng = StdRng::seed_from_u64(spec.seed ^ (0x5EED << 16) ^ request as u64);
-            (0..self.pools[pool].artifacts[lm].input_len)
-                .map(|_| rng.gen_range(0u8..=255))
-                .collect()
-        };
-        let measured = fan_out(jobs.len(), jobs.len(), |j| {
-            let (p, s, w) = jobs[j];
+        let measured = fan_out(windows.len(), windows.len(), |j| {
+            let (p, window) = windows[j];
             let rt = &self.pools[p];
-            let window = &dispatched[p][s..s + w];
             let seq: Vec<usize> = window
                 .iter()
-                .map(|&req| {
-                    rt.profile
-                        .local(trace.requests[req].model)
+                .map(|d| {
+                    self.profiles[p]
+                        .local(trace.requests[d.request].model)
                         .expect("dispatched means resident")
                 })
                 .collect();
             let frames: Vec<(usize, Vec<u8>)> = seq
                 .iter()
                 .zip(window)
-                .map(|(&lm, &req)| (lm, input_for(p, lm, req)))
+                .map(|(&lm, d)| {
+                    let len = rt.artifacts[lm].input_len;
+                    (lm, input_for(spec.seed, d.request, len))
+                })
                 .collect();
             replay_sequences(
                 &rt.config,
@@ -1689,32 +1608,10 @@ impl Fleet {
                 frames,
             )
         });
-        let mut divergence = 0u64;
-        let mut replayed = 0u64;
-        for (j, run) in measured.into_iter().enumerate() {
-            let latencies = run?;
-            let (p, s, w) = jobs[j];
-            let rt = &self.pools[p];
-            replayed += w as u64;
-            let predicted: Vec<u64> = dispatched[p][s..s + w]
-                .iter()
-                .map(|&req| {
-                    let lm = rt
-                        .profile
-                        .local(trace.requests[req].model)
-                        .expect("dispatched means resident");
-                    rt.profile.service.preload[lm] + rt.profile.service.compute[lm]
-                })
-                .collect();
-            divergence += predicted
-                .iter()
-                .zip(&latencies)
-                .filter(|(a, b)| a != b)
-                .count() as u64;
-            divergence += predicted.len().abs_diff(latencies.len()) as u64;
+        for (&(_, window), run) in windows.iter().zip(measured) {
+            report.replayed_frames += window.len() as u64;
+            report.replay_divergence += divergence(window.iter().map(|d| d.predicted), &run?);
         }
-        report.replay_divergence = divergence;
-        report.replayed_frames = replayed;
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }

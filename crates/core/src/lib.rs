@@ -49,6 +49,7 @@ pub mod batch;
 pub mod firmware;
 pub mod fleet;
 pub mod profile;
+mod queueing;
 pub mod resources;
 pub mod serve;
 pub mod soc;

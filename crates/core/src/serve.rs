@@ -63,7 +63,6 @@
 //! (dropped requests count as SLO misses). See `docs/SERVING.md` for
 //! the queueing model and how to read the rate-vs-p99 hockey stick.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -74,11 +73,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rvnv_compiler::codegen::CodegenOptions;
 use rvnv_compiler::Artifacts;
-use rvnv_obs::{Json, MetricsRegistry, SpanKind, Tracer, TrackId, TrackKind};
-use rvnv_util::mix64;
+use rvnv_obs::{Json, MetricsRegistry, Tracer, TrackId, TrackKind};
 
-use crate::batch::{input_slots, BatchError, BatchScheduler, PipelinedScheduler, Policy};
+use crate::batch::{input_slots, BatchError, PipelinedScheduler, Policy};
 use crate::firmware::Firmware;
+use crate::queueing::{Chaos, Dispatch, Probe, Station};
 use crate::soc::{Soc, SocConfig};
 use crate::sweep::fan_out;
 
@@ -374,8 +373,8 @@ pub struct ServeSpec {
     /// error, detected corruption). Requires a timeout — a retry is
     /// only meaningful when the previous attempt can be aborted.
     pub retries: u32,
-    /// Frame-level chaos plan; `None` (and the all-quiet spec) keeps
-    /// the simulator on the untouched fault-free fast path.
+    /// Frame-level chaos plan; `None` and the all-quiet spec simulate
+    /// identically (no fault ever fires, every attempt is the first).
     pub faults: Option<FaultSpec>,
 }
 
@@ -993,267 +992,97 @@ impl ServeReport {
     }
 }
 
-/// One planned frame of a worker burst: which request, and the modeled
-/// per-frame latency ([`crate::batch::FrameLatency`] semantics) the
-/// replay must reproduce.
-#[derive(Debug, Clone, Copy)]
-struct PlannedFrame {
-    request: usize,
-    predicted: u64,
-}
-
-/// A worker's dispatch plan: bursts of frames. In the pipelined mode a
-/// burst is a maximal chain of overlap-staged frames (one pipeline
-/// fill each); a serial worker has one burst holding every frame.
+/// Latency samples of one group of served requests — a whole run, one
+/// model, one fleet pool — and how many of them met the SLO: what every
+/// [`LatencyStats`] triple in a [`ServeReport`] or a
+/// [`FleetReport`](crate::fleet::FleetReport) is computed from.
 #[derive(Debug, Clone, Default)]
-struct WorkerPlan {
-    bursts: Vec<Vec<PlannedFrame>>,
+pub(crate) struct Tally {
+    waits: Vec<u64>,
+    services: Vec<u64>,
+    totals: Vec<u64>,
+    /// Served requests whose total latency met the SLO target.
+    pub slo_attained: u64,
 }
 
-impl WorkerPlan {
-    fn frames(&self) -> usize {
-        self.bursts.iter().map(Vec::len).sum()
+impl Tally {
+    /// Count one served request against an SLO of `slo_cycles`.
+    pub(crate) fn push(&mut self, queue_wait: u64, service: u64, slo_cycles: u64) {
+        let total = queue_wait + service;
+        self.waits.push(queue_wait);
+        self.services.push(service);
+        self.totals.push(total);
+        self.slo_attained += u64::from(total <= slo_cycles);
     }
-}
 
-/// What one frame attempt drew from the chaos lottery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameFault {
-    /// Silent output corruption, caught by the fingerprint check.
-    Flip,
-    /// Typed mid-frame bus error.
-    BusErr,
-    /// The frame completes but takes a latency spike.
-    Spike,
-    /// The firmware hangs; only the watchdog recovers the worker.
-    Hang,
-    /// The worker crashes mid-frame and must re-warm.
-    Crash,
-}
+    /// Requests counted.
+    pub(crate) fn served(&self) -> u64 {
+        self.totals.len() as u64
+    }
 
-/// Draw the fault (if any) for one `(request, attempt)` — a pure
-/// function of the spec's seed, so fault traces replay bit-identically.
-fn draw_fault(f: &FaultSpec, request: usize, attempt: u32) -> Option<FrameFault> {
-    let h = mix64(
-        mix64(f.seed ^ (request as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ u64::from(attempt),
-    );
-    let lot = h % 1_000_000;
-    let mut edge = u64::from(f.flip_per_million);
-    if lot < edge {
-        return Some(FrameFault::Flip);
+    pub(crate) fn queue_wait(&mut self) -> LatencyStats {
+        LatencyStats::from_samples(&mut self.waits)
     }
-    edge += u64::from(f.error_per_million);
-    if lot < edge {
-        return Some(FrameFault::BusErr);
-    }
-    edge += u64::from(f.spike_per_million);
-    if lot < edge {
-        return Some(FrameFault::Spike);
-    }
-    edge += u64::from(f.hang_per_million);
-    if lot < edge {
-        return Some(FrameFault::Hang);
-    }
-    edge += u64::from(f.crash_per_million);
-    if lot < edge {
-        return Some(FrameFault::Crash);
-    }
-    None
-}
 
-/// Mutable fault-machinery state threaded through the simulation.
-struct ChaosCtx {
-    /// The armed plan (`None` = never faults; a timeout may still arm
-    /// the chaos path on its own).
-    faults: Option<FaultSpec>,
-    /// Spike magnitude in cycles.
-    spike_cycles: u64,
-    /// Per-attempt timeout in cycles (0 = none).
-    timeout: u64,
-    /// Retry budget per request.
-    retries: u32,
-    /// Shed a retry once a request is this many cycles past arrival.
-    shed_after: u64,
-    /// Attempts consumed per request (survives a crash failover, so a
-    /// requeued request never re-draws the fault that killed it).
-    attempts: Vec<u32>,
-    report: FaultReport,
-}
+    pub(crate) fn service(&mut self) -> LatencyStats {
+        LatencyStats::from_samples(&mut self.services)
+    }
 
-impl ChaosCtx {
-    /// True when the simulator must leave the fault-free fast path.
-    fn armed(&self) -> bool {
-        self.faults.is_some() || self.timeout > 0
+    pub(crate) fn total(&mut self) -> LatencyStats {
+        LatencyStats::from_samples(&mut self.totals)
     }
 }
 
-/// Event-driven state of one simulated worker.
-struct SimWorker {
-    /// When the worker's next decision point occurs.
-    free_at: u64,
-    /// Pipelined mode: the request whose input is (being) staged and
-    /// whose compute starts at `free_at`.
-    staged: Option<usize>,
-    /// Completion cycle of the previous frame in the open burst.
-    burst_prev_completion: u64,
-    stats: WorkerStats,
-    plan: WorkerPlan,
-}
-
-/// The admission queue plus dispatch-policy state.
-struct Dispatcher<'a> {
-    service: &'a ServiceModel,
-    policy: Policy,
-    /// Per-model FIFO of queued request indices.
-    queues: Vec<VecDeque<usize>>,
-    queued: usize,
-    /// Round-robin rotation cursor.
-    cursor: usize,
-}
-
-impl Dispatcher<'_> {
-    /// Pick the model to dequeue next, mirroring
-    /// [`Policy`]'s semantics in [`crate::batch`]: `current` is the
-    /// model about to compute while the picked request's input streams
-    /// behind it (pipelined); estimates come from the calibrated
-    /// profile rather than batch's last-observed cycles, since a
-    /// server knows its residents. `None` when the queue is empty.
-    fn pick(&mut self, current: Option<usize>) -> Option<usize> {
-        let n = self.queues.len();
-        match self.policy {
-            Policy::RoundRobin => {
-                let pick = (0..n)
-                    .map(|off| (self.cursor + off) % n)
-                    .find(|&m| !self.queues[m].is_empty())?;
-                self.cursor = (pick + 1) % n;
-                Some(pick)
-            }
-            Policy::ShortestQueueFirst => self
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .min_by_key(|(m, q)| (q.len(), *m))
-                .map(|(m, _)| m),
-            Policy::EarliestFinish => {
-                let hide = current.map_or(0, |c| self.service.compute[c]);
-                self.queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| !q.is_empty())
-                    .min_by_key(|(m, _)| {
-                        (
-                            self.service.preload[*m].max(hide) + self.service.compute[*m],
-                            *m,
-                        )
-                    })
-                    .map(|(m, _)| m)
-            }
-        }
-    }
-
-    /// Dequeue the FIFO head of the picked model.
-    fn pop(&mut self, model: usize) -> usize {
-        self.queued -= 1;
-        self.queues[model].pop_front().expect("picked nonempty")
-    }
-
-    fn enqueue(&mut self, model: usize, request: usize) {
-        self.queues[model].push_back(request);
-        self.queued += 1;
-    }
-
-    /// Put a failed-over request back at the head of its model's FIFO:
-    /// it was already admitted and dequeued once, so it must not lose
-    /// its place behind later arrivals.
-    fn requeue_front(&mut self, model: usize, request: usize) {
-        self.queues[model].push_front(request);
-        self.queued += 1;
-    }
-}
-
-/// Span-emission context for one simulation: the tracer handle plus the
-/// tracks its spans land on and the model names used as labels. With a
-/// disarmed tracer the track ids are all [`TrackId::NONE`] and every
-/// emission site below is one `is_armed` branch — the whole struct is
-/// inert.
-struct ServeTrace<'a> {
-    tracer: &'a Tracer,
-    names: &'a [String],
-    /// One sync track per worker ("worker N"); empty when disarmed.
-    workers: Vec<TrackId>,
-    /// One async track for the admission queue (waits overlap).
-    queue: TrackId,
-}
-
-impl<'a> ServeTrace<'a> {
-    fn new(tracer: &'a Tracer, names: &'a [String], workers: usize) -> ServeTrace<'a> {
-        let worker_tracks = if tracer.is_armed() {
-            (0..workers)
-                .map(|w| tracer.track(&format!("worker {w}"), TrackKind::Sync))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ServeTrace {
-            tracer,
-            names,
-            workers: worker_tracks,
-            queue: tracer.track("queue", TrackKind::Async),
-        }
-    }
-
-    /// A request's wait in the admission queue, `[arrival, dispatch]`.
-    fn queue_wait(&self, arrival: u64, dispatch: u64, req: usize) {
-        if self.tracer.is_armed() {
-            self.tracer.span(
-                self.queue,
-                SpanKind::QueueWait,
-                arrival,
-                dispatch,
-                &format!("req {req}"),
-            );
-        }
-    }
-}
-
-/// Run the queueing system over `trace` in modeled time and build the
-/// report plus per-worker dispatch plans. Pure: no SoC is touched, so
-/// this scales to arbitrarily long traces (and is what the property
-/// tests drive with synthetic profiles). Spans land in `tracer`
-/// (disarmed in the plain [`simulate`] path); emission only records
-/// values this function computed anyway, which is what keeps the traced
-/// run bit- and cycle-identical to the untraced one.
-fn simulate_plan(
+/// Run the queueing system over `trace` in modeled time — one
+/// [`Station`] with a queue per model — and build the report plus the
+/// dispatch log. Pure: no SoC is touched, so this scales to arbitrarily
+/// long traces (and is what the property tests drive with synthetic
+/// profiles). Spans land in `tracer`; emission only records values the
+/// kernel computed anyway, which is what keeps a traced run bit- and
+/// cycle-identical to an untraced one.
+fn simulate_logged(
     trace: &RequestTrace,
     service: &ServiceModel,
     spec: &ServeSpec,
     names: &[String],
     soc_hz: u64,
     tracer: &Tracer,
-) -> (ServeReport, Vec<WorkerPlan>) {
+) -> (ServeReport, Vec<Dispatch>) {
     assert_eq!(
         names.len(),
         service.models(),
         "one name per calibrated model"
     );
     let n = service.models();
-    let mut disp = Dispatcher {
-        service,
-        policy: spec.policy,
-        queues: vec![VecDeque::new(); n],
-        queued: 0,
-        cursor: 0,
+    let slo_cycles = spec.slo_cycles(soc_hz);
+    let timeout = spec.timeout_cycles(soc_hz);
+    let chaos = Chaos {
+        faults: spec.faults.filter(|f| !f.is_quiet()),
+        spike_cycles: spec.faults.map_or(0, |f| f.spike_cycles(soc_hz)),
+        timeout,
+        retries: spec.retries,
+        shed_after: 4 * slo_cycles.max(timeout),
+        ..Chaos::default()
     };
-    let mut workers: Vec<SimWorker> = (0..spec.workers)
-        .map(|_| SimWorker {
-            free_at: 0,
-            staged: None,
-            burst_prev_completion: 0,
-            stats: WorkerStats::default(),
-            plan: WorkerPlan::default(),
-        })
-        .collect();
+    let probe = Probe {
+        tracer,
+        names,
+        worker_prefix: "worker ",
+        queue: TrackId::NONE,
+    };
+    let mut station = Station::new(
+        service,
+        spec.policy,
+        spec.pipelined,
+        spec.queue_depth,
+        n,
+        chaos,
+        probe,
+    );
+    for _ in 0..spec.workers {
+        station.add_worker(0, 0);
+    }
+    station.probe.queue = tracer.track("queue", TrackKind::Async);
     let mut records: Vec<RequestRecord> = trace
         .requests
         .iter()
@@ -1263,466 +1092,44 @@ fn simulate_plan(
             outcome: RequestOutcome::Dropped,
         })
         .collect();
-    let slo_cycles = spec.slo_cycles(soc_hz);
-    let timeout = spec.timeout_cycles(soc_hz);
-    let mut chaos = ChaosCtx {
-        faults: spec.faults.filter(|f| !f.is_quiet()),
-        spike_cycles: spec.faults.map_or(0, |f| f.spike_cycles(soc_hz)),
-        timeout,
-        retries: spec.retries,
-        shed_after: 4 * slo_cycles.max(timeout),
-        attempts: vec![0u32; trace.requests.len()],
-        report: FaultReport::default(),
-    };
-    let tr = ServeTrace::new(tracer, names, spec.workers);
-
-    /// Advance one worker's state machine at its decision point.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        w: usize,
-        workers: &mut [SimWorker],
-        disp: &mut Dispatcher<'_>,
-        records: &mut [RequestRecord],
-        service: &ServiceModel,
-        pipelined: bool,
-        queue_depth: usize,
-        chaos: &mut ChaosCtx,
-        tr: &ServeTrace<'_>,
-    ) {
-        let now = workers[w].free_at;
-        if pipelined {
-            if let Some(req) = workers[w].staged.take() {
-                // The staged request computes now; try to overlap the
-                // next pick's preload behind it.
-                let m = records[req].model;
-                let next = disp.pick(Some(m));
-                let (compute, window) = match next {
-                    Some(nm) => {
-                        let nr = disp.pop(nm);
-                        workers[w].staged = Some(nr);
-                        let c = service.compute_with[m][nm];
-                        (c, c.max(service.preload_done[m][nm]))
-                    }
-                    None => (service.compute[m], service.compute[m]),
-                };
-                let completion = now + compute;
-                if tr.tracer.is_armed() {
-                    tr.queue_wait(records[req].arrival, now, req);
-                    tr.tracer.span(
-                        tr.workers[w],
-                        SpanKind::Compute,
-                        now,
-                        completion,
-                        &tr.names[m],
-                    );
-                    if window > compute {
-                        // The staged successor's input still streaming
-                        // after this frame's compute retired.
-                        let nm = workers[w]
-                            .staged
-                            .map(|r| records[r].model)
-                            .expect("window exceeds compute only when a successor is staged");
-                        tr.tracer.span(
-                            tr.workers[w],
-                            SpanKind::PsBurst,
-                            completion,
-                            now + window,
-                            &tr.names[nm],
-                        );
-                    }
-                }
-                records[req].outcome = RequestOutcome::Served {
-                    worker: w,
-                    queue_wait: now - records[req].arrival,
-                    service: compute,
-                    completion,
-                };
-                let burst = workers[w]
-                    .plan
-                    .bursts
-                    .last_mut()
-                    .expect("staged frame has an open burst");
-                burst.push(PlannedFrame {
-                    request: req,
-                    predicted: completion - workers[w].burst_prev_completion,
-                });
-                workers[w].burst_prev_completion = completion;
-                workers[w].stats.frames += 1;
-                workers[w].stats.busy_cycles += window;
-                workers[w].free_at = now + window;
-            } else {
-                // Burst start: dequeue and stream the fill.
-                let m = disp.pick(None).expect("step called with work");
-                let req = disp.pop(m);
-                if tr.tracer.is_armed() {
-                    tr.tracer.span(
-                        tr.workers[w],
-                        SpanKind::PsBurst,
-                        now,
-                        now + service.fill[m],
-                        &tr.names[m],
-                    );
-                }
-                workers[w].staged = Some(req);
-                workers[w].plan.bursts.push(Vec::new());
-                workers[w].burst_prev_completion = now;
-                workers[w].stats.busy_cycles += service.fill[m];
-                workers[w].free_at = now + service.fill[m];
-            }
-        } else {
-            let m = disp.pick(None).expect("step called with work");
-            let req = disp.pop(m);
-            let svc = service.preload[m] + service.compute[m];
-            if !chaos.armed() {
-                // Fault-free fast path: byte-identical behaviour (and
-                // report) to a build without the chaos machinery.
-                if tr.tracer.is_armed() {
-                    tr.queue_wait(records[req].arrival, now, req);
-                    let track = tr.workers[w];
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Preload,
-                        now,
-                        now + service.preload[m],
-                        &tr.names[m],
-                    );
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Compute,
-                        now + service.preload[m],
-                        now + svc,
-                        &tr.names[m],
-                    );
-                }
-                records[req].outcome = RequestOutcome::Served {
-                    worker: w,
-                    queue_wait: now - records[req].arrival,
-                    service: svc,
-                    completion: now + svc,
-                };
-                if workers[w].plan.bursts.is_empty() {
-                    workers[w].plan.bursts.push(Vec::new());
-                }
-                workers[w].plan.bursts[0].push(PlannedFrame {
-                    request: req,
-                    predicted: svc,
-                });
-                workers[w].stats.frames += 1;
-                workers[w].stats.busy_cycles += svc;
-                workers[w].free_at = now + svc;
-                return;
-            }
-            // Chaos path: the worker holds the request through a
-            // bounded retry loop on its own modeled timeline (retry
-            // affinity — failed attempts and backoffs burn this
-            // worker's cycles, they never go back through the queue).
-            let arrival = records[req].arrival;
-            // A crash-requeued request can land on a worker whose clock
-            // is still behind the request's arrival (it sat idle through
-            // the crash and its clock never advanced); the frame
-            // physically starts once both the worker and the request
-            // exist.
-            let dispatch = now.max(arrival);
-            let mut start = dispatch;
-            let mut served: Option<u64> = None;
-            let mut crashed = false;
-            loop {
-                let attempt = chaos.attempts[req];
-                chaos.attempts[req] += 1;
-                let fault = chaos
-                    .faults
-                    .as_ref()
-                    .and_then(|f| draw_fault(f, req, attempt));
-                let burn = match fault {
-                    None | Some(FrameFault::Spike) => {
-                        let dur = if fault == Some(FrameFault::Spike) {
-                            chaos.report.spikes += 1;
-                            svc.saturating_add(chaos.spike_cycles)
-                        } else {
-                            svc
-                        };
-                        if chaos.timeout > 0 && dur > chaos.timeout {
-                            // The watchdog aborts the attempt at the
-                            // deadline.
-                            chaos.report.timeouts += 1;
-                            chaos.timeout
-                        } else {
-                            served = Some(dur);
-                            dur
-                        }
-                    }
-                    Some(FrameFault::BusErr) => {
-                        // A typed bus error surfaces mid-frame.
-                        chaos.report.bus_errors += 1;
-                        svc / 2
-                    }
-                    Some(FrameFault::Flip) => {
-                        // Silent corruption: the frame runs to
-                        // completion; the output fingerprint check
-                        // catches it there.
-                        chaos.report.corruptions_detected += 1;
-                        svc
-                    }
-                    Some(FrameFault::Hang) => {
-                        // A hung poll loop: only the watchdog (the
-                        // validated-nonzero timeout) gets us back.
-                        chaos.report.hangs += 1;
-                        chaos.report.timeouts += 1;
-                        chaos.timeout
-                    }
-                    Some(FrameFault::Crash) => {
-                        chaos.report.crashes += 1;
-                        crashed = true;
-                        svc / 2
-                    }
-                };
-                if served.is_some() {
-                    break;
-                }
-                if tr.tracer.is_armed() {
-                    // The failed attempt's burn, labeled by what killed it.
-                    let label = match fault {
-                        None | Some(FrameFault::Spike) => "timeout",
-                        Some(FrameFault::BusErr) => "bus_err",
-                        Some(FrameFault::Flip) => "corrupt",
-                        Some(FrameFault::Hang) => "hang",
-                        Some(FrameFault::Crash) => "crash",
-                    };
-                    tr.tracer
-                        .span(tr.workers[w], SpanKind::Retry, start, start + burn, label);
-                }
-                start += burn;
-                if crashed {
-                    break;
-                }
-                // The attempt failed: exhaust, shed, or back off and
-                // retry on this same worker.
-                if attempt >= chaos.retries {
-                    chaos.report.exhausted += 1;
-                    break;
-                }
-                let backoff = (chaos.timeout / 2).saturating_mul(1u64 << attempt.min(20));
-                if start.saturating_sub(arrival).saturating_add(backoff) > chaos.shed_after {
-                    chaos.report.sheds += 1;
-                    break;
-                }
-                chaos.report.retries += 1;
-                if tr.tracer.is_armed() {
-                    tr.tracer.span(
-                        tr.workers[w],
-                        SpanKind::Retry,
-                        start,
-                        start + backoff,
-                        "backoff",
-                    );
-                }
-                start += backoff;
-            }
-            if let Some(dur) = served {
-                let completion = start + dur;
-                if tr.tracer.is_armed() {
-                    tr.queue_wait(arrival, start, req);
-                    let track = tr.workers[w];
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Preload,
-                        start,
-                        start + service.preload[m],
-                        &tr.names[m],
-                    );
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Compute,
-                        start + service.preload[m],
-                        completion,
-                        &tr.names[m],
-                    );
-                }
-                records[req].outcome = RequestOutcome::Served {
-                    worker: w,
-                    queue_wait: start - arrival,
-                    service: dur,
-                    completion,
-                };
-                if workers[w].plan.bursts.is_empty() {
-                    workers[w].plan.bursts.push(Vec::new());
-                }
-                // The replay runs the clean frame: fault burns exist
-                // only in modeled time (their bus-level realism is
-                // pinned by the soc chaos tests), so the predicted
-                // frame latency stays the clean cost — which is what
-                // keeps replay divergence at zero under faults.
-                workers[w].plan.bursts[0].push(PlannedFrame {
-                    request: req,
-                    predicted: svc,
-                });
-                workers[w].stats.frames += 1;
-                workers[w].stats.busy_cycles += completion - dispatch;
-                workers[w].free_at = completion;
-            } else if crashed {
-                // Failover: the in-flight request goes back to the
-                // head of its queue (keeping its attempt history, so a
-                // serially-crashing request exhausts its budget rather
-                // than ping-ponging forever) if the admission bound
-                // still has room; the worker pays the re-warm recovery
-                // before taking more work either way.
-                let attempt_used = chaos.attempts[req] - 1;
-                if attempt_used >= chaos.retries {
-                    chaos.report.exhausted += 1;
-                } else if disp.queued < queue_depth {
-                    disp.requeue_front(m, req);
-                    chaos.report.failovers += 1;
-                } else {
-                    chaos.report.sheds += 1;
-                }
-                let free = start.saturating_add(service.rewarm);
-                if tr.tracer.is_armed() {
-                    tr.tracer
-                        .span(tr.workers[w], SpanKind::Rewarm, start, free, &tr.names[m]);
-                }
-                workers[w].stats.busy_cycles += free - dispatch;
-                workers[w].free_at = free;
-            } else {
-                // Shed or exhausted: the request stays dropped; the
-                // worker only burned the failed attempts.
-                workers[w].stats.busy_cycles += start - dispatch;
-                workers[w].free_at = start;
-            }
-        }
-    }
-
-    /// Let every worker process its decision points up to `until`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        until: u64,
-        workers: &mut [SimWorker],
-        disp: &mut Dispatcher<'_>,
-        records: &mut [RequestRecord],
-        service: &ServiceModel,
-        pipelined: bool,
-        queue_depth: usize,
-        chaos: &mut ChaosCtx,
-        tr: &ServeTrace<'_>,
-    ) {
-        loop {
-            let ready = (0..workers.len())
-                .filter(|&w| workers[w].staged.is_some() || disp.queued > 0)
-                .min_by_key(|&w| (workers[w].free_at, w));
-            match ready {
-                Some(w) if workers[w].free_at <= until => {
-                    step(
-                        w,
-                        workers,
-                        disp,
-                        records,
-                        service,
-                        pipelined,
-                        queue_depth,
-                        chaos,
-                        tr,
-                    );
-                }
-                _ => break,
-            }
-        }
-    }
-
     for (i, r) in trace.requests.iter().enumerate() {
-        advance(
-            r.arrival,
-            &mut workers,
-            &mut disp,
-            &mut records,
-            service,
-            spec.pipelined,
-            spec.queue_depth,
-            &mut chaos,
-            &tr,
-        );
-        let idle = (0..workers.len())
-            .find(|&w| workers[w].free_at <= r.arrival && workers[w].staged.is_none());
-        if let Some(w) = idle {
-            // Straight to the idle worker; its clock catches up to now.
-            workers[w].free_at = r.arrival;
-            disp.enqueue(r.model, i);
-            step(
-                w,
-                &mut workers,
-                &mut disp,
-                &mut records,
-                service,
-                spec.pipelined,
-                spec.queue_depth,
-                &mut chaos,
-                &tr,
-            );
-        } else if disp.queued < spec.queue_depth {
-            disp.enqueue(r.model, i);
-        }
-        // else: dropped — the default outcome already says so.
+        station.advance(r.arrival, &mut records);
+        // Turned away = dropped: the default outcome already says so.
+        station.offer(i, &mut records);
     }
-    advance(
-        u64::MAX,
-        &mut workers,
-        &mut disp,
-        &mut records,
-        service,
-        spec.pipelined,
-        spec.queue_depth,
-        &mut chaos,
-        &tr,
-    );
+    station.advance(u64::MAX, &mut records);
 
-    // Aggregate.
-    let mut waits = Vec::new();
-    let mut services = Vec::new();
-    let mut totals = Vec::new();
+    let mut all = Tally::default();
+    let mut by_model = vec![Tally::default(); n];
+    let mut offered = vec![0u64; n];
     let mut makespan = 0u64;
-    let mut slo_attained = 0u64;
-    let mut per_model: Vec<ServeModelStats> = names
+    for rec in &records {
+        offered[rec.model] += 1;
+        if let RequestOutcome::Served {
+            queue_wait,
+            service: svc,
+            completion,
+            ..
+        } = rec.outcome
+        {
+            all.push(queue_wait, svc, slo_cycles);
+            by_model[rec.model].push(queue_wait, svc, slo_cycles);
+            makespan = makespan.max(completion);
+        }
+    }
+    let per_model = names
         .iter()
-        .map(|name| ServeModelStats {
+        .zip(by_model.iter_mut().zip(offered))
+        .map(|(name, (tally, offered))| ServeModelStats {
             name: name.clone(),
-            offered: 0,
-            served: 0,
-            dropped: 0,
-            service: LatencyStats::default(),
-            total: LatencyStats::default(),
-            slo_attained: 0,
+            offered,
+            served: tally.served(),
+            dropped: offered - tally.served(),
+            service: tally.service(),
+            total: tally.total(),
+            slo_attained: tally.slo_attained,
         })
         .collect();
-    let mut model_services: Vec<Vec<u64>> = vec![Vec::new(); n];
-    let mut model_totals: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for rec in &records {
-        per_model[rec.model].offered += 1;
-        match rec.outcome {
-            RequestOutcome::Served {
-                queue_wait,
-                service: svc,
-                completion,
-                ..
-            } => {
-                let total = queue_wait + svc;
-                waits.push(queue_wait);
-                services.push(svc);
-                totals.push(total);
-                makespan = makespan.max(completion);
-                per_model[rec.model].served += 1;
-                model_services[rec.model].push(svc);
-                model_totals[rec.model].push(total);
-                if total <= slo_cycles {
-                    slo_attained += 1;
-                    per_model[rec.model].slo_attained += 1;
-                }
-            }
-            RequestOutcome::Dropped => per_model[rec.model].dropped += 1,
-        }
-    }
-    for (m, stats) in per_model.iter_mut().enumerate() {
-        stats.service = LatencyStats::from_samples(&mut model_services[m]);
-        stats.total = LatencyStats::from_samples(&mut model_totals[m]);
-    }
-    let served = totals.len() as u64;
     let report = ServeReport {
         policy: spec.policy,
         pipelined: spec.pipelined,
@@ -1735,21 +1142,21 @@ fn simulate_plan(
         duration_cycles: trace.duration,
         slo_cycles,
         offered: records.len() as u64,
-        served,
-        dropped: records.len() as u64 - served,
+        served: all.served(),
+        dropped: records.len() as u64 - all.served(),
         makespan_cycles: makespan,
-        queue_wait: LatencyStats::from_samples(&mut waits),
-        service: LatencyStats::from_samples(&mut services),
-        total: LatencyStats::from_samples(&mut totals),
+        queue_wait: all.queue_wait(),
+        service: all.service(),
+        total: all.total(),
         per_model,
-        per_worker: workers.iter().map(|w| w.stats).collect(),
-        slo_attained,
+        per_worker: station.workers.iter().map(|w| w.stats).collect(),
+        slo_attained: all.slo_attained,
         records,
-        faults: chaos.report,
+        faults: station.chaos.report,
         replay_divergence: 0,
         host_seconds: 0.0,
     };
-    (report, workers.into_iter().map(|w| w.plan).collect())
+    (report, station.log)
 }
 
 /// Simulate serving `trace` against a calibrated (or synthetic)
@@ -1767,7 +1174,7 @@ pub fn simulate(
     names: &[String],
     soc_hz: u64,
 ) -> ServeReport {
-    simulate_plan(trace, service, spec, names, soc_hz, &Tracer::disarmed()).0
+    simulate_traced(trace, service, spec, names, soc_hz, &Tracer::disarmed())
 }
 
 /// [`simulate`], emitting spans into `tracer`: per-worker sync tracks
@@ -1790,7 +1197,7 @@ pub fn simulate_traced(
     soc_hz: u64,
     tracer: &Tracer,
 ) -> ServeReport {
-    simulate_plan(trace, service, spec, names, soc_hz, tracer).0
+    simulate_logged(trace, service, spec, names, soc_hz, tracer).0
 }
 
 /// Replay per-burst model `seqs` on one fresh SoC of `config` with the
@@ -1811,42 +1218,43 @@ pub(crate) fn replay_sequences(
 ) -> Result<Vec<u64>, BatchError> {
     let total: usize = seqs.iter().map(Vec::len).sum();
     let mut latencies = Vec::with_capacity(total);
-    if pipelined {
-        let mut sched = PipelinedScheduler::new(config.clone(), policy);
-        for a in artifacts {
-            sched.add_model(a.clone(), codegen)?;
-        }
-        for (model, bytes) in frames {
-            sched.enqueue_bytes(model, bytes)?;
-        }
-        for seq in seqs {
-            let rep = sched.run_sequence(seq)?;
-            latencies.extend(rep.frame_latencies.iter().map(|f| f.cycles));
-        }
-    } else {
-        let mut sched = BatchScheduler::new(config.clone(), policy);
-        for a in artifacts {
-            sched.add_model(a.clone(), codegen)?;
-        }
-        for (model, bytes) in frames {
-            sched.enqueue_bytes(model, bytes)?;
-        }
-        for seq in seqs {
-            let rep = sched.run_sequence(seq)?;
-            latencies.extend(rep.frame_latencies.iter().map(|f| f.cycles));
-        }
+    let mut sched = PipelinedScheduler::loaded(config, policy, artifacts, codegen, frames)?;
+    for seq in seqs {
+        let rep = sched.drain_sequence(pipelined, seq)?;
+        latencies.extend(rep.frame_latencies.iter().map(|f| f.cycles));
     }
     Ok(latencies)
 }
 
+/// Frames where a replay's measured latencies disagree with the plan's
+/// `predicted` ones, a missing or surplus frame counting as one each.
+pub(crate) fn divergence(predicted: impl Iterator<Item = u64>, measured: &[u64]) -> u64 {
+    let mut measured = measured.iter();
+    let wrong = predicted.filter(|p| measured.next() != Some(p)).count();
+    (wrong + measured.count()) as u64
+}
+
+/// Request `request`'s `len` input bytes, deterministic from the
+/// workload seed and the request index alone: the replays stream real
+/// (varied) images, proving the modeled cycles are input-independent.
+pub(crate) fn input_for(seed: u64, request: usize, len: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed ^ (0x5EED << 16) ^ request as u64);
+    (0..len).map(|_| rng.gen_range(0u8..=255)).collect()
+}
+
 /// An inference server over a resident model set: calibrates the
 /// [`ServiceModel`] once at construction, then serves (or plans) any
-/// number of [`ServeSpec`] experiments against it.
+/// number of [`ServeSpec`] experiments against it. Cloning shares the
+/// compiled artifacts and copies the calibrated profile — no SoC runs.
+#[derive(Clone)]
 pub struct Server {
     config: SocConfig,
     codegen: CodegenOptions,
     artifacts: Vec<Arc<Artifacts>>,
     service: ServiceModel,
+    /// Span sink for [`Server::plan`] and [`Server::serve`] (disarmed
+    /// by default).
+    tracer: Tracer,
 }
 
 impl Server {
@@ -1869,7 +1277,17 @@ impl Server {
             codegen,
             artifacts,
             service,
+            tracer: Tracer::disarmed(),
         })
+    }
+
+    /// Emit the queueing simulation's spans into `tracer` from now on
+    /// (see [`simulate_traced`] for the track layout and the
+    /// bit-identity contract). Only the planning half of
+    /// [`Server::serve`] emits — the replay is a cross-check of the very
+    /// cycles the plan's spans already carry.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// The calibrated service profile.
@@ -1897,8 +1315,17 @@ impl Server {
         )
     }
 
-    fn names(&self) -> Vec<String> {
-        self.artifacts.iter().map(|a| a.model.clone()).collect()
+    /// Validate `spec`, generate its trace and simulate it.
+    fn simulate(
+        &self,
+        spec: &ServeSpec,
+    ) -> Result<(RequestTrace, ServeReport, Vec<Dispatch>), ServeError> {
+        spec.validate()?;
+        let trace = self.trace(spec);
+        let names: Vec<String> = self.artifacts.iter().map(|a| a.model.clone()).collect();
+        let hz = self.config.soc_hz;
+        let (report, log) = simulate_logged(&trace, &self.service, spec, &names, hz, &self.tracer);
+        Ok((trace, report, log))
     }
 
     /// Plan `spec` without running frames: trace generation plus the
@@ -1910,32 +1337,8 @@ impl Server {
     ///
     /// [`ServeError::Config`] for a degenerate spec.
     pub fn plan(&self, spec: &ServeSpec) -> Result<ServeReport, ServeError> {
-        self.plan_traced(spec, &Tracer::disarmed())
-    }
-
-    /// [`Server::plan`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] for a degenerate spec.
-    pub fn plan_traced(
-        &self,
-        spec: &ServeSpec,
-        tracer: &Tracer,
-    ) -> Result<ServeReport, ServeError> {
-        spec.validate()?;
         let start = Instant::now();
-        let trace = self.trace(spec);
-        let (mut report, _) = simulate_plan(
-            &trace,
-            &self.service,
-            spec,
-            &self.names(),
-            self.config.soc_hz,
-            tracer,
-        );
+        let (_, mut report, _) = self.simulate(spec)?;
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
@@ -1944,8 +1347,8 @@ impl Server {
     /// the dispatch plan out across [`ServeSpec::workers`] real SoCs
     /// (each with the full model set resident, via
     /// [`crate::sweep::fan_out`]) and replay every burst with
-    /// [`BatchScheduler::run_sequence`] /
-    /// [`PipelinedScheduler::run_sequence`]. Each replayed frame's
+    /// [`BatchScheduler::run_sequence`](crate::batch::BatchScheduler::run_sequence)
+    /// / [`PipelinedScheduler::run_sequence`]. Each replayed frame's
     /// modeled latency is checked against the plan;
     /// [`ServeReport::replay_divergence`] counts the disagreements
     /// (zero on a healthy build — `tests/serve.rs` pins it).
@@ -1960,78 +1363,42 @@ impl Server {
     ///
     /// Panics if a worker thread panics (propagated by [`fan_out`]).
     pub fn serve(&self, spec: &ServeSpec) -> Result<ServeReport, ServeError> {
-        self.serve_traced(spec, &Tracer::disarmed())
-    }
-
-    /// [`Server::serve`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
-    /// contract). Only the planning half emits — the replay is a
-    /// cross-check of the very cycles the plan's spans already carry.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] for a degenerate spec,
-    /// [`ServeError::Batch`] when a worker fails to build or a frame
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (propagated by [`fan_out`]).
-    pub fn serve_traced(
-        &self,
-        spec: &ServeSpec,
-        tracer: &Tracer,
-    ) -> Result<ServeReport, ServeError> {
-        spec.validate()?;
         let start = Instant::now();
-        let trace = self.trace(spec);
-        let (mut report, plans) = simulate_plan(
-            &trace,
-            &self.service,
-            spec,
-            &self.names(),
-            self.config.soc_hz,
-            tracer,
-        );
-        // Per-request input bytes, deterministic from the seed and the
-        // request index alone: the replay streams real (varied) images,
-        // proving the modeled cycles are input-independent. Generated
-        // lazily per planned frame inside each worker — dropped
-        // requests never materialize bytes, and the RNG work rides the
-        // fan-out.
-        let input_for = |request: usize| -> Vec<u8> {
-            let mut rng = StdRng::seed_from_u64(spec.seed ^ (0x5EED << 16) ^ request as u64);
-            (0..self.artifacts[trace.requests[request].model].input_len)
-                .map(|_| rng.gen_range(0u8..=255))
-                .collect()
-        };
+        let (trace, mut report, log) = self.simulate(spec)?;
+        // Each worker's plan: bursts of frames. In the pipelined mode a
+        // burst is a maximal chain of overlap-staged frames (one
+        // pipeline fill each); a serial worker has one burst holding
+        // every frame.
+        let mut plans: Vec<Vec<Vec<Dispatch>>> = vec![Vec::new(); spec.workers];
+        for d in log {
+            let bursts = &mut plans[d.worker];
+            if d.opens_burst || bursts.is_empty() {
+                bursts.push(Vec::new());
+            }
+            bursts.last_mut().expect("just ensured").push(d);
+        }
+        let model_of = |d: &Dispatch| trace.requests[d.request].model;
         let measured = fan_out(
             plans.len(),
             plans.len(),
             |w| -> Result<Vec<u64>, BatchError> {
-                let plan = &plans[w];
-                if plan.frames() == 0 {
+                let bursts = &plans[w];
+                if bursts.is_empty() {
                     return Ok(Vec::new());
                 }
                 // The per-burst model sequences the scheduler replays,
-                // and every frame's bytes in enqueue order — identical
-                // for both worker modes; only the scheduler type (and
-                // hence the preload overlap) differs below.
-                let seqs: Vec<Vec<usize>> = plan
-                    .bursts
+                // and every frame's bytes in enqueue order. The bytes
+                // are generated lazily per planned frame inside each
+                // worker — dropped requests never materialize any, and
+                // the RNG work rides the fan-out.
+                let seqs: Vec<Vec<usize>> = bursts
                     .iter()
-                    .map(|burst| {
-                        burst
-                            .iter()
-                            .map(|f| trace.requests[f.request].model)
-                            .collect()
-                    })
+                    .map(|burst| burst.iter().map(model_of).collect())
                     .collect();
-                let frames = plan
-                    .bursts
-                    .iter()
-                    .flatten()
-                    .map(|f| (trace.requests[f.request].model, input_for(f.request)));
+                let frames = bursts.iter().flatten().map(|d| {
+                    let len = self.artifacts[model_of(d)].input_len;
+                    (model_of(d), input_for(spec.seed, d.request, len))
+                });
                 replay_sequences(
                     &self.config,
                     &self.artifacts,
@@ -2043,23 +1410,10 @@ impl Server {
                 )
             },
         );
-        let mut divergence = 0u64;
-        for (w, run) in measured.into_iter().enumerate() {
-            let latencies = run?;
-            let predicted: Vec<u64> = plans[w]
-                .bursts
-                .iter()
-                .flatten()
-                .map(|f| f.predicted)
-                .collect();
-            divergence += predicted
-                .iter()
-                .zip(&latencies)
-                .filter(|(p, m)| p != m)
-                .count() as u64;
-            divergence += predicted.len().abs_diff(latencies.len()) as u64;
+        for (bursts, run) in plans.iter().zip(measured) {
+            let predicted = bursts.iter().flatten().map(|d| d.predicted);
+            report.replay_divergence += divergence(predicted, &run?);
         }
-        report.replay_divergence = divergence;
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
@@ -2394,7 +1748,7 @@ mod tests {
             &names(),
             hz,
         );
-        assert_eq!(clean, quiet, "an all-quiet plan must stay on the fast path");
+        assert_eq!(clean, quiet, "an all-quiet plan must change nothing");
         assert_eq!(clean.faults, FaultReport::default());
     }
 

@@ -7,6 +7,16 @@
 //! divergence**, and the balancer's books balance — every offered
 //! request resolves exactly once, per pool and in total.
 //!
+//! A second oracle rides on the same case: **a one-pool fleet is a
+//! server**. On the domain both simulators cover — one fixed-size
+//! pool of serial workers, single-model traffic, no faults, an SLO
+//! high enough that the front door never sheds — [`fleet::simulate`]
+//! and [`serve::simulate`] must agree on every request's outcome, on
+//! all three latency distributions, on makespan and on total busy
+//! cycles. (Multi-model traffic is outside the domain by design: a
+//! fleet pool dispatches in arrival order, a server by
+//! [`Policy`] over per-model queues.)
+//!
 //! Pool count, class and residency are fixed at [`Fleet::new`] by
 //! contract (`check_spec`); the generator only varies the knobs a
 //! built fleet accepts.
@@ -16,7 +26,11 @@ use std::sync::OnceLock;
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::CompileOptions;
 use rvnv_nn::zoo::Model;
-use rvnv_soc::fleet::{Fleet, FleetSpec, PoolSpec, RoutePolicy, SocClass, TrafficShape};
+use rvnv_soc::batch::Policy;
+use rvnv_soc::fleet::{
+    self, Fleet, FleetOutcome, FleetSpec, PoolSpec, RoutePolicy, SocClass, TrafficShape,
+};
+use rvnv_soc::serve::{self, ArrivalProcess, RequestOutcome, RequestTrace, ServeSpec};
 use rvnv_util::SplitMix64;
 
 use crate::{shrink, FuzzTarget};
@@ -115,6 +129,114 @@ fn spec_of(case: &FleetCase) -> FleetSpec {
     }
 }
 
+/// The "one-pool fleet == serve" oracle: the case's first pool (its
+/// worker count and queue depth, autoscaler pinned), its rate scaled
+/// by the worker count so every pool size sees both sides of the knee,
+/// its duration, and its seed (whose low bit picks the arrival
+/// process) drive both simulators over one single-model trace.
+fn one_pool_fleet_is_a_server(case: &FleetCase) -> Result<(), String> {
+    const HZ: u64 = 100_000_000;
+    // Far above any reachable wait, so the front door never sheds.
+    const SLO_US: u64 = 1 << 40;
+    let (workers, _, _, queue_depth) = case.pools[0];
+    let process = if case.seed & 1 == 0 {
+        ArrivalProcess::Poisson
+    } else {
+        ArrivalProcess::Fixed
+    };
+    let rate_rps = case.rate_rps * workers as u64;
+    let trace = RequestTrace::generate(
+        process,
+        rate_rps,
+        case.duration_ms * (HZ / 1000),
+        1,
+        case.seed,
+        HZ,
+    );
+    let profile = fleet().pool_profile(0);
+    let names = fleet().names();
+    let s = serve::simulate(
+        &trace,
+        &profile.service,
+        &ServeSpec {
+            process,
+            rate_rps,
+            duration_ms: case.duration_ms,
+            seed: case.seed,
+            workers,
+            policy: Policy::RoundRobin,
+            pipelined: false,
+            queue_depth,
+            slo_us: SLO_US,
+            timeout_us: 0,
+            retries: 0,
+            faults: None,
+        },
+        names,
+        HZ,
+    );
+    let f = fleet::simulate(
+        &trace,
+        std::slice::from_ref(profile),
+        &FleetSpec {
+            pools: vec![PoolSpec {
+                workers,
+                min_workers: workers,
+                max_workers: workers,
+                queue_depth,
+                ..base_pools().swap_remove(0)
+            }],
+            rate_rps,
+            duration_ms: case.duration_ms,
+            seed: case.seed,
+            slo_us: SLO_US,
+            ..FleetSpec::default()
+        },
+        names,
+        HZ,
+    );
+    for (i, (a, b)) in s.records.iter().zip(&f.records).enumerate() {
+        let same = match (a.outcome, b.outcome) {
+            (
+                RequestOutcome::Served {
+                    queue_wait,
+                    service,
+                    completion,
+                    ..
+                },
+                FleetOutcome::Served {
+                    queue_wait: fw,
+                    service: fs,
+                    completion: fc,
+                    ..
+                },
+            ) => (queue_wait, service, completion) == (fw, fs, fc),
+            (RequestOutcome::Dropped, FleetOutcome::Dropped { .. }) => true,
+            _ => false,
+        };
+        if !same {
+            return Err(format!(
+                "one-pool fleet != serve at request {i}: serve {:?}, fleet {:?}",
+                a.outcome, b.outcome
+            ));
+        }
+    }
+    let serve_busy: u64 = s.per_worker.iter().map(|w| w.busy_cycles).sum();
+    let fleet_busy = f.per_pool[0].busy_cycles;
+    if (s.queue_wait, s.service, s.total) != (f.queue_wait, f.service, f.total)
+        || s.makespan_cycles != f.makespan_cycles
+        || serve_busy != fleet_busy
+        || s.records.len() != f.records.len()
+    {
+        return Err(format!(
+            "one-pool fleet != serve in aggregate: makespan {} vs {}, busy {serve_busy} vs \
+             {fleet_busy}, total p99 {} vs {}",
+            s.makespan_cycles, f.makespan_cycles, s.total.p99, f.total.p99
+        ));
+    }
+    Ok(())
+}
+
 /// The simulate-vs-replay fleet target.
 pub struct FleetTarget;
 
@@ -145,6 +267,7 @@ impl FuzzTarget for FleetTarget {
     }
 
     fn check(&self, case: &FleetCase) -> Result<(), String> {
+        one_pool_fleet_is_a_server(case)?;
         let spec = spec_of(case);
         let r = fleet()
             .run(&spec)

@@ -26,6 +26,7 @@ use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{ArtifactCache, Artifacts, CompileOptions};
 use rvnv_nn::zoo::Model;
 use rvnv_nn::Tensor;
+use rvnv_obs::Tracer;
 use rvnv_soc::batch::{
     layout_models, run_parallel, BatchScheduler, Frame, PipelinedScheduler, Policy,
 };
@@ -138,6 +139,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             codegen,
             &frames,
             workers,
+            false,
+            &Tracer::disarmed(),
         )?;
         let host = start.elapsed().as_secs_f64();
         println!(

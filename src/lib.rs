@@ -55,9 +55,8 @@ pub mod prelude {
         TrackKind,
     };
     pub use rvnv_soc::batch::{
-        layout_models, run_parallel, run_parallel_pipelined, run_parallel_pipelined_traced,
-        run_parallel_traced, BatchReport, BatchScheduler, Frame, FrameLatency, PipelinedScheduler,
-        Policy,
+        layout_models, run_parallel, BatchReport, BatchScheduler, Frame, FrameLatency,
+        PipelinedScheduler, Policy,
     };
     pub use rvnv_soc::firmware::Firmware;
     pub use rvnv_soc::fleet::{

@@ -678,27 +678,16 @@ fn cmd_batch(args: &[String]) -> Result<(), AnyError> {
         .collect();
 
     let start = Instant::now();
-    let report = if pipeline {
-        run_parallel_pipelined_traced(
-            &config,
-            policy,
-            &artifacts,
-            codegen,
-            &frame_stream,
-            threads,
-            &obs.tracer,
-        )?
-    } else {
-        run_parallel_traced(
-            &config,
-            policy,
-            &artifacts,
-            codegen,
-            &frame_stream,
-            threads,
-            &obs.tracer,
-        )?
-    };
+    let report = run_parallel(
+        &config,
+        policy,
+        &artifacts,
+        codegen,
+        &frame_stream,
+        threads,
+        pipeline,
+        &obs.tracer,
+    )?;
     let host_ms = start.elapsed().as_secs_f64() * 1e3;
 
     println!(
@@ -838,9 +827,10 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     let cache = ArtifactCache::new();
     let artifacts = layout_models(&cache, &nets, &opt)?;
     let calib_start = Instant::now();
-    let server = Server::new(config.clone(), artifacts, codegen)?;
+    let mut server = Server::new(config.clone(), artifacts, codegen)?;
     let calib_ms = calib_start.elapsed().as_secs_f64() * 1e3;
-    let report = server.serve_traced(&spec, &obs.tracer)?;
+    server.set_tracer(obs.tracer.clone());
+    let report = server.serve(&spec)?;
 
     let metrics = MetricsRegistry::new();
     if obs.wants_metrics() {
@@ -1056,9 +1046,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), AnyError> {
     };
     let nets: Vec<_> = models.iter().map(|m| m.build(1)).collect();
     let calib_start = Instant::now();
-    let fleet = Fleet::new(&nets, &opt, codegen, &spec)?;
+    let mut fleet = Fleet::new(&nets, &opt, codegen, &spec)?;
     let calib_ms = calib_start.elapsed().as_secs_f64() * 1e3;
-    let report = fleet.run_traced(&spec, &obs.tracer)?;
+    fleet.set_tracer(obs.tracer.clone());
+    let report = fleet.run(&spec)?;
 
     let metrics = MetricsRegistry::new();
     if obs.wants_metrics() {

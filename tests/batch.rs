@@ -188,10 +188,20 @@ fn parallel_fan_out_matches_single_worker() {
             }
         })
         .collect();
-    let one = run_parallel(&config, Policy::RoundRobin, &artifacts, codegen, &frames, 1)
-        .expect("1 worker");
-    let four = run_parallel(&config, Policy::RoundRobin, &artifacts, codegen, &frames, 4)
-        .expect("4 workers");
+    let run = |threads| {
+        run_parallel(
+            &config,
+            Policy::RoundRobin,
+            &artifacts,
+            codegen,
+            &frames,
+            threads,
+            false,
+            &Tracer::disarmed(),
+        )
+    };
+    let one = run(1).expect("1 worker");
+    let four = run(4).expect("4 workers");
     assert_eq!(one.total_frames(), four.total_frames());
     assert_eq!(one.total_cycles(), four.total_cycles());
     for m in 0..2 {
@@ -463,8 +473,19 @@ fn pipelined_parallel_single_worker_matches_direct_drain() {
             }
         })
         .collect();
-    let one = run_parallel_pipelined(&config, Policy::RoundRobin, &artifacts, codegen, &frames, 1)
-        .expect("1 worker");
+    let run = |threads| {
+        run_parallel(
+            &config,
+            Policy::RoundRobin,
+            &artifacts,
+            codegen,
+            &frames,
+            threads,
+            true,
+            &Tracer::disarmed(),
+        )
+    };
+    let one = run(1).expect("1 worker");
     let mut direct = PipelinedScheduler::new(config.clone(), Policy::RoundRobin);
     for a in &artifacts {
         direct.add_model(a.clone(), codegen).expect("pin");
@@ -482,8 +503,7 @@ fn pipelined_parallel_single_worker_matches_direct_drain() {
     // Sharding across workers conserves frames and keeps every shard
     // pipelined; totals legitimately differ (each shard has its own
     // fill and pairings), so only conservation is asserted.
-    let two = run_parallel_pipelined(&config, Policy::RoundRobin, &artifacts, codegen, &frames, 2)
-        .expect("2 workers");
+    let two = run(2).expect("2 workers");
     assert_eq!(two.total_frames(), 6);
     assert!(two.pipelined);
     assert_eq!(two.frame_latencies.len(), 6);

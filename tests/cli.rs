@@ -504,3 +504,79 @@ fn run_repeat_reports_block_cache_counters() {
         "a warm run must replay without decoding: {cache_line}"
     );
 }
+
+/// FNV-1a digest of a byte stream, as 16 hex digits.
+fn digest(bytes: &[u8]) -> String {
+    let mut h = rv_nvdla::rvnv_nn::hash::Fnv::new();
+    h.bytes(bytes);
+    format!("{:016x}", h.finish())
+}
+
+/// Golden reports: `--json` stdout, the `--metrics-out` dump and (for
+/// `serve`, whose Chrome trace is part of the contract) the
+/// `--trace-out` file of fixed command lines, pinned as FNV-1a digests
+/// recorded at the commit before the two queueing loops became one
+/// kernel. Every byte is modeled — no host time — so a digest moves
+/// only when the queueing model, a report field or a span does. The
+/// lines cover: quiet serial, pipelined `eff` on two workers, CI's
+/// chaos line, a rate above the knee (drops), a heterogeneous
+/// affinity-routed diurnal fleet, and a flash crowd that makes the
+/// autoscaler add and drain workers.
+#[test]
+fn serve_and_fleet_reports_match_their_golden_digests() {
+    const MODELS: [&str; 2] = ["--models", "lenet5,resnet18"];
+    const CHAOS: &str =
+        "seed=7,flips=30000,errors=60000,spikes=30000,spike-us=2000,hangs=15000,crashes=15000";
+    #[rustfmt::skip]
+    let golden: [(&str, &[&str], [&str; 3]); 6] = [
+        ("serve", &["--rate", "150", "--duration", "200", "--seed", "42"],
+            ["f854d0209117b945", "23173cc121048ace", "f90ebdce0952ba31"]),
+        ("serve", &["--policy", "eff", "--pipeline", "--workers", "2", "--arrivals", "fixed",
+                    "--rate", "300", "--duration", "150", "--seed", "42"],
+            ["e3cf589a69dd91a5", "ad9b407a071422b6", "3b84ccd0a8097d85"]),
+        ("serve", &["--rate", "150", "--duration", "200", "--seed", "42", "--workers", "2",
+                    "--timeout-us", "10000", "--retries", "2", "--faults", CHAOS],
+            ["a108f97f9ce43722", "073b9cc6c4e6eb67", "fc7389aab87ffb3b"]),
+        ("serve", &["--rate", "400", "--duration", "200", "--seed", "42"],
+            ["d0453d150c5c203c", "bd8cb45cf0871479", "6868ef319b2b557a"]),
+        ("fleet", &["--pools", "nv_small:workers=2;nv_full:workers=1", "--route", "model-affinity",
+                    "--shape", "diurnal", "--rate", "250", "--duration", "200", "--seed", "42"],
+            ["1c0568fd2a600ca2", "7f78c8c3299ceb1a", ""]),
+        ("fleet", &["--pools", "nv_small:workers=1,min=1,max=4;nv_full:workers=1,min=1,max=2",
+                    "--shape", "flash-crowd", "--rate", "600", "--duration", "300", "--seed", "42",
+                    "--scale-window", "20"],
+            ["e72d167865f38a21", "f5b641fce867aeb0", ""]),
+    ];
+    let dir = std::env::temp_dir();
+    let mut moved = Vec::new();
+    for (i, (cmd, flags, want)) in golden.iter().enumerate() {
+        let metrics = dir.join(format!(
+            "rvnv-golden-{}-{i}.metrics.json",
+            std::process::id()
+        ));
+        let trace = dir.join(format!("rvnv-golden-{}-{i}.trace.json", std::process::id()));
+        let mut args = vec![*cmd];
+        args.extend(MODELS);
+        args.extend(*flags);
+        args.extend(["--json", "--metrics-out", metrics.to_str().expect("utf-8")]);
+        args.extend(["--trace-out", trace.to_str().expect("utf-8")]);
+        let (ok, stdout) = rv_nvdla_stdout(&args);
+        assert!(ok, "`rv-nvdla {}` must succeed", args.join(" "));
+        let metrics_bytes = std::fs::read(&metrics).expect("metrics file written");
+        let trace_bytes = std::fs::read(&trace).expect("trace file written");
+        std::fs::remove_file(&metrics).ok();
+        std::fs::remove_file(&trace).ok();
+        let mut got = vec![digest(stdout.as_bytes()), digest(&metrics_bytes)];
+        if !want[2].is_empty() {
+            got.push(digest(&trace_bytes));
+        }
+        if got != want[..got.len()] {
+            moved.push(format!("line {i} (`{}`): got {got:?}", args.join(" ")));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "[stdout, metrics, trace] digests moved:\n{}",
+        moved.join("\n")
+    );
+}

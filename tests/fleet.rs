@@ -288,9 +288,11 @@ proptest! {
 #[test]
 fn traced_fleet_run_reconciles_and_metrics_delta_by_since() {
     let (fleet, spec) = fleet2();
-    let tracer = Tracer::armed();
-    let mut traced = fleet.run_traced(&spec, &tracer).expect("traced run");
+    let mut fleet = fleet.clone();
     let mut plain = fleet.run(&spec).expect("plain run");
+    let tracer = Tracer::armed();
+    fleet.set_tracer(tracer.clone());
+    let mut traced = fleet.run(&spec).expect("traced run");
     traced.host_seconds = 0.0;
     plain.host_seconds = 0.0;
     assert_eq!(traced, plain, "arming the tracer must not move the report");

@@ -245,7 +245,7 @@ fn trace_is_seeded_and_offered_bounds_achieved() {
 
 #[test]
 fn traced_pipelined_serve_reconciles_with_the_report() {
-    let server = server();
+    let mut server = server().clone();
     let spec = ServeSpec {
         pipelined: true,
         rate_rps: 300,
@@ -253,9 +253,10 @@ fn traced_pipelined_serve_reconciles_with_the_report() {
         workers: 2,
         ..base_spec()
     };
-    let tracer = Tracer::armed();
-    let mut traced = server.serve_traced(&spec, &tracer).expect("traced serve");
     let mut plain = server.serve(&spec).expect("plain serve");
+    let tracer = Tracer::armed();
+    server.set_tracer(tracer.clone());
+    let mut traced = server.serve(&spec).expect("traced serve");
     traced.host_seconds = 0.0;
     plain.host_seconds = 0.0;
     assert_eq!(traced, plain, "arming the tracer must not move the report");
