@@ -9,7 +9,8 @@
 //! trusts a benchmark number produced by the fast paths.
 //!
 //! What is asserted, per firmware variant (functional poll, functional
-//! `wfi`, timing-only `wfi`, and an FP16 `nv_full` build):
+//! `wfi`, timing-only `wfi`, and an FP16 `nv_full` build both
+//! functional and timing-only):
 //!
 //! * the inference fingerprint (output bytes + instructions + cycles)
 //!   is identical with the decoded-block cache on and off, on both a
@@ -17,7 +18,11 @@
 //! * pipeline stats, NVDLA stats (including CSB read counts, which the
 //!   read lease credits back), firmware-measured cycles and arbiter
 //!   waits agree exactly;
-//! * a fully warm run decodes nothing: zero block-cache misses.
+//! * a fully warm run decodes nothing: zero block-cache misses;
+//! * a timing-only variant, whose DMA bursts all go out length-only
+//!   (no bytes move), keeps its functional twin's cycles, instructions,
+//!   pipeline and NVDLA books — on the SoC and on the
+//!   `VirtualPlatform` with Table III's memory timing.
 //!
 //! Separately, the convolution kernels are checked bit-for-bit against
 //! the naive tap-at-a-time references over shapes covering padding,
@@ -33,9 +38,9 @@
 //! `rvnv_obs::Tracer` must be bit- and cycle-identical to untraced
 //! ones, while recording a structurally valid, nonempty trace.
 
-use rvnv_bench::inference_fingerprint;
+use rvnv_bench::{inference_fingerprint, nv_full_vp_timing};
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
-use rvnv_compiler::{compile, Artifacts, CompileOptions};
+use rvnv_compiler::{compile, Artifacts, CompileOptions, VirtualPlatform};
 use rvnv_nn::conv::{conv2d, conv2d_naive};
 use rvnv_nn::exec::Executor;
 use rvnv_nn::quant::CalibrationTable;
@@ -44,6 +49,7 @@ use rvnv_nn::Tensor;
 use rvnv_nvdla::config::Precision;
 use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_nvdla::engines::conv;
+use rvnv_nvdla::HwConfig;
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{InferenceResult, Soc, SocConfig};
 
@@ -86,9 +92,15 @@ fn variants() -> Vec<Variant> {
         Variant {
             name: "functional/poll/fp16",
             config: SocConfig {
-                hw: rvnv_nvdla::HwConfig::nv_full(),
+                hw: HwConfig::nv_full(),
                 ..SocConfig::zcu102_nv_small()
             },
+            artifacts: fp16_artifacts.clone(),
+            codegen: CodegenOptions::default(),
+        },
+        Variant {
+            name: "timing-only/poll/fp16",
+            config: SocConfig::zcu102_nv_full_timing_only(),
             artifacts: fp16_artifacts,
             codegen: CodegenOptions::default(),
         },
@@ -121,6 +133,7 @@ fn assert_identical(name: &str, fast: &InferenceResult, slow: &InferenceResult) 
 }
 
 fn check_soc_kernels() {
+    let mut cold_runs: Vec<(&str, InferenceResult)> = Vec::new();
     for v in variants() {
         let input = Tensor::random(Model::LeNet5.build(1).input_shape(), 2);
         let bytes = v.artifacts.quantize_input(&input);
@@ -167,7 +180,48 @@ fn check_soc_kernels() {
             cold_on.cycles,
             cold_on.instructions,
         );
+        cold_runs.push((v.name, cold_on));
     }
+
+    // Timing-only is the functional run minus the bytes: everything
+    // modeled is shared, only the output (never written) differs.
+    for (name, t) in &cold_runs {
+        let Some(rest) = name.strip_prefix("timing-only") else {
+            continue;
+        };
+        let (twin, f) = cold_runs
+            .iter()
+            .find(|(n, _)| n.strip_prefix("functional") == Some(rest))
+            .expect("every timing-only variant has a functional twin");
+        assert_eq!(t.cycles, f.cycles, "{name} vs {twin}: modeled cycles");
+        assert_eq!(t.instructions, f.instructions, "{name} vs {twin}");
+        assert_eq!(t.pipeline, f.pipeline, "{name} vs {twin}: pipeline stats");
+        assert_eq!(t.nvdla, f.nvdla, "{name} vs {twin}: NVDLA stats");
+        assert_eq!(t.cpu_arbiter_wait, f.cpu_arbiter_wait, "{name} vs {twin}");
+        assert!(t.raw_output.iter().all(|&b| b == 0), "{name}: output");
+    }
+}
+
+/// The path `table3_fp16` times: a timing-only `VirtualPlatform` replay
+/// with the Table III memory timing must land on the functional
+/// replay's cycle count and NVDLA books, with its output left at zero.
+fn check_vp_timing_only() {
+    let net = Model::LeNet5.build(1);
+    let artifacts = compile(&net, &CompileOptions::fp16()).expect("fp16 compile");
+    let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 2));
+    let replay = |functional: bool| {
+        let mut vp =
+            VirtualPlatform::with_timing(HwConfig::nv_full(), 64 << 20, nv_full_vp_timing());
+        vp.set_functional(functional);
+        let run = vp.run(&artifacts, &bytes, false).expect("VP replays");
+        (run.cycles, vp.nvdla().stats().clone(), run.output)
+    };
+    let (f_cycles, f_stats, f_out) = replay(true);
+    let (t_cycles, t_stats, t_out) = replay(false);
+    assert_eq!(t_cycles, f_cycles, "VP: timing-only cycles");
+    assert_eq!(t_stats, f_stats, "VP: timing-only NVDLA stats");
+    assert!(f_out.iter().any(|&b| b != 0) && t_out.iter().all(|&b| b == 0));
+    println!("VP timing-only == functional (nv_full, fp16): cycles {t_cycles:>9}  ok");
 }
 
 /// The observability honesty contract as a hard gate: arming a
@@ -428,6 +482,7 @@ fn check_calibration_tables() {
 
 fn main() {
     check_soc_kernels();
+    check_vp_timing_only();
     check_conv_kernel();
     check_calibration_tables();
     check_tracing_invisible();

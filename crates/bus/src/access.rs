@@ -188,9 +188,90 @@ impl Response {
     }
 }
 
+/// What a burst ([`crate::Target::burst`]) carries: its direction, its
+/// length and — unless the caller only wants the timing — its bytes.
+#[derive(Debug)]
+pub enum Payload<'a> {
+    /// Read `buf.len()` bytes into this buffer.
+    Read(&'a mut [u8]),
+    /// Write this slice.
+    Write(&'a [u8]),
+    /// Length only: the same burst with no bytes attached. Every layer
+    /// does exactly what it does for the data burst of this length and
+    /// direction — timing, arbitration, counters, fault draw, dirty
+    /// marking — except move the bytes: a read returns nothing and a
+    /// write leaves the memory contents as they were.
+    Len {
+        /// Burst length in bytes.
+        len: usize,
+        /// Direction: a write (true) or a read.
+        write: bool,
+    },
+}
+
+impl Payload<'_> {
+    /// Burst length in bytes.
+    #[must_use]
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Read(buf) => buf.len(),
+            Payload::Write(buf) => buf.len(),
+            Payload::Len { len, .. } => *len,
+        }
+    }
+
+    /// Whether the burst writes memory.
+    #[must_use]
+    pub fn is_write(&self) -> bool {
+        matches!(self, Payload::Write(_) | Payload::Len { write: true, .. })
+    }
+
+    /// The same kind of payload for the at most `max` bytes starting
+    /// `off` bytes in — how a master cuts a transfer into bounded
+    /// bursts, and (`slice(0, usize::MAX)`) how a layer lends the
+    /// payload downstream and looks at the bytes afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `off` is past the end of a data payload.
+    pub fn slice(&mut self, off: usize, max: usize) -> Payload<'_> {
+        let end = self.len().min(off.saturating_add(max));
+        match self {
+            Payload::Read(buf) => Payload::Read(&mut buf[off..end]),
+            Payload::Write(buf) => Payload::Write(&buf[off..end]),
+            Payload::Len { write, .. } => Payload::Len {
+                len: end.saturating_sub(off),
+                write: *write,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn payload_slices_keep_kind_and_clip_to_the_end() {
+        let mut bytes = [1u8, 2, 3, 4, 5];
+        let mut p = Payload::Read(&mut bytes);
+        assert!(matches!(p.slice(4, 4), Payload::Read(b) if *b == [5]));
+        let mut p = Payload::Write(&[9, 8, 7]);
+        assert!(matches!(p.slice(0, usize::MAX), Payload::Write(b) if *b == [9, 8, 7]));
+        let mut p = Payload::Len {
+            len: 10,
+            write: true,
+        };
+        assert!(p.is_write() && p.len() == 10);
+        assert!(matches!(
+            p.slice(8, 4),
+            Payload::Len {
+                len: 2,
+                write: true
+            }
+        ));
+    }
 
     #[test]
     fn size_round_trips() {

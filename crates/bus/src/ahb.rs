@@ -8,7 +8,7 @@
 //! phase. This port wraps a downstream [`Target`] and adds that protocol
 //! cost on top of the slave's own latency.
 
-use crate::{BusError, Cycle, Request, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Response, Target};
 
 /// Transfer type as driven on `HTRANS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,22 +103,14 @@ impl<T: Target> Target for AhbPort<T> {
         Ok(resp)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         // An AHB block transfer is an INCR burst: one NONSEQ + SEQ beats.
         self.last_addr = None;
+        let beats = (payload.len() as u64).div_ceil(4);
         let done = self
             .downstream
-            .read_block(addr, buf, now + Self::NONSEQ_COST)?;
-        self.stats.transfers += (buf.len() as u64).div_ceil(4);
-        Ok(done)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.last_addr = None;
-        let done = self
-            .downstream
-            .write_block(addr, buf, now + Self::NONSEQ_COST)?;
-        self.stats.transfers += (buf.len() as u64).div_ceil(4);
+            .burst(addr, payload, now + Self::NONSEQ_COST)?;
+        self.stats.transfers += beats;
         Ok(done)
     }
 }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{BusError, Cycle, MasterId, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, MasterId, Payload, Request, Reset, Response, Target};
 
 /// Per-master contention statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,9 +84,28 @@ impl<T: Target> Arbiter<T> {
         self.stats.entry(master).or_default().bytes += bytes as u64;
     }
 
-    /// [`Target::read_block`] with an explicit requesting master, for
-    /// ports the blanket DBB attribution does not fit — the Zynq PS
-    /// streaming a pipelined input preload while the SoC computes.
+    /// [`Target::burst`] with an explicit requesting master, for ports
+    /// the blanket DBB attribution does not fit — the Zynq PS streaming
+    /// a pipelined input preload while the SoC computes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the downstream device's [`BusError`].
+    pub fn burst_as(
+        &mut self,
+        master: MasterId,
+        addr: u32,
+        payload: Payload<'_>,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
+        let len = payload.len();
+        let start = self.grant(master, now);
+        let done = self.downstream.burst(addr, payload, start)?;
+        self.release(master, done, len);
+        Ok(done)
+    }
+
+    /// [`Arbiter::burst_as`] reading into `buf`.
     ///
     /// # Errors
     ///
@@ -98,14 +117,10 @@ impl<T: Target> Arbiter<T> {
         buf: &mut [u8],
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        let start = self.grant(master, now);
-        let done = self.downstream.read_block(addr, buf, start)?;
-        self.release(master, done, buf.len());
-        Ok(done)
+        self.burst_as(master, addr, Payload::Read(buf), now)
     }
 
-    /// [`Target::write_block`] with an explicit requesting master. See
-    /// [`Arbiter::read_block_as`].
+    /// [`Arbiter::burst_as`] writing `buf`.
     ///
     /// # Errors
     ///
@@ -117,10 +132,7 @@ impl<T: Target> Arbiter<T> {
         buf: &[u8],
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        let start = self.grant(master, now);
-        let done = self.downstream.write_block(addr, buf, start)?;
-        self.release(master, done, buf.len());
-        Ok(done)
+        self.burst_as(master, addr, Payload::Write(buf), now)
     }
 }
 
@@ -143,16 +155,12 @@ impl<T: Target> Target for Arbiter<T> {
         Ok(resp)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         // Block transfers on the trait API are attributed to the DBB:
         // only NVDLA issues them in this SoC, and the Target block API
         // carries no master id. Other ports (the Zynq PS preload) use
-        // [`Arbiter::read_block_as`] / [`Arbiter::write_block_as`].
-        self.read_block_as(MasterId::NvdlaDbb, addr, buf, now)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.write_block_as(MasterId::NvdlaDbb, addr, buf, now)
+        // [`Arbiter::burst_as`].
+        self.burst_as(MasterId::NvdlaDbb, addr, payload, now)
     }
 }
 

@@ -6,7 +6,7 @@
 //! device may add its own latency (DRAM row misses etc.). This is the
 //! protocol of the data memory and of NVDLA's 64-bit data backbone (DBB).
 
-use crate::{BusError, Cycle, Request, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Response, Target};
 
 /// Configuration of an AXI port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,20 +136,13 @@ impl<T: Target> Target for AxiPort<T> {
         Ok(resp)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        let protocol = self.protocol_cycles(buf.len());
-        let done = self.downstream.read_block(addr, buf, now)?;
-        self.record(buf.len());
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        let len = payload.len();
+        let done = self.downstream.burst(addr, payload, now)?;
+        self.record(len);
         // Protocol streaming and memory streaming overlap; the burst takes
         // whichever is longer.
-        Ok(done.max(now + protocol))
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let protocol = self.protocol_cycles(buf.len());
-        let done = self.downstream.write_block(addr, buf, now)?;
-        self.record(buf.len());
-        Ok(done.max(now + protocol))
+        Ok(done.max(now + self.protocol_cycles(len)))
     }
 }
 

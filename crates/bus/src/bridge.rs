@@ -9,7 +9,7 @@
 
 use crate::apb::ApbPort;
 use crate::axi::{AxiConfig, AxiPort};
-use crate::{BusError, Cycle, Request, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Response, Target};
 
 /// AHB-Lite → APB bridge.
 ///
@@ -111,14 +111,9 @@ impl<T: Target> Target for AhbToAxi<T> {
         self.axi.access(req, now + Self::FIFO)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         self.crossings += 1;
-        self.axi.read_block(addr, buf, now + Self::FIFO)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.crossings += 1;
-        self.axi.write_block(addr, buf, now + Self::FIFO)
+        self.axi.burst(addr, payload, now + Self::FIFO)
     }
 }
 

@@ -6,7 +6,7 @@
 //! domain, adds a synchronizer latency on each crossing, and rescales the
 //! completion time back.
 
-use crate::{BusError, Cycle, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Reset, Response, Target};
 
 /// A frequency-translating bridge between two clock domains.
 #[derive(Debug)]
@@ -102,15 +102,9 @@ impl<T: Target> Target for ClockCrossing<T> {
         })
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         let t = self.outbound(now);
-        let done = self.downstream.read_block(addr, buf, t)?;
-        Ok(self.inbound(done).max(now + 1))
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let t = self.outbound(now);
-        let done = self.downstream.write_block(addr, buf, t)?;
+        let done = self.downstream.burst(addr, payload, t)?;
         Ok(self.inbound(done).max(now + 1))
     }
 }

@@ -10,7 +10,7 @@
 //! decoder subtracts the base), matching how the RTL decoder strips the
 //! upper bits.
 
-use crate::{BusError, Cycle, Request, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Response, Target};
 
 /// The paper's NVDLA CSB window base address.
 pub const NVDLA_BASE: u32 = 0x0000_0000;
@@ -149,15 +149,9 @@ impl Target for SystemBus {
         region.target.read_lease(addr - region.base, now)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        let len = buf.len();
-        let (region, local) = self.route(addr, len)?;
-        region.target.read_block(local, buf, now)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let (region, local) = self.route(addr, buf.len())?;
-        region.target.write_block(local, buf, now)
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        let (region, local) = self.route(addr, payload.len())?;
+        region.target.burst(local, payload, now)
     }
 }
 

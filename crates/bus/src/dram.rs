@@ -7,7 +7,7 @@
 //! what makes large weight DMAs cheap per byte while keeping scattered
 //! CPU accesses expensive — the behaviour the paper's Table II depends on.
 
-use crate::{AccessKind, BusError, Cycle, Request, Reset, Response, Target};
+use crate::{AccessKind, BusError, Cycle, Payload, Request, Reset, Response, Target};
 
 /// A sorted set of disjoint half-open byte ranges, coalescing
 /// overlapping or touching neighbours on insert.
@@ -419,6 +419,12 @@ impl Dram {
         self.dirty.total_bytes()
     }
 
+    /// The written extents themselves (what a full reset would zero).
+    #[must_use]
+    pub fn dirty_extents(&self) -> &RangeSet {
+        &self.dirty
+    }
+
     /// Zero every byte of the given range set.
     fn zero_ranges(data: &mut [u8], ranges: &RangeSet) {
         for (s, e) in ranges.iter() {
@@ -604,24 +610,23 @@ impl Target for Dram {
         }
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        let offset = self.check(addr, buf.len())?;
-        let duration = self.burst_duration(addr, buf.len());
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        let len = payload.len();
+        let offset = self.check(addr, len)?;
+        let duration = self.burst_duration(addr, len);
         let done = self.occupy(now, duration);
         self.stats.bursts += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        buf.copy_from_slice(&self.data[offset..offset + buf.len()]);
-        Ok(done)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let offset = self.check(addr, buf.len())?;
-        let duration = self.burst_duration(addr, buf.len());
-        let done = self.occupy(now, duration);
-        self.stats.bursts += 1;
-        self.stats.bytes_written += buf.len() as u64;
-        self.data[offset..offset + buf.len()].copy_from_slice(buf);
-        self.note_write(offset, buf.len());
+        if payload.is_write() {
+            self.stats.bytes_written += len as u64;
+            self.note_write(offset, len);
+        } else {
+            self.stats.bytes_read += len as u64;
+        }
+        match payload {
+            Payload::Read(buf) => buf.copy_from_slice(&self.data[offset..offset + len]),
+            Payload::Write(buf) => self.data[offset..offset + len].copy_from_slice(buf),
+            Payload::Len { .. } => {}
+        }
         Ok(done)
     }
 }
@@ -937,6 +942,63 @@ mod tests {
         let fresh = small().access(&Request::read32(0x100), 0).unwrap();
         let after = d.access(&Request::read32(0x100), 0).unwrap();
         assert_eq!(after.done_at, fresh.done_at, "cold row state restored");
+    }
+
+    /// A length-only burst is the data burst minus the `memcpy`: same
+    /// completion cycles, statistics, dirty extents and clobber
+    /// verdict; only the bytes stay where they were.
+    #[test]
+    fn length_only_bursts_keep_the_books_and_leave_the_bytes() {
+        let run = |data: bool| {
+            let mut d = small();
+            d.load(0x100, &[9, 8, 7, 6]).unwrap();
+            d.add_resident(1, extents(&[(0x100, 0x104)])).unwrap();
+            d.load(0x800, &[5; 4]).unwrap();
+            d.add_resident(2, extents(&[(0x800, 0x804)])).unwrap();
+            let mut buf = [0u8; 64];
+            let (read, write, clobber) = if data {
+                (
+                    d.burst(0x100, Payload::Read(&mut buf), 0),
+                    d.burst(0x3000, Payload::Write(&[7; 48]), 40),
+                    d.burst(0x7FE, Payload::Write(&[7; 4]), 90),
+                )
+            } else {
+                let len = |len, write| Payload::Len { len, write };
+                (
+                    d.burst(0x100, len(64, false), 0),
+                    d.burst(0x3000, len(48, true), 40),
+                    d.burst(0x7FE, len(4, true), 90),
+                )
+            };
+            let past_end = d.burst(
+                0xFFF0,
+                Payload::Len {
+                    len: 64,
+                    write: true,
+                },
+                0,
+            );
+            let books = (read, write, clobber, past_end, d.stats(), d.dirty_bytes());
+            let stored = d.peek(0x3000, 48).to_vec();
+            d.reset();
+            (
+                books,
+                d.is_image_resident(1),
+                d.is_image_resident(2),
+                stored,
+            )
+        };
+        let (data_books, data_1, data_2, data_stored) = run(true);
+        let (len_books, len_1, len_2, len_stored) = run(false);
+        assert_eq!(len_books, data_books);
+        assert!(matches!(len_books.3, Err(BusError::OutOfRange { .. })));
+        assert_eq!((len_1, len_2), (data_1, data_2));
+        assert!(
+            len_1 && !len_2,
+            "the write into image 2 is a clobber either way"
+        );
+        assert_eq!(data_stored, [7; 48]);
+        assert_eq!(len_stored, [0; 48], "no bytes moved");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! resets a warm SoC performs. Disarm (or re-arm) the plan explicitly
 //! to return to a pristine fault state.
 
-use crate::{BusError, Cycle, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Reset, Response, Target};
 
 /// One scheduled fault: at global access index `access`, apply `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,46 +302,38 @@ impl<T: Target> Target for FaultInjector<T> {
         self.inner.read_lease(addr, now)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(
+        &mut self,
+        addr: u32,
+        mut payload: Payload<'_>,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
         let (n, fault) = self.next_fault(addr);
         match fault {
-            None => self.inner.read_block(addr, buf, now),
+            None => self.inner.burst(addr, payload, now),
             Some(FaultKind::ErrorResponse) => {
                 self.stats.errors += 1;
                 Err(BusError::Injected { addr, access: n })
             }
             Some(FaultKind::BitFlip { mask }) => {
-                let done = self.inner.read_block(addr, buf, now)?;
-                self.stats.flips += 1;
-                // Flip within the first 8 bytes of the burst.
-                let flip = mask.to_le_bytes();
-                for (b, m) in buf.iter_mut().zip(flip.iter()) {
-                    *b ^= m;
+                let done = self.inner.burst(addr, payload.slice(0, usize::MAX), now)?;
+                // Flips target read data; a flipped write is modeled as
+                // a flip on whatever read observes it later, so a write
+                // proceeds untouched. A length-only read counts the flip
+                // it has no bytes to apply to.
+                if !payload.is_write() {
+                    self.stats.flips += 1;
+                }
+                if let Payload::Read(buf) = payload {
+                    // Flip within the first 8 bytes of the burst.
+                    for (b, m) in buf.iter_mut().zip(mask.to_le_bytes()) {
+                        *b ^= m;
+                    }
                 }
                 Ok(done)
             }
             Some(FaultKind::LatencySpike { cycles }) => {
-                let done = self.inner.read_block(addr, buf, now)?;
-                self.stats.spikes += 1;
-                Ok(done.saturating_add(cycles))
-            }
-        }
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let (n, fault) = self.next_fault(addr);
-        match fault {
-            None => self.inner.write_block(addr, buf, now),
-            Some(FaultKind::ErrorResponse) => {
-                self.stats.errors += 1;
-                Err(BusError::Injected { addr, access: n })
-            }
-            // Flips target read data; a flipped write is modeled as a
-            // flip on whatever read observes it later, so here the
-            // write proceeds untouched.
-            Some(FaultKind::BitFlip { .. }) => self.inner.write_block(addr, buf, now),
-            Some(FaultKind::LatencySpike { cycles }) => {
-                let done = self.inner.write_block(addr, buf, now)?;
+                let done = self.inner.burst(addr, payload, now)?;
                 self.stats.spikes += 1;
                 Ok(done.saturating_add(cycles))
             }
@@ -494,6 +486,41 @@ mod tests {
         assert_eq!(buf, [0xA5; 16]);
         let slow = f.write_block(0x0, &buf, 0).unwrap();
         assert!(slow >= clean + 500 - 16, "spike must stretch the burst");
+    }
+
+    /// A length-only burst draws from the lottery exactly once and
+    /// meets the same fate as the data burst it stands for.
+    #[test]
+    fn length_only_bursts_draw_the_same_faults() {
+        let plan = FaultPlan::default()
+            .at(0, FaultKind::ErrorResponse)
+            .at(1, FaultKind::BitFlip { mask: 0xFF })
+            .at(2, FaultKind::BitFlip { mask: 0xFF })
+            .at(3, FaultKind::LatencySpike { cycles: 500 });
+        let run = |data: bool| {
+            let mut f = mem();
+            f.arm(plan.clone());
+            let mut buf = [0u8; 16];
+            let outcomes: Vec<_> = [false, false, true, true]
+                .into_iter()
+                .map(|write| {
+                    let payload = match (data, write) {
+                        (true, false) => Payload::Read(&mut buf),
+                        (true, true) => Payload::Write(&[1; 16]),
+                        (false, write) => Payload::Len { len: 16, write },
+                    };
+                    f.burst(0, payload, 0)
+                })
+                .collect();
+            (outcomes, f.stats())
+        };
+        let (outcomes, stats) = run(false);
+        assert_eq!((outcomes.clone(), stats), run(true));
+        assert!(matches!(
+            outcomes[0],
+            Err(BusError::Injected { access: 0, .. })
+        ));
+        assert_eq!((stats.accesses, stats.flips, stats.spikes), (4, 1, 1));
     }
 
     #[test]

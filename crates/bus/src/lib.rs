@@ -55,7 +55,7 @@ pub mod sram;
 pub mod stats;
 pub mod width;
 
-pub use access::{AccessKind, AccessSize, MasterId, Request, Response};
+pub use access::{AccessKind, AccessSize, MasterId, Payload, Request, Response};
 pub use error::BusError;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStats};
 
@@ -101,44 +101,72 @@ pub trait Target {
         None
     }
 
-    /// Read `buf.len()` bytes starting at `addr` as a burst.
+    /// Move (or, for [`Payload::Len`], only account) `payload.len()`
+    /// bytes starting at `addr` as one burst — the single block entry
+    /// point a layer overrides. [`Target::read_block`] and
+    /// [`Target::write_block`] are wrappers over it.
     ///
-    /// The default implementation issues one 32-bit beat per word; devices
-    /// with real burst support (DRAM) override this with amortized timing.
+    /// A length-only burst is the data burst minus the `memcpy`: the
+    /// completion cycle, device timeline and row state, arbiter grants,
+    /// every statistic, the fault-lottery draw and its outcome, and —
+    /// for a write — the dirty and clobber bookkeeping are identical;
+    /// only the bytes stay where they are. That is what lets a
+    /// timing-only run cost no memory bandwidth without moving a modeled
+    /// cycle or counter.
+    ///
+    /// The default implementation issues one 32-bit beat per word;
+    /// devices with real burst support (DRAM) override this with
+    /// amortized timing. A beat cannot leave its data at home, so here a
+    /// length-only read discards each word and a length-only write
+    /// carries zeros.
     ///
     /// # Errors
     ///
     /// Propagates the first failing beat.
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(
+        &mut self,
+        addr: u32,
+        mut payload: Payload<'_>,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
         let mut t = now;
-        for (i, chunk) in buf.chunks_mut(4).enumerate() {
-            let a = addr.wrapping_add((i * 4) as u32);
-            let r = self.access(&Request::read(a, AccessSize::Word), t)?;
-            let word = (r.data as u32).to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
+        for off in (0..payload.len()).step_by(4) {
+            let a = addr.wrapping_add(off as u32);
+            let mut beat = payload.slice(off, 4);
+            let req = if beat.is_write() {
+                let mut word = [0u8; 4];
+                if let Payload::Write(chunk) = &beat {
+                    word[..chunk.len()].copy_from_slice(chunk);
+                }
+                Request::write(a, u64::from(u32::from_le_bytes(word)), AccessSize::Word)
+            } else {
+                Request::read(a, AccessSize::Word)
+            };
+            let r = self.access(&req, t)?;
+            if let Payload::Read(chunk) = &mut beat {
+                chunk.copy_from_slice(&(r.data as u32).to_le_bytes()[..chunk.len()]);
+            }
             t = r.done_at;
         }
         Ok(t)
     }
 
-    /// Write `buf` starting at `addr` as a burst. See [`Target::read_block`].
+    /// Read `buf.len()` bytes starting at `addr` as a burst.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing beat.
+    /// See [`Target::burst`].
+    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+        self.burst(addr, Payload::Read(buf), now)
+    }
+
+    /// Write `buf` starting at `addr` as a burst.
+    ///
+    /// # Errors
+    ///
+    /// See [`Target::burst`].
     fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let mut t = now;
-        for (i, chunk) in buf.chunks(4).enumerate() {
-            let a = addr.wrapping_add((i * 4) as u32);
-            let mut word = [0u8; 4];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let r = self.access(
-                &Request::write(a, u64::from(u32::from_le_bytes(word)), AccessSize::Word),
-                t,
-            )?;
-            t = r.done_at;
-        }
-        Ok(t)
+        self.burst(addr, Payload::Write(buf), now)
     }
 }
 
@@ -187,11 +215,8 @@ impl<T: Target + ?Sized> Target for &mut T {
     fn read_lease(&self, addr: u32, now: Cycle) -> Option<Cycle> {
         (**self).read_lease(addr, now)
     }
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        (**self).read_block(addr, buf, now)
-    }
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        (**self).write_block(addr, buf, now)
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        (**self).burst(addr, payload, now)
     }
 }
 
@@ -202,11 +227,8 @@ impl<T: Target + ?Sized> Target for Box<T> {
     fn read_lease(&self, addr: u32, now: Cycle) -> Option<Cycle> {
         (**self).read_lease(addr, now)
     }
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        (**self).read_block(addr, buf, now)
-    }
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        (**self).write_block(addr, buf, now)
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        (**self).burst(addr, payload, now)
     }
 }
 
@@ -248,11 +270,8 @@ impl<T: Target + ?Sized> Target for Shared<T> {
     fn read_lease(&self, addr: u32, now: Cycle) -> Option<Cycle> {
         self.0.lock().read_lease(addr, now)
     }
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.0.lock().read_block(addr, buf, now)
-    }
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.0.lock().write_block(addr, buf, now)
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        self.0.lock().burst(addr, payload, now)
     }
 }
 

@@ -6,7 +6,7 @@
 //! SoC owns it during inference. Accesses from the disconnected side are
 //! rejected, which is exactly the mutual exclusion the paper relies on.
 
-use crate::{BusError, Cycle, MasterId, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, MasterId, Payload, Request, Reset, Response, Target};
 
 /// Which side of the mux currently owns the DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,15 +180,11 @@ impl<T: Target> Target for SmartConnect<T> {
         self.dram.access(req, now + Self::ROUTE)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         // Bursts come from the DBB (SoC side) or PS preload; the Target
         // block API carries no master, so gate on the current owner by
         // allowing it — the SoC-level code switches ownership explicitly.
-        self.dram.read_block(addr, buf, now + Self::ROUTE)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.dram.write_block(addr, buf, now + Self::ROUTE)
+        self.dram.burst(addr, payload, now + Self::ROUTE)
     }
 }
 

@@ -4,7 +4,7 @@
 //! byte totals and latency aggregates — the instrumentation used by the
 //! Fig. 2 interconnect microbenchmarks.
 
-use crate::{BusError, Cycle, Request, Response, Target};
+use crate::{BusError, Cycle, Payload, Request, Response, Target};
 
 /// Aggregated transaction statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,7 +77,15 @@ impl<T: Target> Monitor<T> {
         self.inner
     }
 
-    fn observe(&mut self, now: Cycle, done: Cycle) {
+    /// Count one successful transaction of `bytes` completing at `done`.
+    fn observe(&mut self, write: bool, bytes: u64, now: Cycle, done: Cycle) {
+        if write {
+            self.stats.writes += 1;
+            self.stats.bytes_written += bytes;
+        } else {
+            self.stats.reads += 1;
+            self.stats.bytes_read += bytes;
+        }
         let lat = done - now;
         self.stats.total_latency += lat;
         self.stats.max_latency = self.stats.max_latency.max(lat);
@@ -88,14 +96,8 @@ impl<T: Target> Target for Monitor<T> {
     fn access(&mut self, req: &Request, now: Cycle) -> Result<Response, BusError> {
         match self.inner.access(req, now) {
             Ok(resp) => {
-                if req.is_write() {
-                    self.stats.writes += 1;
-                    self.stats.bytes_written += u64::from(req.size.bytes());
-                } else {
-                    self.stats.reads += 1;
-                    self.stats.bytes_read += u64::from(req.size.bytes());
-                }
-                self.observe(now, resp.done_at);
+                let bytes = u64::from(req.size.bytes());
+                self.observe(req.is_write(), bytes, now, resp.done_at);
                 Ok(resp)
             }
             Err(e) => {
@@ -105,27 +107,11 @@ impl<T: Target> Target for Monitor<T> {
         }
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        match self.inner.read_block(addr, buf, now) {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        let (write, bytes) = (payload.is_write(), payload.len() as u64);
+        match self.inner.burst(addr, payload, now) {
             Ok(done) => {
-                self.stats.reads += 1;
-                self.stats.bytes_read += buf.len() as u64;
-                self.observe(now, done);
-                Ok(done)
-            }
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        match self.inner.write_block(addr, buf, now) {
-            Ok(done) => {
-                self.stats.writes += 1;
-                self.stats.bytes_written += buf.len() as u64;
-                self.observe(now, done);
+                self.observe(write, bytes, now, done);
                 Ok(done)
             }
             Err(e) => {

@@ -6,7 +6,7 @@
 //! `ratio` narrow beats, so the effective DBB bandwidth is divided by the
 //! ratio — one of the dominant terms in `nv_small` layer latency.
 
-use crate::{AccessSize, BusError, Cycle, Request, Reset, Response, Target};
+use crate::{AccessSize, BusError, Cycle, Payload, Request, Reset, Response, Target};
 
 /// A down-converting AXI width adapter (wide master → narrow slave).
 #[derive(Debug)]
@@ -86,7 +86,7 @@ impl<T: Target> Target for WidthConverter<T> {
         let mut t = now + Self::PACK;
         let mut data: u64 = 0;
         for i in 0..parts {
-            // Wrapping like [`Target::read_block`]'s beat walk: a wide
+            // Wrapping like [`Target::burst`]'s beat walk: a wide
             // beat at the top of the 32-bit space must surface as the
             // downstream's typed rejection, not an overflow panic.
             let addr = req.addr.wrapping_add(i * self.narrow_bytes);
@@ -104,14 +104,10 @@ impl<T: Target> Target for WidthConverter<T> {
         Ok(Response { data, done_at: t })
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         // The narrow side streams at its own width; conversion adds the
         // packing register only.
-        self.downstream.read_block(addr, buf, now + Self::PACK)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.downstream.write_block(addr, buf, now + Self::PACK)
+        self.downstream.burst(addr, payload, now + Self::PACK)
     }
 }
 

@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 
 use rvnv_bus::dram::{Dram, DramTiming};
-use rvnv_bus::{BusError, Cycle, Request, Target};
+use rvnv_bus::{BusError, Cycle, Payload, Request, Target};
 use rvnv_nvdla::{HwConfig, Nvdla};
 
 use crate::compile::Artifacts;
@@ -50,18 +50,6 @@ impl<T: Target> DbbLogger<T> {
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
     }
-
-    fn log_block(&mut self, addr: u32, buf: &[u8], iswrite: bool) {
-        if !self.enabled {
-            return;
-        }
-        for (i, chunk) in buf.chunks(8).enumerate() {
-            let mut beat = [0u8; 8];
-            beat[..chunk.len()].copy_from_slice(chunk);
-            self.log
-                .dbb(addr + (i * 8) as u32, u64::from_le_bytes(beat), iswrite);
-        }
-    }
 }
 
 impl<T: Target> Target for DbbLogger<T> {
@@ -74,15 +62,40 @@ impl<T: Target> Target for DbbLogger<T> {
         Ok(resp)
     }
 
-    fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        let done = self.inner.read_block(addr, buf, now)?;
-        self.log_block(addr, buf, false);
-        Ok(done)
-    }
-
-    fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        let done = self.inner.write_block(addr, buf, now)?;
-        self.log_block(addr, buf, true);
+    fn burst(
+        &mut self,
+        addr: u32,
+        mut payload: Payload<'_>,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
+        if !self.enabled {
+            return self.inner.burst(addr, payload, now);
+        }
+        // The log records data beats, so an enabled logger is the one
+        // consumer of a length-only burst's bytes: it fetches what a
+        // read would have returned, and logs the zeros a timing-only
+        // engine's write stands for.
+        let iswrite = payload.is_write();
+        let mut stand_in = Vec::new();
+        if let Payload::Len { len, .. } = payload {
+            stand_in = vec![0u8; len];
+        }
+        let done = if stand_in.is_empty() || iswrite {
+            self.inner.burst(addr, payload.slice(0, usize::MAX), now)?
+        } else {
+            self.inner.burst(addr, Payload::Read(&mut stand_in), now)?
+        };
+        let bytes: &[u8] = match &payload {
+            Payload::Read(buf) => buf,
+            Payload::Write(buf) => buf,
+            Payload::Len { .. } => &stand_in,
+        };
+        for (i, chunk) in bytes.chunks(8).enumerate() {
+            let mut beat = [0u8; 8];
+            beat[..chunk.len()].copy_from_slice(chunk);
+            self.log
+                .dbb(addr + (i * 8) as u32, u64::from_le_bytes(beat), iswrite);
+        }
         Ok(done)
     }
 }

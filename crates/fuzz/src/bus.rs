@@ -7,16 +7,30 @@
 //!
 //! Invariants per program: hostile accesses fail only with the exact
 //! typed [`BusError`] the mirror predicts, successful reads match a
-//! shadow DRAM byte-for-byte, completion times never run backwards,
-//! the arbiter/DRAM counters conserve, and a second execution of the
-//! same program produces a bit-identical event fingerprint.
+//! shadow DRAM byte-for-byte (so do the final contents), resident
+//! images survive a reset exactly when the mirror saw no write land in
+//! them, completion times never run backwards, the arbiter/DRAM
+//! counters conserve, and a second execution of the same program
+//! produces a bit-identical event fingerprint.
+//!
+//! **Length-only differential.** Every program also runs with each
+//! burst's `len_only` flag flipped — data bursts become length-only
+//! ones and the reverse. A length-only burst is the data burst minus
+//! the `memcpy`, so the two runs must agree on every completion cycle
+//! and typed error, on the arbiter port, DRAM and fault-shim counters,
+//! on the dirty extents and on which resident images survive each
+//! reset; their final contents may differ only inside burst writes,
+//! which carried bytes in exactly one of the two runs. The fault shim
+//! runs an armed latency-spike plan, so "draws from the lottery exactly
+//! once" is part of what must agree.
 
 use rvnv_bus::arbiter::Arbiter;
+use rvnv_bus::arbiter::PortStats;
 use rvnv_bus::cdc::ClockCrossing;
-use rvnv_bus::dram::{Dram, DramTiming};
-use rvnv_bus::fault::FaultInjector;
+use rvnv_bus::dram::{Dram, DramStats, DramTiming, RangeSet};
+use rvnv_bus::fault::{FaultInjector, FaultPlan, FaultStats};
 use rvnv_bus::smartconnect::{Side, SmartConnect};
-use rvnv_bus::{AccessSize, BusError, Cycle, MasterId, Request, Reset, Target};
+use rvnv_bus::{AccessSize, BusError, Cycle, MasterId, Payload, Request, Reset, Target};
 use rvnv_util::mix64;
 
 use crate::gen::{self, BusOp, BUS_DRAM_BYTES};
@@ -24,9 +38,34 @@ use crate::{shrink, FuzzTarget};
 
 type DramPath = Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>;
 
+/// Two resident images `(id, offset, len)` preloaded under every
+/// program — a sixteenth of the DRAM each, so random writes clobber
+/// one often enough for the survival bookkeeping to matter.
+const IMAGES: [(u64, usize, usize); 2] = [(1, 0x2_0000, 0x1_0000), (2, 0x8_0000, 0x1_0000)];
+
+fn image_bytes(id: u64, len: usize) -> Vec<u8> {
+    (0..len).map(|j| mix64(id ^ j as u64) as u8 | 1).collect()
+}
+
 fn build_path() -> DramPath {
-    let dram = Dram::new(BUS_DRAM_BYTES, DramTiming::mig_ddr4());
-    let mux = SmartConnect::new(FaultInjector::new(dram));
+    let mut dram = Dram::new(BUS_DRAM_BYTES, DramTiming::mig_ddr4());
+    for (id, offset, len) in IMAGES {
+        dram.load(offset, &image_bytes(id, len))
+            .expect("image fits");
+        let mut extents = RangeSet::new();
+        extents.insert(offset, offset + len);
+        dram.add_resident(id, extents).expect("images are disjoint");
+    }
+    let mut shim = FaultInjector::new(dram);
+    // Spikes only: they stretch completions, which the mirror does not
+    // predict, and leave data and outcomes alone, which it does.
+    shim.arm(FaultPlan {
+        seed: 0xB05,
+        spike_per_million: 60_000,
+        spike_cycles: 23,
+        ..FaultPlan::default()
+    });
+    let mux = SmartConnect::new(shim);
     Arbiter::new(ClockCrossing::new(mux, 100_000_000, 100_000_000, 2))
 }
 
@@ -68,6 +107,95 @@ enum Expect {
     OutOfRange,
 }
 
+/// The fabric's books at one instant — everything a length-only burst
+/// must keep exactly as the data burst it stands for would.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Books {
+    ports: [PortStats; 3],
+    dram: DramStats,
+    faults: FaultStats,
+    dirty: RangeSet,
+    resident: [bool; 2],
+}
+
+fn books(path: &mut DramPath) -> Books {
+    let ports = MASTERS.map(|m| path.port_stats(m));
+    let shim = mux_of(path).dram_mut();
+    Books {
+        ports,
+        dram: shim.inner().stats(),
+        faults: shim.stats(),
+        dirty: shim.inner().dirty_extents().clone(),
+        resident: IMAGES.map(|(id, ..)| shim.inner().is_image_resident(id)),
+    }
+}
+
+/// What one execution of a program leaves behind.
+struct Outcome {
+    /// Event fingerprint (completion cycles, read data, error sites).
+    fp: u64,
+    /// Per transaction, in order: completion cycle or typed error.
+    timeline: Vec<Result<Cycle, BusError>>,
+    /// [`Books`] before and after every reset, and around a final one.
+    books: Vec<Books>,
+    /// DRAM contents when the program ended.
+    contents: Vec<u8>,
+    /// Burst writes that succeeded since the last reset.
+    burst_writes: RangeSet,
+}
+
+/// The mirror's model of the resident images: alive until a reset finds
+/// a write landed in them.
+struct Residency {
+    alive: [bool; 2],
+    clobbered: [bool; 2],
+}
+
+impl Residency {
+    fn note_write(&mut self, addr: usize, len: usize) {
+        for (i, (_, offset, size)) in IMAGES.into_iter().enumerate() {
+            if len > 0 && addr < offset + size && offset < addr + len {
+                self.clobbered[i] |= self.alive[i];
+            }
+        }
+    }
+
+    /// Apply a reset to the mirror: survivors keep their bytes,
+    /// everything else zeroes.
+    fn reset(&mut self, shadow: &mut [u8]) {
+        shadow.fill(0);
+        for (i, (id, offset, len)) in IMAGES.into_iter().enumerate() {
+            self.alive[i] &= !self.clobbered[i];
+            self.clobbered[i] = false;
+            if self.alive[i] {
+                shadow[offset..offset + len].copy_from_slice(&image_bytes(id, len));
+            }
+        }
+    }
+}
+
+/// Reset the fabric and the mirror together, recording the books on
+/// both sides of it and holding the device to the mirror's survivors.
+fn reset_both(
+    path: &mut DramPath,
+    shadow: &mut [u8],
+    residency: &mut Residency,
+    log: &mut Vec<Books>,
+) -> Result<(), String> {
+    log.push(books(path));
+    path.reset();
+    residency.reset(shadow);
+    let after = books(path);
+    if after.resident != residency.alive {
+        return Err(format!(
+            "resident images after reset {:?}, mirror predicted {:?}",
+            after.resident, residency.alive
+        ));
+    }
+    log.push(after);
+    Ok(())
+}
+
 /// Deliberate oracle mutations, used only by the harness's own
 /// planted-bug tests to prove the fuzzer catches and shrinks a real
 /// oracle violation. Never set outside tests.
@@ -104,13 +232,21 @@ impl BusTarget {
         }
     }
 
-    /// Execute the program once, checking every prediction, and return
-    /// the event fingerprint.
-    fn execute(&self, ops: &[BusOp]) -> Result<u64, String> {
+    /// Execute the program once — with every burst's `len_only` flag
+    /// inverted when `flip` — checking every prediction.
+    fn execute(&self, ops: &[BusOp], flip: bool) -> Result<Outcome, String> {
         let mut path = build_path();
         mux_of(&mut path).switch_to(Side::Soc);
         let mut owner = Side::Soc;
         let mut shadow = vec![0u8; BUS_DRAM_BYTES];
+        let mut residency = Residency {
+            alive: [true; 2],
+            clobbered: [false; 2],
+        };
+        residency.reset(&mut shadow);
+        let mut timeline = Vec::new();
+        let mut log = Vec::new();
+        let mut burst_writes = RangeSet::new();
         let mut attempts = [0u64; 3];
         let mut ok_bytes = [0u64; 3];
         let (mut singles_ok, mut bursts_ok) = (0u64, 0u64);
@@ -137,7 +273,9 @@ impl BusTarget {
                     let expect = self.classify(owner, master, addr, size);
                     let mi = midx(master);
                     attempts[mi] += 1;
-                    match path.access(&req, now) {
+                    let result = path.access(&req, now);
+                    timeline.push(result.as_ref().map(|r| r.done_at).map_err(Clone::clone));
+                    match result {
                         Ok(resp) => {
                             if expect != Expect::Ok {
                                 return Err(format!(
@@ -151,6 +289,7 @@ impl BusTarget {
                             let (o, n) = (addr as usize, n as usize);
                             if write {
                                 shadow[o..o + n].copy_from_slice(&data.to_le_bytes()[..n]);
+                                residency.note_write(o, n);
                             } else {
                                 let mut want = [0u8; 8];
                                 want[..n].copy_from_slice(&shadow[o..o + n]);
@@ -180,6 +319,7 @@ impl BusTarget {
                     addr,
                     len,
                     fill,
+                    len_only,
                 } => {
                     // Bursts bypass the ownership gate (the SoC switches
                     // the mux before streaming), so only range can fail.
@@ -188,7 +328,9 @@ impl BusTarget {
                     let in_range = addr as usize + len <= BUS_DRAM_BYTES;
                     let mi = midx(master);
                     attempts[mi] += 1;
-                    let result = if write {
+                    let result = if len_only != flip {
+                        path.burst_as(master, addr, Payload::Len { len, write }, now)
+                    } else if write {
                         let buf: Vec<u8> = (0..len)
                             .map(|j| (mix64(fill ^ j as u64) & 0xFF) as u8)
                             .collect();
@@ -208,6 +350,7 @@ impl BusTarget {
                         }
                         r
                     };
+                    timeline.push(result.clone());
                     match result {
                         Ok(done) => {
                             if !in_range {
@@ -217,6 +360,10 @@ impl BusTarget {
                             }
                             if done < now {
                                 return Err(format!("op {i}: time ran backwards"));
+                            }
+                            if write {
+                                residency.note_write(addr as usize, len);
+                                burst_writes.insert(addr as usize, addr as usize + len);
                             }
                             ok_bytes[mi] += len as u64;
                             bursts_ok += 1;
@@ -241,8 +388,8 @@ impl BusTarget {
                     owner = side;
                 }
                 BusOp::Reset => {
-                    path.reset();
-                    shadow.fill(0);
+                    reset_both(&mut path, &mut shadow, &mut residency, &mut log)?;
+                    burst_writes.clear();
                     owner = Side::ZynqPs;
                     attempts = [0; 3];
                     ok_bytes = [0; 3];
@@ -282,8 +429,54 @@ impl BusTarget {
                 dram.bursts
             ));
         }
-        Ok(fp)
+        let contents = mux_of(&mut path)
+            .dram_mut()
+            .inner()
+            .peek(0, BUS_DRAM_BYTES)
+            .to_vec();
+        if contents != shadow {
+            return Err("final DRAM contents diverged from the shadow model".into());
+        }
+        reset_both(&mut path, &mut shadow, &mut residency, &mut log)?;
+        Ok(Outcome {
+            fp,
+            timeline,
+            books: log,
+            contents,
+            burst_writes,
+        })
     }
+}
+
+/// Hold a program's two executions — as generated, and with data and
+/// length-only bursts swapped — to the length-only contract.
+fn check_length_only_contract(a: &Outcome, b: &Outcome) -> Result<(), String> {
+    if let Some(i) = (0..a.timeline.len()).find(|&i| a.timeline[i] != b.timeline[i]) {
+        return Err(format!(
+            "length-only swap moved transaction {i}: {:?} as generated, {:?} swapped",
+            a.timeline[i], b.timeline[i]
+        ));
+    }
+    if let Some(i) = (0..a.books.len()).find(|&i| a.books[i] != b.books[i]) {
+        return Err(format!(
+            "length-only swap changed the books at snapshot {i}: {:?} as generated, \
+             {:?} swapped",
+            a.books[i], b.books[i]
+        ));
+    }
+    // Outside the burst writes (bytes in exactly one of the two runs)
+    // the contents must be equal: compare the gaps between them.
+    let mut from = 0;
+    for (start, end) in (a.burst_writes.iter()).chain([(BUS_DRAM_BYTES, BUS_DRAM_BYTES)]) {
+        if a.contents[from..start] != b.contents[from..start] {
+            return Err(format!(
+                "length-only swap changed bytes in {from:#x}..{start:#x}, which no burst \
+                 write covers"
+            ));
+        }
+        from = end;
+    }
+    Ok(())
 }
 
 /// Assert an error is the typed variant the mirror predicted, with the
@@ -314,14 +507,18 @@ impl FuzzTarget for BusTarget {
     }
 
     fn check(&self, ops: &Vec<BusOp>) -> Result<(), String> {
-        let first = self.execute(ops)?;
-        let second = self.execute(ops)?;
-        if first != second {
+        let first = self.execute(ops, false)?;
+        let second = self.execute(ops, false)?;
+        if first.fp != second.fp {
             return Err(format!(
-                "replay diverged: fingerprint {first:#x} then {second:#x}"
+                "replay diverged: fingerprint {:#x} then {:#x}",
+                first.fp, second.fp
             ));
         }
-        Ok(())
+        let swapped = self
+            .execute(ops, true)
+            .map_err(|m| format!("with data and length-only bursts swapped: {m}"))?;
+        check_length_only_contract(&first, &swapped)
     }
 
     fn shrink(&self, input: Vec<BusOp>, fails: &dyn Fn(&Vec<BusOp>) -> bool) -> Vec<BusOp> {

@@ -149,6 +149,9 @@ pub enum BusOp {
         len: u16,
         /// Seed for the write payload.
         fill: u64,
+        /// Issue the burst length-only (`Payload::Len`): same
+        /// transaction, no bytes attached.
+        len_only: bool,
     },
     /// Flip SmartConnect ownership.
     Switch {
@@ -166,8 +169,9 @@ pub enum BusOp {
 pub const BUS_DRAM_BYTES: usize = 1 << 20;
 
 /// A seeded bus program in the quiet-program distribution of
-/// `crates/bus/tests/fuzz_fabric.rs`: mostly singles, a quarter bursts,
-/// occasional ownership flips, resets and idle gaps.
+/// `crates/bus/tests/fuzz_fabric.rs`: mostly singles, a quarter bursts
+/// (a third of them length-only), occasional ownership flips, resets
+/// and idle gaps.
 #[must_use]
 pub fn bus_program(seed: u64) -> Vec<BusOp> {
     let mut rng = SplitMix64::new(seed);
@@ -204,6 +208,7 @@ pub fn bus_program(seed: u64) -> Vec<BusOp> {
                     rng.range(1, 512) as u16
                 },
                 fill: rng.next_u64(),
+                len_only: rng.chance(1, 3),
             },
             80..=89 => BusOp::Switch {
                 soc: rng.chance(1, 2),

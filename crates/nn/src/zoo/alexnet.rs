@@ -10,6 +10,11 @@ use crate::tensor::Shape;
 /// in the paper with a 227×227 input).
 #[must_use]
 pub fn alexnet(seed: u64) -> Network {
+    alexnet_with(Some(seed))
+}
+
+/// [`alexnet`] with seeded weights, or — `None` — as an all-zero skeleton.
+pub(crate) fn alexnet_with(seed: Option<u64>) -> Network {
     let mut b = NetBuilder::new("alexnet", Shape::new(3, 227, 227), seed);
     let x = b.input();
     let c1 = b.conv("conv1", x, 96, 3, 11, 4, 0);
@@ -46,7 +51,7 @@ mod tests {
 
     #[test]
     fn alexnet_size_matches_paper() {
-        let stats = ModelStats::of(&alexnet(1));
+        let stats = ModelStats::of(&alexnet_with(None));
         let mb = stats.model_bytes(Precision::Fp32) as f64 / (1024.0 * 1024.0);
         assert!(
             (225.0..245.0).contains(&mb),
@@ -56,7 +61,7 @@ mod tests {
 
     #[test]
     fn conv_tower_shapes() {
-        let net = alexnet(1);
+        let net = alexnet_with(None);
         let shapes = net.infer_shapes().unwrap();
         let by_name = |name: &str| {
             let idx = net.nodes().iter().position(|n| n.name == name).unwrap();
@@ -71,7 +76,7 @@ mod tests {
 
     #[test]
     fn grouped_convs_match_original() {
-        let net = alexnet(1);
+        let net = alexnet_with(None);
         let conv2 = net.nodes().iter().find(|n| n.name == "conv2").unwrap();
         if let crate::graph::Op::Conv2d(p) = &conv2.op {
             assert_eq!(p.groups, 2);
@@ -83,7 +88,7 @@ mod tests {
 
     #[test]
     fn fc_layers_dominate_parameters() {
-        let stats = ModelStats::of(&alexnet(1));
+        let stats = ModelStats::of(&alexnet_with(None));
         let fc_params: usize = stats
             .layers
             .iter()

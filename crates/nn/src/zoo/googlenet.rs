@@ -48,8 +48,13 @@ fn inception(b: &mut NetBuilder, name: &str, x: NodeId, in_c: usize, p: &Incepti
 /// 13 M parameters → 53.5 MB fp32, matching Table III. Auxiliary
 /// classifier heads are omitted (inference only, as in deployment).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn googlenet(seed: u64) -> Network {
+    googlenet_with(Some(seed))
+}
+
+/// [`googlenet`] with seeded weights, or — `None` — as an all-zero skeleton.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn googlenet_with(seed: Option<u64>) -> Network {
     let mut b = NetBuilder::new("googlenet", Shape::new(3, 224, 224), seed);
     let x = b.input();
     let c1 = b.conv("conv1", x, 64, 3, 7, 2, 3);

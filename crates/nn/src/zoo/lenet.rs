@@ -11,6 +11,11 @@ use crate::tensor::Shape;
 /// an fp32 file — the "1.7 MB" of Table II.
 #[must_use]
 pub fn lenet5(seed: u64) -> Network {
+    lenet5_with(Some(seed))
+}
+
+/// [`lenet5`] with seeded weights, or — `None` — as an all-zero skeleton.
+pub(crate) fn lenet5_with(seed: Option<u64>) -> Network {
     let mut b = NetBuilder::new("lenet-5", Shape::new(1, 28, 28), seed);
     let x = b.input();
     let c1 = b.conv("conv1", x, 20, 1, 5, 1, 0);

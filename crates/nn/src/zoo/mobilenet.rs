@@ -26,6 +26,11 @@ fn separable(
 /// 4.2 M parameters → 17 MB as fp32, matching Table III.
 #[must_use]
 pub fn mobilenet_v1(seed: u64) -> Network {
+    mobilenet_v1_with(Some(seed))
+}
+
+/// [`mobilenet_v1`] with seeded weights, or — `None` — as an all-zero skeleton.
+pub(crate) fn mobilenet_v1_with(seed: Option<u64>) -> Network {
     let mut b = NetBuilder::new("mobilenet-v1", Shape::new(3, 224, 224), seed);
     let x = b.input();
     let stem = b.conv("conv1", x, 32, 3, 3, 2, 1);

@@ -20,6 +20,12 @@ pub use lenet::lenet5;
 pub use mobilenet::mobilenet_v1;
 pub use resnet::{resnet18_cifar, resnet50};
 
+use alexnet::alexnet_with;
+use googlenet::googlenet_with;
+use lenet::lenet5_with;
+use mobilenet::mobilenet_v1_with;
+use resnet::{resnet18_cifar_with, resnet50_with};
+
 use crate::graph::{ConvParams, Network, NodeId, Op, PoolKind};
 use crate::tensor::{Shape, WeightTensor};
 
@@ -70,13 +76,26 @@ impl Model {
     /// Build the network with deterministic weights.
     #[must_use]
     pub fn build(self, seed: u64) -> Network {
+        self.build_with(Some(seed))
+    }
+
+    /// The network's graph from the same builder with every weight
+    /// tensor zero: the shapes, layers and parameter counts of
+    /// [`Model::build`] without drawing a weight — the zero vectors are
+    /// untouched `calloc` pages, so even AlexNet's 61 M cost nothing.
+    #[must_use]
+    pub fn skeleton(self) -> Network {
+        self.build_with(None)
+    }
+
+    fn build_with(self, seed: Option<u64>) -> Network {
         match self {
-            Model::LeNet5 => lenet5(seed),
-            Model::ResNet18 => resnet18_cifar(seed),
-            Model::ResNet50 => resnet50(seed),
-            Model::MobileNet => mobilenet_v1(seed),
-            Model::GoogLeNet => googlenet(seed),
-            Model::AlexNet => alexnet(seed),
+            Model::LeNet5 => lenet5_with(seed),
+            Model::ResNet18 => resnet18_cifar_with(seed),
+            Model::ResNet50 => resnet50_with(seed),
+            Model::MobileNet => mobilenet_v1_with(seed),
+            Model::GoogLeNet => googlenet_with(seed),
+            Model::AlexNet => alexnet_with(seed),
         }
     }
 }
@@ -87,15 +106,16 @@ impl std::fmt::Display for Model {
     }
 }
 
-/// Internal builder with per-layer seeded weights and Caffe-ish helpers.
+/// Internal builder with per-layer seeded weights (all-zero weight
+/// tensors when there is no seed) and Caffe-ish helpers.
 pub(crate) struct NetBuilder {
     net: Network,
-    seed: u64,
+    seed: Option<u64>,
     counter: u64,
 }
 
 impl NetBuilder {
-    pub(crate) fn new(name: &str, input: Shape, seed: u64) -> Self {
+    pub(crate) fn new(name: &str, input: Shape, seed: Option<u64>) -> Self {
         NetBuilder {
             net: Network::new(name, input),
             seed,
@@ -107,19 +127,27 @@ impl NetBuilder {
         self.net.input()
     }
 
-    fn next_seed(&mut self) -> u64 {
+    /// The next layer's seed; `None` when building a skeleton.
+    fn next_seed(&mut self) -> Option<u64> {
         self.counter += 1;
         // SplitMix64-style mix keeps per-layer streams independent.
         let mut z = self
-            .seed
+            .seed?
             .wrapping_add(self.counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        Some(z ^ (z >> 31))
+    }
+
+    /// Seed for a channel-sized vector (bias, batch-norm). A skeleton
+    /// draws these from seed 0: they are too small to be worth a
+    /// second path.
+    fn channel_seed(&mut self) -> u64 {
+        self.next_seed().unwrap_or(0)
     }
 
     fn small_bias(&mut self, n: usize) -> Vec<f32> {
-        let s = self.next_seed();
+        let s = self.channel_seed();
         (0..n)
             .map(|i| {
                 let x = s.wrapping_add(i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
@@ -154,8 +182,11 @@ impl NetBuilder {
         pad: usize,
         groups: usize,
     ) -> NodeId {
-        let seed = self.next_seed();
-        let weights = WeightTensor::random(out_c, in_c_total / groups, k, k, seed);
+        let in_c = in_c_total / groups;
+        let weights = match self.next_seed() {
+            Some(seed) => WeightTensor::random(out_c, in_c, k, k, seed),
+            None => WeightTensor::zeros(out_c, in_c, k, k),
+        };
         let bias = self.small_bias(out_c);
         self.net
             .add(
@@ -174,7 +205,7 @@ impl NetBuilder {
 
     /// Batch-norm with gentle scales so deep nets keep sane magnitudes.
     pub(crate) fn bn(&mut self, name: &str, from: NodeId, c: usize) -> NodeId {
-        let s = self.next_seed();
+        let s = self.channel_seed();
         let scale: Vec<f32> = (0..c)
             .map(|i| {
                 let x = s.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -251,15 +282,18 @@ impl NetBuilder {
     }
 
     pub(crate) fn fc(&mut self, name: &str, from: NodeId, out: usize, input: usize) -> NodeId {
-        let seed = self.next_seed();
-        // Reuse WeightTensor's deterministic init for the matrix.
-        let w = WeightTensor::random(out, input, 1, 1, seed);
+        let weights = match self.next_seed() {
+            // Reuse WeightTensor's deterministic init for the matrix.
+            Some(seed) => WeightTensor::random(out, input, 1, 1, seed).data().to_vec(),
+            // Untouched `calloc` pages: a skeleton's 61 M cost nothing.
+            None => vec![0.0; out * input],
+        };
         let bias = self.small_bias(out);
         self.net
             .add(
                 name,
                 Op::FullyConnected {
-                    weights: w.data().to_vec(),
+                    weights,
                     out,
                     input,
                     bias,
@@ -318,8 +352,15 @@ mod tests {
     fn all_models_build_and_shape_check() {
         for m in Model::ALL {
             let net = m.build(1);
-            net.infer_shapes().unwrap_or_else(|e| panic!("{m}: {e}"));
+            let shapes = net.infer_shapes().unwrap_or_else(|e| panic!("{m}: {e}"));
             assert!(net.layer_count() > 5, "{m} too shallow");
+            // The weight-free skeleton is the same graph.
+            let bare = m.skeleton();
+            assert_eq!(bare.input_shape(), net.input_shape(), "{m}");
+            assert_eq!(bare.layer_count(), net.layer_count(), "{m}");
+            assert_eq!(bare.infer_shapes().unwrap(), shapes, "{m}");
+            let (bare, full) = (ModelStats::of(&bare), ModelStats::of(&net));
+            assert_eq!((bare.params, bare.macs), (full.params, full.macs), "{m}");
         }
     }
 

@@ -65,6 +65,11 @@ fn bottleneck(
 /// Build the thin CIFAR ResNet-18 (3×32×32, 10 classes).
 #[must_use]
 pub fn resnet18_cifar(seed: u64) -> Network {
+    resnet18_cifar_with(Some(seed))
+}
+
+/// [`resnet18_cifar`] with seeded weights, or — `None` — as an all-zero skeleton.
+pub(crate) fn resnet18_cifar_with(seed: Option<u64>) -> Network {
     let widths = [8usize, 16, 32, 64];
     let mut b = NetBuilder::new("resnet-18", Shape::new(3, 32, 32), seed);
     let x = b.input();
@@ -95,6 +100,11 @@ pub fn resnet18_cifar(seed: u64) -> Network {
 /// Build ResNet-50 (3×224×224, 1000 classes).
 #[must_use]
 pub fn resnet50(seed: u64) -> Network {
+    resnet50_with(Some(seed))
+}
+
+/// [`resnet50`] with seeded weights, or — `None` — as an all-zero skeleton.
+pub(crate) fn resnet50_with(seed: Option<u64>) -> Network {
     // (mid, out, blocks) per stage — the standard [3, 4, 6, 3] layout.
     let stages: [(usize, usize, usize); 4] =
         [(64, 256, 3), (128, 512, 4), (256, 1024, 6), (512, 2048, 3)];

@@ -47,32 +47,44 @@ pub fn apply(
     let plane = (desc.h * desc.w) as usize;
     let mut vals = input;
 
-    if desc.has(regs::SDP_FLAG_BIAS) {
+    let table = desc.has(regs::SDP_FLAG_BIAS).then(|| {
         let table = bs.expect("bias flag set but no table");
         assert!(table.len() >= desc.c as usize, "bias table too short");
-        for c in 0..desc.c as usize {
+        table
+    });
+    let rhs = desc.has(regs::SDP_FLAG_ELTWISE).then(|| {
+        let rhs = input2.expect("eltwise flag set but no second input");
+        assert_eq!(rhs.len(), elems, "SDP eltwise size");
+        rhs
+    });
+    let relu = desc.has(regs::SDP_FLAG_RELU);
+
+    // One channel at a time, start to finish, so a plane is walked while
+    // it is still in cache; each element still sees bias, eltwise, ReLU,
+    // requantize in that order.
+    let mut out = Vec::with_capacity(elems * desc.precision.bytes() as usize);
+    for c in 0..desc.c as usize {
+        let span = c * plane..(c + 1) * plane;
+        let ch = &mut vals[span.clone()];
+        if let Some(table) = table {
             let (scale, shift) = table[c];
-            for v in &mut vals[c * plane..(c + 1) * plane] {
+            for v in ch.iter_mut() {
                 *v = *v * scale + shift;
             }
         }
-    }
-
-    if desc.has(regs::SDP_FLAG_ELTWISE) {
-        let rhs = input2.expect("eltwise flag set but no second input");
-        assert_eq!(rhs.len(), elems, "SDP eltwise size");
-        for (v, r) in vals.iter_mut().zip(&rhs) {
-            *v += r;
+        if let Some(rhs) = &rhs {
+            for (v, r) in ch.iter_mut().zip(&rhs[span]) {
+                *v += r;
+            }
         }
-    }
-
-    if desc.has(regs::SDP_FLAG_RELU) {
-        for v in &mut vals {
-            *v = v.max(0.0);
+        if relu {
+            for v in ch.iter_mut() {
+                *v = v.max(0.0);
+            }
         }
+        super::extend_from_real(&mut out, ch, desc.precision, desc.out_scale);
     }
-
-    super::from_real(&vals, desc.precision, desc.out_scale)
+    out
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use rvnv_bus::{AccessKind, AccessSize, BusError, Cycle, Request, Reset, Response, Target};
+use rvnv_bus::{
+    AccessKind, AccessSize, BusError, Cycle, Payload, Request, Reset, Response, Target,
+};
 
 use crate::config::HwConfig;
 use crate::descriptor::{CdpDesc, ConvDesc, CopyDesc, PdpDesc, SdpDesc, SdpSrc};
@@ -149,8 +151,10 @@ impl<D: Target> Nvdla<D> {
     }
 
     /// Enable/disable functional computation. When disabled, operations
-    /// keep their exact DMA and timing behaviour but write zeros —
-    /// used for timing-only sweeps over large models.
+    /// keep their exact DMA and timing behaviour but move no bytes:
+    /// every burst is issued length-only ([`Payload::Len`]) and nothing
+    /// surface-sized is allocated, so outputs stay at their post-reset
+    /// zero — used for timing-only sweeps over large models.
     pub fn set_functional(&mut self, functional: bool) {
         self.functional = functional;
     }
@@ -233,6 +237,20 @@ impl<D: Target> Nvdla<D> {
 
     // --- DMA helpers -------------------------------------------------------
 
+    /// MCIF issues bounded bursts; each pays the memory round trip.
+    fn dma(&mut self, addr: u32, mut payload: Payload<'_>, at: Cycle) -> Result<Cycle, BusError> {
+        let chunk = self.cfg.mcif_burst_bytes as usize;
+        let mut t = at;
+        for off in (0..payload.len()).step_by(chunk) {
+            t = self
+                .dbb
+                .burst(addr + off as u32, payload.slice(off, chunk), t)?;
+        }
+        Ok(t)
+    }
+
+    /// Fetch `len` bytes for `block`. A timing-only accelerator issues
+    /// the same bursts length-only and returns an empty buffer.
     fn dma_read(
         &mut self,
         block: Block,
@@ -240,44 +258,43 @@ impl<D: Target> Nvdla<D> {
         len: usize,
         at: Cycle,
     ) -> Result<(Vec<u8>, Cycle), BusError> {
-        let mut buf = vec![0u8; len];
-        let chunk = self.cfg.mcif_burst_bytes as usize;
-        let mut t = at;
-        // MCIF issues bounded bursts; each pays the memory round trip.
-        for (i, piece) in buf.chunks_mut(chunk).enumerate() {
-            t = self.dbb.read_block(addr + (i * chunk) as u32, piece, t)?;
-        }
+        let mut buf = Vec::new();
+        let t = if self.functional {
+            buf = vec![0u8; len];
+            self.dma(addr, Payload::Read(&mut buf), at)?
+        } else {
+            self.dma(addr, Payload::Len { len, write: false }, at)?
+        };
         self.engine_stats_mut(block).dma_read_bytes += len as u64;
         Ok((buf, t))
     }
 
+    /// Store a `len`-byte result for `block`: `data` when the engine
+    /// computed one, length-only bursts when it ran timing-only.
     fn dma_write(
         &mut self,
         block: Block,
         addr: u32,
-        data: &[u8],
+        len: usize,
+        data: Option<&[u8]>,
         at: Cycle,
     ) -> Result<Cycle, BusError> {
-        let chunk = self.cfg.mcif_burst_bytes as usize;
-        let mut t = at;
-        for (i, piece) in data.chunks(chunk).enumerate() {
-            t = self.dbb.write_block(addr + (i * chunk) as u32, piece, t)?;
-        }
-        self.engine_stats_mut(block).dma_write_bytes += data.len() as u64;
+        debug_assert!(data.is_none_or(|bytes| bytes.len() == len));
+        let payload = match data {
+            Some(bytes) => Payload::Write(bytes),
+            None => Payload::Len { len, write: true },
+        };
+        let t = self.dma(addr, payload, at)?;
+        self.engine_stats_mut(block).dma_write_bytes += len as u64;
         Ok(t)
     }
 
     // --- Launches ----------------------------------------------------------
 
     /// Read SDP operands (bias table / eltwise source) and apply the SDP
-    /// pipeline to `acc_real`, writing the result. Returns (write-done
-    /// cycle, output bytes written).
-    fn sdp_emit(
-        &mut self,
-        sd: &SdpDesc,
-        acc_real: Vec<f32>,
-        at: Cycle,
-    ) -> Result<(Cycle, usize), BusError> {
+    /// pipeline to `acc_real` (ignored when timing-only), writing the
+    /// result. Returns the write-done cycle.
+    fn sdp_emit(&mut self, sd: &SdpDesc, acc_real: Vec<f32>, at: Cycle) -> Result<Cycle, BusError> {
         let mut t = at;
         let bs = if sd.has(regs::SDP_FLAG_BIAS) {
             let (raw, t2) = self.dma_read(Block::Sdp, sd.bs_addr, sd.c as usize * 8, t)?;
@@ -294,18 +311,15 @@ impl<D: Target> Nvdla<D> {
         } else {
             None
         };
-        let out = if self.functional {
-            let r = sdp::apply(sd, acc_real, input2, bs.as_ref());
-            r
-        } else {
-            vec![0u8; sd.elems() * sd.precision.bytes() as usize]
-        };
+        let out = self
+            .functional
+            .then(|| sdp::apply(sd, acc_real, input2, bs.as_ref()));
         let compute = timing::sdp_cycles(&self.cfg, sd);
         let st = self.engine_stats_mut(Block::Sdp);
         st.ops += 1;
         st.compute_cycles += compute;
-        let done = self.dma_write(Block::Sdp, sd.dst, &out, t + compute)?;
-        Ok((done, out.len()))
+        let bytes = sd.elems() * sd.precision.bytes() as usize;
+        self.dma_write(Block::Sdp, sd.dst, bytes, out.as_deref(), t + compute)
     }
 
     fn launch_conv(&mut self, addr: u32, now: Cycle) -> Result<Cycle, BusError> {
@@ -351,7 +365,7 @@ impl<D: Target> Nvdla<D> {
         let acc = if self.functional {
             conv::compute(&cd, &feature, &weights)
         } else {
-            vec![0.0f32; cd.out_elems()]
+            Vec::new()
         };
         let compute = timing::conv_cycles(&self.cfg, &cd);
         {
@@ -360,7 +374,7 @@ impl<D: Target> Nvdla<D> {
             st.compute_cycles += compute;
             st.macs += cd.macs();
         }
-        let (done, _) = self.sdp_emit(&sd, acc, t + compute)?;
+        let done = self.sdp_emit(&sd, acc, t + compute)?;
         self.busy_until.insert(Block::Cacc, done);
         self.busy_until.insert(Block::Sdp, done);
         self.events.push(Event {
@@ -391,7 +405,7 @@ impl<D: Target> Nvdla<D> {
         let bytes = sd.elems() * sd.precision.bytes() as usize;
         let (raw, t) = self.dma_read(Block::Sdp, sd.src, bytes, start)?;
         let input = engines::to_real(&raw, sd.precision, sd.in_scale);
-        let (done, _) = self.sdp_emit(sd, input, t)?;
+        let done = self.sdp_emit(sd, input, t)?;
         self.busy_until.insert(Block::Sdp, done);
         self.events.push(Event {
             done_at: done,
@@ -420,18 +434,15 @@ impl<D: Target> Nvdla<D> {
         let start = now.max(self.engine_busy_until(Block::Pdp));
         let in_bytes = (d.c * d.in_h * d.in_w * d.precision.bytes()) as usize;
         let (raw, t) = self.dma_read(Block::Pdp, d.src, in_bytes, start)?;
-        let out = if self.functional {
-            pdp::compute(&d, &raw)
-        } else {
-            vec![0u8; d.out_elems() * d.precision.bytes() as usize]
-        };
+        let out = self.functional.then(|| pdp::compute(&d, &raw));
+        let out_bytes = d.out_elems() * d.precision.bytes() as usize;
         let compute = timing::pdp_cycles(&self.cfg, &d);
         {
             let st = self.engine_stats_mut(Block::Pdp);
             st.ops += 1;
             st.compute_cycles += compute;
         }
-        let done = self.dma_write(Block::Pdp, d.dst, &out, t + compute)?;
+        let done = self.dma_write(Block::Pdp, d.dst, out_bytes, out.as_deref(), t + compute)?;
         self.busy_until.insert(Block::Pdp, done);
         self.events.push(Event {
             done_at: done,
@@ -457,18 +468,14 @@ impl<D: Target> Nvdla<D> {
         let start = now.max(self.engine_busy_until(Block::Cdp));
         let bytes = d.elems() * d.precision.bytes() as usize;
         let (raw, t) = self.dma_read(Block::Cdp, d.src, bytes, start)?;
-        let out = if self.functional {
-            cdp::compute(&d, &raw)
-        } else {
-            vec![0u8; bytes]
-        };
+        let out = self.functional.then(|| cdp::compute(&d, &raw));
         let compute = timing::cdp_cycles(&self.cfg, &d);
         {
             let st = self.engine_stats_mut(Block::Cdp);
             st.ops += 1;
             st.compute_cycles += compute;
         }
-        let done = self.dma_write(Block::Cdp, d.dst, &out, t + compute)?;
+        let done = self.dma_write(Block::Cdp, d.dst, bytes, out.as_deref(), t + compute)?;
         self.busy_until.insert(Block::Cdp, done);
         self.events.push(Event {
             done_at: done,
@@ -486,8 +493,10 @@ impl<D: Target> Nvdla<D> {
         let regread = |b: Block, off: u32| self.reg(b, off);
         let d = CopyDesc::decode(block, &regread);
         let start = now.max(self.engine_busy_until(block));
-        let (raw, t) = self.dma_read(block, d.src, d.len as usize, start)?;
-        let done = self.dma_write(block, d.dst, &raw, t + self.cfg.op_latency)?;
+        let len = d.len as usize;
+        let (raw, t) = self.dma_read(block, d.src, len, start)?;
+        let data = self.functional.then_some(&raw[..]);
+        let done = self.dma_write(block, d.dst, len, data, t + self.cfg.op_latency)?;
         self.engine_stats_mut(block).ops += 1;
         self.busy_until.insert(block, done);
         self.events.push(Event {
@@ -639,10 +648,71 @@ mod tests {
     use rvnv_bus::dram::Dram;
     use rvnv_bus::sram::Sram;
 
-    type TestNvdla = Nvdla<Sram>;
+    /// One burst as the DBB saw it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Seen {
+        addr: u32,
+        len: usize,
+        write: bool,
+        carries_bytes: bool,
+    }
+
+    /// An SRAM-backed DBB that records every burst it is handed.
+    #[derive(Debug)]
+    struct Recorder {
+        mem: Sram,
+        bursts: Vec<Seen>,
+    }
+
+    impl std::ops::Deref for Recorder {
+        type Target = Sram;
+        fn deref(&self) -> &Sram {
+            &self.mem
+        }
+    }
+
+    impl std::ops::DerefMut for Recorder {
+        fn deref_mut(&mut self) -> &mut Sram {
+            &mut self.mem
+        }
+    }
+
+    impl Reset for Recorder {
+        fn reset(&mut self) {
+            self.mem.reset();
+            self.bursts.clear();
+        }
+    }
+
+    impl Target for Recorder {
+        fn access(&mut self, req: &Request, now: Cycle) -> Result<Response, BusError> {
+            self.mem.access(req, now)
+        }
+
+        fn burst(
+            &mut self,
+            addr: u32,
+            payload: Payload<'_>,
+            now: Cycle,
+        ) -> Result<Cycle, BusError> {
+            self.bursts.push(Seen {
+                addr,
+                len: payload.len(),
+                write: payload.is_write(),
+                carries_bytes: !matches!(payload, Payload::Len { .. }),
+            });
+            self.mem.burst(addr, payload, now)
+        }
+    }
+
+    type TestNvdla = Nvdla<Recorder>;
 
     fn small() -> TestNvdla {
-        Nvdla::new(HwConfig::nv_small(), Sram::new(1 << 20))
+        let dbb = Recorder {
+            mem: Sram::new(1 << 20),
+            bursts: Vec::new(),
+        };
+        Nvdla::new(HwConfig::nv_small(), dbb)
     }
 
     fn w(n: &mut TestNvdla, block: Block, off: u32, v: u32, t: Cycle) -> Cycle {
@@ -778,31 +848,30 @@ mod tests {
         assert!(matches!(e, BusError::SlaveError { .. }));
     }
 
-    #[test]
-    fn standalone_sdp_eltwise_add() {
-        let mut n = small();
+    /// Program a standalone SDP eltwise add of 0x400 + 0x500 → 0x600,
+    /// starting at cycle `t`.
+    fn program_eltwise(n: &mut TestNvdla, mut t: Cycle) {
         let a: Vec<u8> = [10i8, 20, 30, 40].iter().map(|&v| v as u8).collect();
         let b: Vec<u8> = [1i8, 2, 3, 4].iter().map(|&v| v as u8).collect();
         n.dbb_mut().load(0x400, &a).unwrap();
         n.dbb_mut().load(0x500, &b).unwrap();
-        let mut t = 0;
-        t = w(&mut n, Block::Sdp, regs::SDP_SRC, 1, t);
-        t = w(&mut n, Block::Sdp, regs::SDP_SRC_ADDR, 0x400, t);
-        t = w(&mut n, Block::Sdp, regs::SDP_SRC2_ADDR, 0x500, t);
-        t = w(&mut n, Block::Sdp, regs::SDP_DST_ADDR, 0x600, t);
-        t = w(&mut n, Block::Sdp, regs::SDP_SIZE0, 2 | (2 << 16), t);
-        t = w(&mut n, Block::Sdp, regs::SDP_SIZE1, 1, t);
-        t = w(
-            &mut n,
-            Block::Sdp,
-            regs::SDP_FLAGS,
-            regs::SDP_FLAG_ELTWISE,
-            t,
-        );
-        t = w(&mut n, Block::Sdp, regs::SDP_IN_SCALE, 1.0f32.to_bits(), t);
-        t = w(&mut n, Block::Sdp, regs::SDP_IN2_SCALE, 1.0f32.to_bits(), t);
-        t = w(&mut n, Block::Sdp, regs::SDP_OUT_SCALE, 1.0f32.to_bits(), t);
-        w(&mut n, Block::Sdp, regs::REG_OP_ENABLE, 1, t);
+        t = w(n, Block::Sdp, regs::SDP_SRC, 1, t);
+        t = w(n, Block::Sdp, regs::SDP_SRC_ADDR, 0x400, t);
+        t = w(n, Block::Sdp, regs::SDP_SRC2_ADDR, 0x500, t);
+        t = w(n, Block::Sdp, regs::SDP_DST_ADDR, 0x600, t);
+        t = w(n, Block::Sdp, regs::SDP_SIZE0, 2 | (2 << 16), t);
+        t = w(n, Block::Sdp, regs::SDP_SIZE1, 1, t);
+        t = w(n, Block::Sdp, regs::SDP_FLAGS, regs::SDP_FLAG_ELTWISE, t);
+        t = w(n, Block::Sdp, regs::SDP_IN_SCALE, 1.0f32.to_bits(), t);
+        t = w(n, Block::Sdp, regs::SDP_IN2_SCALE, 1.0f32.to_bits(), t);
+        t = w(n, Block::Sdp, regs::SDP_OUT_SCALE, 1.0f32.to_bits(), t);
+        w(n, Block::Sdp, regs::REG_OP_ENABLE, 1, t);
+    }
+
+    #[test]
+    fn standalone_sdp_eltwise_add() {
+        let mut n = small();
+        program_eltwise(&mut n, 0);
         let status = r(&mut n, Block::Glb, regs::GLB_INTR_STATUS, 100_000);
         assert_eq!(status & 0b10, 0b10);
         let out: Vec<i8> = n.dbb_mut().bytes()[0x600..0x604]
@@ -812,25 +881,24 @@ mod tests {
         assert_eq!(out, vec![11, 22, 33, 44]);
     }
 
+    /// Program a 2×2 max pool of the 4×4 surface at 0x700 → 0x800,
+    /// starting at cycle `t`.
+    fn program_pool(n: &mut TestNvdla, mut t: Cycle) {
+        let src: Vec<u8> = vec![1, 5, 2, 3, 4, 2, 1, 8, 0, 1, 2, 3, 4, 5, 6, 7];
+        n.dbb_mut().load(0x700, &src).unwrap();
+        t = w(n, Block::Pdp, regs::PDP_SRC_ADDR, 0x700, t);
+        t = w(n, Block::Pdp, regs::PDP_DST_ADDR, 0x800, t);
+        t = w(n, Block::Pdp, regs::PDP_SIZE_IN, 4 | (4 << 16), t);
+        t = w(n, Block::Pdp, regs::PDP_CHANNELS, 1, t);
+        t = w(n, Block::Pdp, regs::PDP_POOLING, (2 << 8) | (2 << 16), t);
+        t = w(n, Block::Pdp, regs::PDP_SIZE_OUT, 2 | (2 << 16), t);
+        w(n, Block::Pdp, regs::REG_OP_ENABLE, 1, t);
+    }
+
     #[test]
     fn pdp_pooling_via_registers() {
         let mut n = small();
-        let src: Vec<u8> = vec![1, 5, 2, 3, 4, 2, 1, 8, 0, 1, 2, 3, 4, 5, 6, 7];
-        n.dbb_mut().load(0x700, &src).unwrap();
-        let mut t = 0;
-        t = w(&mut n, Block::Pdp, regs::PDP_SRC_ADDR, 0x700, t);
-        t = w(&mut n, Block::Pdp, regs::PDP_DST_ADDR, 0x800, t);
-        t = w(&mut n, Block::Pdp, regs::PDP_SIZE_IN, 4 | (4 << 16), t);
-        t = w(&mut n, Block::Pdp, regs::PDP_CHANNELS, 1, t);
-        t = w(
-            &mut n,
-            Block::Pdp,
-            regs::PDP_POOLING,
-            (2 << 8) | (2 << 16),
-            t,
-        );
-        t = w(&mut n, Block::Pdp, regs::PDP_SIZE_OUT, 2 | (2 << 16), t);
-        w(&mut n, Block::Pdp, regs::REG_OP_ENABLE, 1, t);
+        program_pool(&mut n, 0);
         let status = r(&mut n, Block::Glb, regs::GLB_INTR_STATUS, 100_000);
         assert_eq!(status & 0b100, 0b100);
         assert_eq!(&n.dbb_mut().bytes()[0x800..0x804], &[5, 8, 5, 7]);
@@ -885,6 +953,34 @@ mod tests {
         );
         // But the output is zeros.
         assert_eq!(&f.dbb_mut().bytes()[0x304..0x308], &[0, 0, 0, 0]);
+    }
+
+    /// Timing-only moves no bytes: over a conv (flying SDP), a
+    /// standalone SDP and a PDP, the DBB sees the functional run's
+    /// bursts — same addresses, lengths, directions, order — and every
+    /// one of them length-only, so no launch path had a surface to
+    /// allocate, fill or free.
+    #[test]
+    fn timing_only_issues_the_same_bursts_length_only() {
+        let bursts_of = |functional: bool| {
+            let mut n = small();
+            n.set_functional(functional);
+            program_simple_conv(&mut n);
+            program_eltwise(&mut n, 1_000);
+            program_pool(&mut n, 2_000);
+            (n.idle_at(0), n.stats().clone(), n.dbb_mut().bursts.clone())
+        };
+        let (f_done, f_stats, functional) = bursts_of(true);
+        let (t_done, t_stats, timing) = bursts_of(false);
+        assert!(functional.len() >= 8, "three ops move operands and results");
+        assert!(functional.iter().all(|b| b.carries_bytes));
+        assert!(timing.iter().all(|b| !b.carries_bytes));
+        let shape = |b: &Seen| (b.addr, b.len, b.write);
+        assert_eq!(
+            timing.iter().map(shape).collect::<Vec<_>>(),
+            functional.iter().map(shape).collect::<Vec<_>>()
+        );
+        assert_eq!((t_done, t_stats), (f_done, f_stats));
     }
 
     #[test]

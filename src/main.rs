@@ -1299,7 +1299,7 @@ fn cmd_resources() -> Result<(), AnyError> {
 
 fn cmd_models() -> Result<(), AnyError> {
     for m in Model::ALL {
-        let net = m.build(1);
+        let net = m.skeleton();
         let nv_small = if Model::NV_SMALL.contains(&m) {
             "nv_small+nv_full"
         } else {

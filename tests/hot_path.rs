@@ -50,6 +50,87 @@ fn warm_soc_matches_cold_socs_timing_only() {
     assert_warm_matches_cold(&SocConfig::zcu102_timing_only());
 }
 
+/// Timing-only moves no bytes — every DMA burst goes out length-only —
+/// and still keeps the functional run's books: the same modeled cycles,
+/// retired instructions, CSB and per-engine DMA/MAC/compute counters and
+/// arbiter waits, cold and warm. Its output stays at the post-reset
+/// zero because nothing ever writes it.
+fn assert_timing_only_keeps_the_functional_books(
+    functional: SocConfig,
+    timing_only: SocConfig,
+    mut opt: CompileOptions,
+) {
+    let net = Model::LeNet5.build(11);
+    opt.calib_inputs = 1;
+    let artifacts = compile(&net, &opt).expect("compile");
+    let fw = Firmware::build(&artifacts).expect("fw");
+    let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 100));
+
+    let f = Soc::new(functional)
+        .run_firmware(&artifacts, &bytes, &fw)
+        .expect("functional");
+    assert!(f.raw_output.iter().any(|&b| b != 0), "a real result");
+
+    let cold = Soc::new(timing_only.clone())
+        .run_firmware(&artifacts, &bytes, &fw)
+        .expect("cold timing-only");
+    let mut soc = Soc::new(timing_only);
+    soc.load_artifacts(&artifacts).expect("preload");
+    soc.run_firmware(&artifacts, &bytes, &fw).expect("warm-up");
+    let warm = soc.run_firmware(&artifacts, &bytes, &fw).expect("warm");
+    assert!(soc.is_resident(&artifacts), "no burst touched the weights");
+
+    for t in [&cold, &warm] {
+        assert_eq!(t.cycles, f.cycles);
+        assert_eq!(t.firmware_cycles, f.firmware_cycles);
+        assert_eq!(t.instructions, f.instructions);
+        assert_eq!(t.nvdla, f.nvdla, "CSB and per-engine counters");
+        assert_eq!(t.nvdla.total_dma_bytes(), f.nvdla.total_dma_bytes());
+        assert_eq!(t.cpu_arbiter_wait, f.cpu_arbiter_wait);
+        assert_eq!(t.pipeline, f.pipeline);
+        assert!(t.raw_output.iter().all(|&b| b == 0), "never written");
+    }
+}
+
+#[test]
+fn timing_only_keeps_the_functional_books_int8_nv_small() {
+    assert_timing_only_keeps_the_functional_books(
+        SocConfig::zcu102_nv_small(),
+        SocConfig::zcu102_timing_only(),
+        CompileOptions::int8(),
+    );
+}
+
+#[test]
+fn timing_only_keeps_the_functional_books_fp16_nv_full() {
+    assert_timing_only_keeps_the_functional_books(
+        SocConfig::zcu102_nv_full(),
+        SocConfig::zcu102_nv_full_timing_only(),
+        CompileOptions::fp16(),
+    );
+}
+
+#[test]
+fn timing_only_frames_leave_every_resident_image_resident() {
+    // Length-only writes mark the same extents dirty as the data writes
+    // they stand for, so the reset between frames sees the same (absent)
+    // clobbers: two pinned images stay pinned across timing-only frames.
+    let mut opt = CompileOptions::int8();
+    opt.calib_inputs = 1;
+    let nets = [Model::LeNet5.build(1), Model::LeNet5.build(2)];
+    let artifacts = layout_models(&ArtifactCache::new(), &nets, &opt).expect("layout");
+    let input = Tensor::random(nets[0].input_shape(), 77);
+    let mut soc = Soc::new(SocConfig::zcu102_timing_only());
+    for a in &artifacts {
+        soc.load_artifacts(a).expect("pin");
+    }
+    let first = soc.run_inference(&artifacts[1], &input).expect("frame 1");
+    let again = soc.run_inference(&artifacts[1], &input).expect("frame 2");
+    assert_eq!(again.cycles, first.cycles);
+    assert_eq!(soc.resident_count(), 2);
+    assert!(soc.is_resident(&artifacts[0]) && soc.is_resident(&artifacts[1]));
+}
+
 #[test]
 fn run_inference_is_warm_after_the_first_call() {
     // The transparent hot path: plain `run_inference` in a loop promotes
