@@ -224,6 +224,21 @@ pub struct DramStats {
     pub busy_cycles: u64,
 }
 
+/// Host work the model itself performed on its backing store: bytes it
+/// really moved, as opposed to the modeled traffic [`DramStats`] counts.
+/// Cumulative over the device's lifetime — [`Reset::reset`] adds to it
+/// and never clears it — and deliberately outside `DramStats`, which a
+/// length-only burst must keep equal to the data burst it stands for
+/// while moving none of these bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DramWork {
+    /// Bytes copied into or out of the backing store (backdoor loads,
+    /// single beats, data bursts). [`Dram::peek`] borrows and is free.
+    pub bytes_copied: u64,
+    /// Bytes zeroed by resets and image evictions.
+    pub bytes_zeroed: u64,
+}
+
 /// The DRAM device.
 #[derive(Debug, Clone)]
 pub struct Dram {
@@ -232,15 +247,18 @@ pub struct Dram {
     open_row: Option<u32>,
     busy_until: Cycle,
     stats: DramStats,
-    /// Extents whose bytes may be nonzero (written since the contents
-    /// were last all-zero).
+    work: DramWork,
+    /// Extents whose bytes may be nonzero (stored to since the contents
+    /// were last all-zero). A length-only write stores nothing and so
+    /// never enters this set.
     dirty: RangeSet,
     /// Resident weight images, disjoint from one another: preload
     /// contents that [`Reset::reset`] preserves, keyed by a caller-chosen
     /// image id ([`Dram::add_resident`]).
     resident: Vec<(u64, RangeSet)>,
     /// Extents written since residency went active (tracked only while
-    /// at least one image is resident).
+    /// at least one image is resident) — by data and length-only writes
+    /// alike, so clobber detection cannot tell the two apart.
     run_writes: RangeSet,
     /// One-shot scoped-reset extents ([`Dram::preserve_across_reset`]):
     /// the next [`Reset::reset`] keeps these bytes (and their dirty
@@ -258,6 +276,7 @@ impl Dram {
             open_row: None,
             busy_until: 0,
             stats: DramStats::default(),
+            work: DramWork::default(),
             dirty: RangeSet::new(),
             resident: Vec::new(),
             run_writes: RangeSet::new(),
@@ -294,9 +313,20 @@ impl Dram {
         self.stats = DramStats::default();
     }
 
-    /// Record a write to `[offset, offset + len)` in the dirty trackers.
-    fn note_write(&mut self, offset: usize, len: usize) {
-        self.dirty.insert(offset, offset + len);
+    /// Host bytes moved and zeroed since construction.
+    #[must_use]
+    pub fn work(&self) -> DramWork {
+        self.work
+    }
+
+    /// Record a write to `[offset, offset + len)`: always in the run
+    /// tracker that clobber detection reads, and in the dirty tracker
+    /// when bytes were `stored` (a length-only write leaves them as
+    /// they were, so there is nothing for a reset to zero).
+    fn note_write(&mut self, offset: usize, len: usize, stored: bool) {
+        if stored {
+            self.dirty.insert(offset, offset + len);
+        }
         if !self.resident.is_empty() {
             self.run_writes.insert(offset, offset + len);
         }
@@ -357,7 +387,7 @@ impl Dram {
     pub fn remove_resident(&mut self, id: u64) {
         if let Some(i) = self.resident.iter().position(|(k, _)| *k == id) {
             let (_, extents) = self.resident.remove(i);
-            Self::zero_ranges(&mut self.data, &extents);
+            self.zero_ranges(&extents);
             // The bytes are zero again: dropping them from the dirty
             // tracker keeps later resets from re-zeroing megabytes of
             // evicted weights on every frame.
@@ -426,10 +456,11 @@ impl Dram {
     }
 
     /// Zero every byte of the given range set.
-    fn zero_ranges(data: &mut [u8], ranges: &RangeSet) {
+    fn zero_ranges(&mut self, ranges: &RangeSet) {
         for (s, e) in ranges.iter() {
-            data[s..e].fill(0);
+            self.data[s..e].fill(0);
         }
+        self.work.bytes_zeroed += ranges.total_bytes() as u64;
     }
 
     /// Backdoor bulk load (the Zynq PS preload path of Fig. 4 uses
@@ -448,7 +479,8 @@ impl Dram {
             });
         }
         self.data[offset..offset + image.len()].copy_from_slice(image);
-        self.note_write(offset, image.len());
+        self.work.bytes_copied += image.len() as u64;
+        self.note_write(offset, image.len(), true);
         Ok(())
     }
 
@@ -530,8 +562,10 @@ impl Reset for Dram {
     /// their bytes. Clobber detection is per image: an image whose
     /// extents were written into since it was registered is dropped and
     /// zeroed, while untouched images stay warm. Only the extents
-    /// actually written are zeroed, so resetting a 512 MB device after a
-    /// small-model inference costs microseconds, not a reallocation.
+    /// actually stored to are zeroed, so resetting a 512 MB device after
+    /// a small-model inference costs microseconds, not a reallocation —
+    /// and after a timing-only one, whose length-only writes stored
+    /// nothing, only the input's worth.
     ///
     /// A set armed with [`Dram::preserve_across_reset`] additionally
     /// survives this one reset (bytes and dirty marks), scoping the
@@ -542,7 +576,7 @@ impl Reset for Dram {
         if self.resident.is_empty() {
             let mut to_zero = std::mem::take(&mut self.dirty);
             to_zero.subtract(&keep);
-            Self::zero_ranges(&mut self.data, &to_zero);
+            self.zero_ranges(&to_zero);
             self.dirty = keep;
         } else {
             // Drop every image the run clobbered, then zero **all**
@@ -562,7 +596,7 @@ impl Reset for Dram {
                 to_zero.subtract(extents);
             }
             to_zero.subtract(&keep);
-            Self::zero_ranges(&mut self.data, &to_zero);
+            self.zero_ranges(&to_zero);
             for (_, extents) in &survivors {
                 self.dirty.union_with(extents);
             }
@@ -590,6 +624,7 @@ impl Target for Dram {
         let duration = t.controller + t.cas + self.row_latency(req.addr) + 1;
         let done_at = self.occupy(now, duration);
         self.stats.accesses += 1;
+        self.work.bytes_copied += n as u64;
         match req.kind {
             AccessKind::Read => {
                 self.stats.bytes_read += n as u64;
@@ -604,7 +639,7 @@ impl Target for Dram {
                 self.stats.bytes_written += n as u64;
                 let bytes = d.to_le_bytes();
                 self.data[offset..offset + n].copy_from_slice(&bytes[..n]);
-                self.note_write(offset, n);
+                self.note_write(offset, n, true);
                 Ok(Response::ack(done_at))
             }
         }
@@ -618,14 +653,21 @@ impl Target for Dram {
         self.stats.bursts += 1;
         if payload.is_write() {
             self.stats.bytes_written += len as u64;
-            self.note_write(offset, len);
         } else {
             self.stats.bytes_read += len as u64;
         }
         match payload {
-            Payload::Read(buf) => buf.copy_from_slice(&self.data[offset..offset + len]),
-            Payload::Write(buf) => self.data[offset..offset + len].copy_from_slice(buf),
-            Payload::Len { .. } => {}
+            Payload::Read(buf) => {
+                buf.copy_from_slice(&self.data[offset..offset + len]);
+                self.work.bytes_copied += len as u64;
+            }
+            Payload::Write(buf) => {
+                self.data[offset..offset + len].copy_from_slice(buf);
+                self.work.bytes_copied += len as u64;
+                self.note_write(offset, len, true);
+            }
+            Payload::Len { write: true, .. } => self.note_write(offset, len, false),
+            Payload::Len { write: false, .. } => {}
         }
         Ok(done)
     }
@@ -945,8 +987,10 @@ mod tests {
     }
 
     /// A length-only burst is the data burst minus the `memcpy`: same
-    /// completion cycles, statistics, dirty extents and clobber
-    /// verdict; only the bytes stay where they were.
+    /// completion cycles, statistics, `OutOfRange` and clobber verdict;
+    /// the bytes stay where they were, so its dirty set is the data
+    /// run's minus extents that hold only zeros, and its reset has that
+    /// much less to zero.
     #[test]
     fn length_only_bursts_keep_the_books_and_leave_the_bytes() {
         let run = |data: bool| {
@@ -978,27 +1022,38 @@ mod tests {
                 },
                 0,
             );
-            let books = (read, write, clobber, past_end, d.stats(), d.dirty_bytes());
+            let books = (read, write, clobber, past_end, d.stats());
+            let dirty = d.dirty_extents().clone();
             let stored = d.peek(0x3000, 48).to_vec();
+            let work = d.work();
             d.reset();
-            (
-                books,
-                d.is_image_resident(1),
-                d.is_image_resident(2),
-                stored,
-            )
+            let zeroed = d.work().bytes_zeroed - work.bytes_zeroed;
+            assert_eq!(d.peek(0x100, 4), &[9, 8, 7, 6], "image 1 survives");
+            assert!(d.peek(0x104, d.size() - 0x104).iter().all(|&b| b == 0));
+            let resident = (d.is_image_resident(1), d.is_image_resident(2));
+            (books, resident, dirty, stored, work.bytes_copied, zeroed)
         };
-        let (data_books, data_1, data_2, data_stored) = run(true);
-        let (len_books, len_1, len_2, len_stored) = run(false);
+        let (data_books, data_res, data_dirty, data_stored, data_copied, data_zeroed) = run(true);
+        let (len_books, len_res, len_dirty, len_stored, len_copied, len_zeroed) = run(false);
         assert_eq!(len_books, data_books);
         assert!(matches!(len_books.3, Err(BusError::OutOfRange { .. })));
-        assert_eq!((len_1, len_2), (data_1, data_2));
-        assert!(
-            len_1 && !len_2,
+        assert_eq!(len_res, data_res);
+        assert_eq!(
+            len_res,
+            (true, false),
             "the write into image 2 is a clobber either way"
         );
         assert_eq!(data_stored, [7; 48]);
         assert_eq!(len_stored, [0; 48], "no bytes moved");
+        // Only the two preloaded images are dirty in the length-only
+        // run; the data run adds what its two writes stored.
+        assert_eq!(len_dirty, extents(&[(0x100, 0x104), (0x800, 0x804)]));
+        let mut union = data_dirty.clone();
+        union.union_with(&len_dirty);
+        assert_eq!(union, data_dirty, "length-only dirty is a subset");
+        assert_eq!(data_dirty.total_bytes(), 4 + 48 + 6);
+        assert_eq!((len_copied, data_copied), (8, 8 + 64 + 48 + 4));
+        assert_eq!((len_zeroed, data_zeroed), (4, 48 + 6));
     }
 
     #[test]

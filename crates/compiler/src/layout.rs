@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use rvnv_nn::hash::Fnv;
+
 /// Alignment of every allocation (one DBB burst).
 pub const ALLOC_ALIGN: u32 = 64;
 
@@ -85,9 +87,15 @@ pub struct Segment {
 
 /// The deduplicated weight file: everything that must be preloaded into
 /// DRAM before inference (quantized weights and bias/scale tables).
+///
+/// Append-only: [`WeightImage::push`] is the one mutator and `segments`
+/// is private with no mutable accessor, which is what lets the image
+/// carry its own content fingerprint instead of rehashing on demand.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightImage {
     segments: Vec<Segment>,
+    /// Running fold of every pushed segment ([`WeightImage::fingerprint`]).
+    hash: Fnv,
 }
 
 impl WeightImage {
@@ -97,8 +105,10 @@ impl WeightImage {
         Self::default()
     }
 
-    /// Append a segment.
+    /// Append a segment, folding it into the content fingerprint.
     pub fn push(&mut self, addr: u32, bytes: Vec<u8>) {
+        self.hash.mix(u64::from(addr));
+        self.hash.bytes(&bytes);
         self.segments.push(Segment { addr, bytes });
     }
 
@@ -119,15 +129,10 @@ impl WeightImage {
     /// step). Two images with the same layout but different weight
     /// values — e.g. the same model compiled from different seeds — get
     /// different fingerprints; the SoC's resident-weights check keys on
-    /// this.
+    /// this. O(1): the fold happened in [`WeightImage::push`].
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = rvnv_nn::hash::Fnv::new();
-        for s in &self.segments {
-            h.mix(u64::from(s.addr));
-            h.bytes(&s.bytes);
-        }
-        h.finish()
+        self.hash.finish()
     }
 
     /// Serialize as the on-disk `.bin` format: for each segment an
@@ -149,7 +154,7 @@ impl WeightImage {
     ///
     /// Returns a description of the corruption on malformed input.
     pub fn from_bin(data: &[u8]) -> Result<Self, String> {
-        let mut segments = Vec::new();
+        let mut image = WeightImage::new();
         let mut pos = 0usize;
         while pos < data.len() {
             if pos + 8 > data.len() {
@@ -162,13 +167,10 @@ impl WeightImage {
             if pos + len > data.len() {
                 return Err(format!("truncated segment payload at {pos}"));
             }
-            segments.push(Segment {
-                addr,
-                bytes: data[pos..pos + len].to_vec(),
-            });
+            image.push(addr, data[pos..pos + len].to_vec());
             pos += len;
         }
-        Ok(WeightImage { segments })
+        Ok(image)
     }
 }
 
@@ -212,6 +214,50 @@ mod tests {
         let back = WeightImage::from_bin(&bin).unwrap();
         assert_eq!(back, img);
         assert_eq!(back.total_bytes(), 103);
+    }
+
+    /// The from-scratch fold `fingerprint()` performed before the image
+    /// carried a running hash; the incremental value must equal it.
+    fn refold(img: &WeightImage) -> u64 {
+        let mut h = Fnv::new();
+        for s in img.segments() {
+            h.mix(u64::from(s.addr));
+            h.bytes(&s.bytes);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn incremental_fingerprint_is_the_from_scratch_fold() {
+        use crate::compile::{compile, CompileOptions};
+        use rvnv_nn::zoo;
+        assert_eq!(
+            WeightImage::new().fingerprint(),
+            refold(&WeightImage::new())
+        );
+        for net in [zoo::lenet5(1), zoo::resnet18_cifar(1)] {
+            for mut opt in [CompileOptions::int8(), CompileOptions::fp16()] {
+                opt.calib_inputs = 1;
+                let mut img = compile(&net, &opt).expect("compile").weights;
+                assert!(img.segments().len() > 1);
+                assert_eq!(img.fingerprint(), refold(&img), "{}", net.name());
+                let back = WeightImage::from_bin(&img.to_bin()).expect("parse");
+                assert_eq!(back.fingerprint(), img.fingerprint(), "bin round trip");
+                let before = img.fingerprint();
+                img.push(0x7000_0000, vec![0]);
+                assert_ne!(img.fingerprint(), before, "one more push moves it");
+                assert_eq!(img.fingerprint(), refold(&img));
+            }
+        }
+        let mut opt = CompileOptions::int8();
+        opt.calib_inputs = 1;
+        let seed1 = compile(&zoo::lenet5(1), &opt).expect("seed 1").weights;
+        let seed2 = compile(&zoo::lenet5(2), &opt).expect("seed 2").weights;
+        let layout = |w: &WeightImage| -> Vec<(u32, usize)> {
+            (w.segments().iter().map(|s| (s.addr, s.bytes.len()))).collect()
+        };
+        assert_eq!(layout(&seed1), layout(&seed2), "same layout");
+        assert_ne!(seed1.fingerprint(), seed2.fingerprint(), "other bytes");
     }
 
     #[test]

@@ -50,6 +50,11 @@ impl<T: Target> DbbLogger<T> {
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
     }
+
+    /// The wrapped memory, borrowed (for its statistics).
+    pub fn inner(&self) -> &T {
+        &self.inner
+    }
 }
 
 impl<T: Target> Target for DbbLogger<T> {
@@ -185,13 +190,23 @@ impl VirtualPlatform {
 
     /// Run a compiled model on `input` (raw quantized bytes).
     ///
+    /// The weight image is preloaded only when something can read it:
+    /// functional engines fetch real operands, and an enabled
+    /// [`DbbLogger`] upgrades length-only reads to real fetches for its
+    /// beat log. A timing-only, unlogged replay loads the input and
+    /// nothing else, so its host cost follows its bursts, not the
+    /// model's bytes; modeled cycles are the same either way.
+    ///
     /// # Errors
     ///
-    /// Returns [`VpError`] on register faults or failed expectations.
+    /// Returns [`VpError`] on register faults or failed expectations,
+    /// and [`VpError::Bus`] with [`BusError::OutOfRange`] when the model
+    /// does not fit in VP memory (from the preload, or from the first
+    /// burst past the end when nothing is preloaded).
     ///
     /// # Panics
     ///
-    /// Panics if the weight image or input do not fit in VP memory.
+    /// Panics if `input` is not `artifacts.input_len` bytes long.
     pub fn run(
         &mut self,
         artifacts: &Artifacts,
@@ -200,13 +215,14 @@ impl VirtualPlatform {
     ) -> Result<VpRun, VpError> {
         assert_eq!(input.len(), artifacts.input_len, "input byte length");
         // Preload weights and input (backdoor: not part of inference).
+        let reads_weights = self.nvdla.functional() || log_transactions;
         let dram = self.nvdla.dbb_mut().inner_mut();
-        for seg in artifacts.weights.segments() {
-            dram.load(seg.addr as usize, &seg.bytes)
-                .expect("weights fit");
+        if reads_weights {
+            for seg in artifacts.weights.segments() {
+                dram.load(seg.addr as usize, &seg.bytes)?;
+            }
         }
-        dram.load(artifacts.input_addr as usize, input)
-            .expect("input fits");
+        dram.load(artifacts.input_addr as usize, input)?;
         self.nvdla.dbb_mut().set_enabled(log_transactions);
 
         let mut t: u64 = 0;
@@ -373,5 +389,78 @@ mod tests {
         vp2.set_functional(false);
         let r2 = vp2.run(&artifacts, &bytes, false).unwrap();
         assert_eq!(r1.cycles, r2.cycles);
+    }
+
+    /// An enabled logger is the one reader of a timing-only run's
+    /// weights: the run must preload them, and scrape to the same beats
+    /// as the functional logged run wherever the weight image lies
+    /// (intermediate activations are real in one run and zero in the
+    /// other, by design).
+    #[test]
+    fn timing_only_logged_run_extracts_the_same_weights() {
+        let net = zoo::lenet5(3);
+        let artifacts = compile(&net, &CompileOptions::int8()).unwrap();
+        let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 5));
+        let logged = |functional: bool| {
+            let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+            vp.set_functional(functional);
+            let run = vp.run(&artifacts, &bytes, true).unwrap();
+            let mut beats = extract_weights(&run.log);
+            beats.retain(|&(addr, _)| {
+                (artifacts.weights.segments().iter())
+                    .any(|s| s.addr <= addr && addr - s.addr < s.bytes.len() as u32)
+            });
+            (run.cycles, beats)
+        };
+        let (f_cycles, f_weights) = logged(true);
+        let (t_cycles, t_weights) = logged(false);
+        assert_eq!(t_cycles, f_cycles);
+        assert!(f_weights.len() * 8 >= artifacts.weights.total_bytes());
+        assert!(f_weights.iter().any(|&(_, data)| data != 0), "real weights");
+        assert_eq!(t_weights, f_weights);
+    }
+
+    /// A timing-only run leaves no weights behind, so switching the same
+    /// VP to functional must preload them then and compute real output.
+    #[test]
+    fn switching_a_timing_only_vp_to_functional_computes_real_output() {
+        let net = zoo::lenet5(2);
+        let artifacts = compile(&net, &CompileOptions::int8()).unwrap();
+        let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 1));
+        let mut fresh = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+        let want = fresh.run(&artifacts, &bytes, false).unwrap();
+        assert!(want.output.iter().any(|&b| b != 0));
+
+        let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+        vp.set_functional(false);
+        let timing = vp.run(&artifacts, &bytes, false).unwrap();
+        assert!(timing.output.iter().all(|&b| b == 0), "nothing computed");
+        vp.set_functional(true);
+        let got = vp.run(&artifacts, &bytes, false).unwrap();
+        assert_eq!(got.output, want.output);
+        assert_eq!(timing.cycles, want.cycles);
+    }
+
+    /// A model that does not fit is a typed error on both paths: from
+    /// the preload when functional, from the first burst past the end
+    /// when nothing is preloaded.
+    #[test]
+    fn oversized_model_is_out_of_range_not_a_panic() {
+        // Based so that the input still fits under 1 MB and nothing
+        // after it does.
+        let opt = CompileOptions::int8().at_dram_base((1 << 20) - 1024);
+        let artifacts = compile(&zoo::lenet5(1), &opt).unwrap();
+        assert!(artifacts.input_addr as usize + artifacts.input_len <= 1 << 20);
+        assert!(artifacts.weights.segments()[0].addr as usize + 500 > 1 << 20);
+        let input = vec![0u8; artifacts.input_len];
+        for functional in [true, false] {
+            let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 1 << 20);
+            vp.set_functional(functional);
+            let e = vp.run(&artifacts, &input, false).unwrap_err();
+            assert!(
+                matches!(e, VpError::Bus(BusError::OutOfRange { size, .. }) if size == 1 << 20),
+                "functional={functional}: {e}"
+            );
+        }
     }
 }

@@ -17,12 +17,20 @@
 //! burst's `len_only` flag flipped — data bursts become length-only
 //! ones and the reverse. A length-only burst is the data burst minus
 //! the `memcpy`, so the two runs must agree on every completion cycle
-//! and typed error, on the arbiter port, DRAM and fault-shim counters,
-//! on the dirty extents and on which resident images survive each
-//! reset; their final contents may differ only inside burst writes,
-//! which carried bytes in exactly one of the two runs. The fault shim
-//! runs an armed latency-spike plan, so "draws from the lottery exactly
-//! once" is part of what must agree.
+//! and typed error, on the arbiter port, DRAM and fault-shim counters
+//! and on which resident images survive each reset; their final
+//! contents may differ only inside burst writes, which carried bytes in
+//! exactly one of the two runs. The fault shim runs an armed
+//! latency-spike plan, so "draws from the lottery exactly once" is part
+//! of what must agree.
+//!
+//! The dirty extents are *not* part of that agreement: a length-only
+//! write stores nothing, so it marks nothing for the next reset to
+//! zero. Each run is instead held to the mirror's model of what an
+//! all-data run marks ([`Residency::written`]): the device's dirty set
+//! is a subset of it, every byte in the difference is zero, and after
+//! every reset the whole device equals the shadow — zero outside the
+//! surviving images.
 
 use rvnv_bus::arbiter::Arbiter;
 use rvnv_bus::arbiter::PortStats;
@@ -114,7 +122,6 @@ struct Books {
     ports: [PortStats; 3],
     dram: DramStats,
     faults: FaultStats,
-    dirty: RangeSet,
     resident: [bool; 2],
 }
 
@@ -125,9 +132,32 @@ fn books(path: &mut DramPath) -> Books {
         ports,
         dram: shim.inner().stats(),
         faults: shim.stats(),
-        dirty: shim.inner().dirty_extents().clone(),
         resident: IMAGES.map(|(id, ..)| shim.inner().is_image_resident(id)),
     }
+}
+
+/// Hold the device's dirty set to `written`, the extents an all-data
+/// run would have marked: it may fall short of them only by extents
+/// that length-only writes covered, which therefore hold zeros.
+fn check_dirty(path: &mut DramPath, written: &RangeSet) -> Result<(), String> {
+    let dram = mux_of(path).dram_mut().inner();
+    let mut extra = dram.dirty_extents().clone();
+    extra.subtract(written);
+    if let Some((s, e)) = extra.iter().next() {
+        return Err(format!(
+            "dirty extent {s:#x}..{e:#x} lies outside everything written"
+        ));
+    }
+    let mut unmarked = written.clone();
+    unmarked.subtract(dram.dirty_extents());
+    for (s, e) in unmarked.iter() {
+        if dram.peek(s, e - s).iter().any(|&b| b != 0) {
+            return Err(format!(
+                "nonzero bytes in {s:#x}..{e:#x}, written but not marked dirty"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// What one execution of a program leaves behind.
@@ -144,15 +174,19 @@ struct Outcome {
     burst_writes: RangeSet,
 }
 
-/// The mirror's model of the resident images: alive until a reset finds
-/// a write landed in them.
+/// The mirror's model of the resident images — alive until a reset
+/// finds a write landed in them — and of the dirty set of an all-data
+/// run: the surviving images plus every write since the last reset,
+/// whether or not it carried bytes.
 struct Residency {
     alive: [bool; 2],
     clobbered: [bool; 2],
+    written: RangeSet,
 }
 
 impl Residency {
     fn note_write(&mut self, addr: usize, len: usize) {
+        self.written.insert(addr, addr + len);
         for (i, (_, offset, size)) in IMAGES.into_iter().enumerate() {
             if len > 0 && addr < offset + size && offset < addr + len {
                 self.clobbered[i] |= self.alive[i];
@@ -164,18 +198,22 @@ impl Residency {
     /// everything else zeroes.
     fn reset(&mut self, shadow: &mut [u8]) {
         shadow.fill(0);
+        self.written.clear();
         for (i, (id, offset, len)) in IMAGES.into_iter().enumerate() {
             self.alive[i] &= !self.clobbered[i];
             self.clobbered[i] = false;
             if self.alive[i] {
                 shadow[offset..offset + len].copy_from_slice(&image_bytes(id, len));
+                self.written.insert(offset, offset + len);
             }
         }
     }
 }
 
 /// Reset the fabric and the mirror together, recording the books on
-/// both sides of it and holding the device to the mirror's survivors.
+/// both sides of it and holding the device to the mirror's survivors,
+/// dirty model and — after the reset — contents: zero everywhere but
+/// the surviving images.
 fn reset_both(
     path: &mut DramPath,
     shadow: &mut [u8],
@@ -183,6 +221,7 @@ fn reset_both(
     log: &mut Vec<Books>,
 ) -> Result<(), String> {
     log.push(books(path));
+    check_dirty(path, &residency.written).map_err(|m| format!("before reset: {m}"))?;
     path.reset();
     residency.reset(shadow);
     let after = books(path);
@@ -191,6 +230,10 @@ fn reset_both(
             "resident images after reset {:?}, mirror predicted {:?}",
             after.resident, residency.alive
         ));
+    }
+    check_dirty(path, &residency.written).map_err(|m| format!("after reset: {m}"))?;
+    if mux_of(path).dram_mut().inner().peek(0, BUS_DRAM_BYTES) != shadow {
+        return Err("reset left nonzero bytes outside the surviving images".into());
     }
     log.push(after);
     Ok(())
@@ -242,6 +285,7 @@ impl BusTarget {
         let mut residency = Residency {
             alive: [true; 2],
             clobbered: [false; 2],
+            written: RangeSet::new(),
         };
         residency.reset(&mut shadow);
         let mut timeline = Vec::new();

@@ -159,9 +159,22 @@ impl<D: Target> Nvdla<D> {
         self.functional = functional;
     }
 
+    /// Whether operations compute and move real bytes
+    /// ([`Nvdla::set_functional`]).
+    #[must_use]
+    pub fn functional(&self) -> bool {
+        self.functional
+    }
+
     /// Direct access to the DBB port (backdoor).
     pub fn dbb_mut(&mut self) -> &mut D {
         &mut self.dbb
+    }
+
+    /// The DBB port, borrowed (for its statistics).
+    #[must_use]
+    pub fn dbb(&self) -> &D {
+        &self.dbb
     }
 
     /// Cycle at which all outstanding operations complete (`now` if

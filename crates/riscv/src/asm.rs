@@ -61,10 +61,16 @@ impl Image {
         self.base
     }
 
-    /// The raw little-endian bytes.
+    /// The raw little-endian bytes, copied.
     #[must_use]
     pub fn bytes(&self) -> Vec<u8> {
         self.data.clone()
+    }
+
+    /// The raw little-endian bytes, borrowed.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.data
     }
 
     /// Size in bytes.

@@ -88,7 +88,7 @@ impl SplitMix64 {
 /// step: fingerprinting even a ~100 MB model costs tens of
 /// milliseconds, far below the compilations and simulated inferences
 /// the fingerprints gate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fnv(u64);
 
 impl Default for Fnv {

@@ -469,6 +469,13 @@ fn cmd_run(args: &[String]) -> Result<(), AnyError> {
             cache_stats.hits, cache_stats.misses, elided_polls,
         );
     }
+    if obs.wants_metrics() {
+        // Host work, not modeled traffic: what the DRAM model really
+        // copied and zeroed over all the runs above.
+        let work = soc.dram_work();
+        metrics.counter("work.dram_bytes_copied", work.bytes_copied);
+        metrics.counter("work.dram_bytes_zeroed", work.bytes_zeroed);
+    }
     obs.write(soc_hz, &metrics)?;
     Ok(())
 }

@@ -110,11 +110,78 @@ fn timing_only_keeps_the_functional_books_fp16_nv_full() {
     );
 }
 
+/// Host work of a timing-only frame follows its bursts, never its
+/// model's bytes — pinned on exact byte counters instead of a timer. A
+/// warm frame copies its input in and nothing else (every DMA burst is
+/// length-only; the generated firmware's loads and stores all go to CSB
+/// registers, none to DRAM), and its reset zeroes exactly what the
+/// previous frame's data writes stored: that frame's input. So does a
+/// timing-only, unlogged VP replay, which preloads no weights and reads
+/// its output back with a borrowing `peek`. The functional twins carry
+/// operands, results and (the VP) the weight image: strictly more.
+fn assert_timing_only_frame_moves_only_its_input(
+    functional: SocConfig,
+    timing_only: SocConfig,
+    mut opt: CompileOptions,
+) {
+    let net = Model::LeNet5.build(11);
+    opt.calib_inputs = 1;
+    let artifacts = compile(&net, &opt).expect("compile");
+    let fw = Firmware::build(&artifacts).expect("fw");
+    let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 100));
+    let input_len = artifacts.input_len as u64;
+    assert!(artifacts.weights.total_bytes() as u64 > 100 * input_len);
+
+    let warm_frame_work = |config: SocConfig| {
+        let mut soc = Soc::new(config);
+        soc.load_artifacts(&artifacts).expect("preload");
+        soc.run_firmware(&artifacts, &bytes, &fw).expect("warm-up");
+        let before = soc.dram_work();
+        soc.run_firmware(&artifacts, &bytes, &fw).expect("warm");
+        let after = soc.dram_work();
+        (
+            after.bytes_copied - before.bytes_copied,
+            after.bytes_zeroed - before.bytes_zeroed,
+        )
+    };
+    assert_eq!(warm_frame_work(timing_only.clone()), (input_len, input_len));
+    let (copied, zeroed) = warm_frame_work(functional.clone());
+    assert!(copied > input_len && zeroed > input_len);
+
+    let vp_work = |is_functional: bool| {
+        let mut vp = VirtualPlatform::new(timing_only.hw.clone(), 16 << 20);
+        vp.set_functional(is_functional);
+        vp.run(&artifacts, &bytes, false).expect("VP replays");
+        vp.nvdla().dbb().inner().work()
+    };
+    assert_eq!(vp_work(false).bytes_copied, input_len);
+    assert!(vp_work(true).bytes_copied > input_len + artifacts.weights.total_bytes() as u64);
+}
+
+#[test]
+fn timing_only_frame_moves_only_its_input_int8_nv_small() {
+    assert_timing_only_frame_moves_only_its_input(
+        SocConfig::zcu102_nv_small(),
+        SocConfig::zcu102_timing_only(),
+        CompileOptions::int8(),
+    );
+}
+
+#[test]
+fn timing_only_frame_moves_only_its_input_fp16_nv_full() {
+    assert_timing_only_frame_moves_only_its_input(
+        SocConfig::zcu102_nv_full(),
+        SocConfig::zcu102_nv_full_timing_only(),
+        CompileOptions::fp16(),
+    );
+}
+
 #[test]
 fn timing_only_frames_leave_every_resident_image_resident() {
-    // Length-only writes mark the same extents dirty as the data writes
-    // they stand for, so the reset between frames sees the same (absent)
-    // clobbers: two pinned images stay pinned across timing-only frames.
+    // Length-only writes enter the DRAM's run tracker exactly like the
+    // data writes they stand for, so the reset between frames sees the
+    // same (absent) clobbers: two pinned images stay pinned across
+    // timing-only frames.
     let mut opt = CompileOptions::int8();
     opt.calib_inputs = 1;
     let nets = [Model::LeNet5.build(1), Model::LeNet5.build(2)];
@@ -188,24 +255,39 @@ fn alternating_models_on_one_soc_stays_deterministic() {
 fn same_layout_different_weights_is_not_resident() {
     // zoo builds from different seeds share the model name and the
     // exact segment layout; the resident check must see the weight
-    // bytes, or a warm run would silently reuse stale weights.
+    // bytes, or a warm run would silently reuse stale weights. The
+    // check is O(1) on a fingerprint the image folds as it is built, so
+    // the second image is also tried rebuilt from its `.bin` — a path
+    // that never went through the compiler's `push` calls.
+    use rvnv_compiler::layout::WeightImage;
+    let rebuilt = |a: &Artifacts| {
+        let mut b = a.clone();
+        b.weights = WeightImage::from_bin(&a.weights.to_bin()).expect("parse");
+        b
+    };
     let mut opt = CompileOptions::int8();
     opt.calib_inputs = 1;
     let a1 = compile(&Model::LeNet5.build(1), &opt).expect("seed 1");
     let a2 = compile(&Model::LeNet5.build(2), &opt).expect("seed 2");
     let input = Tensor::random(Model::LeNet5.build(1).input_shape(), 4);
-
-    let mut soc = Soc::new(SocConfig::zcu102_nv_small());
-    soc.run_inference(&a1, &input).expect("seed-1 run");
-    assert!(
-        !soc.is_resident(&a2),
-        "different weights must not look resident"
-    );
-    let warm = soc.run_inference(&a2, &input).expect("seed-2 run");
     let mut fresh = Soc::new(SocConfig::zcu102_nv_small());
     let truth = fresh.run_inference(&a2, &input).expect("ground truth");
-    assert_eq!(warm.raw_output, truth.raw_output, "no stale weights used");
-    assert_eq!(warm.cycles, truth.cycles);
+
+    for other in [a2.clone(), rebuilt(&a2)] {
+        let mut soc = Soc::new(SocConfig::zcu102_nv_small());
+        soc.run_inference(&a1, &input).expect("seed-1 run");
+        assert!(
+            soc.is_resident(&rebuilt(&a1)),
+            "identity is content, not provenance"
+        );
+        assert!(
+            !soc.is_resident(&other),
+            "different weights must not look resident"
+        );
+        let warm = soc.run_inference(&other, &input).expect("seed-2 run");
+        assert_eq!(warm.raw_output, truth.raw_output, "no stale weights used");
+        assert_eq!(warm.cycles, truth.cycles);
+    }
 }
 
 #[test]
