@@ -1311,7 +1311,7 @@ mod tests {
         let result = soc.run_inference(&artifacts, &input).unwrap();
         let ms = result.latency_ms(soc.config().soc_hz);
         // Paper: 4.8 ms. Same order of magnitude is the claim we check
-        // in tests; EXPERIMENTS.md records the exact measured value.
+        // in tests; the paper printer's Table II shows the exact value.
         assert!(
             (0.5..50.0).contains(&ms),
             "LeNet-5 {ms:.2} ms vs paper 4.8 ms"

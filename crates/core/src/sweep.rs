@@ -3,7 +3,7 @@
 //! Sweep points are independent — each worker owns its SoC or virtual
 //! platform — so the only shared state a sweep needs is a work index.
 //! [`fan_out`] is that one pattern, used by `rv-nvdla sweep`, the
-//! `config_explorer` example and the `sweep_8pt` bench, so fixes to the
+//! `config_explorer` example and the benchmark's sweep rows, so fixes to the
 //! fan-out (ordering, panic behavior) live in exactly one place.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

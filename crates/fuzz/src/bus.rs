@@ -27,7 +27,7 @@
 //! The dirty extents are *not* part of that agreement: a length-only
 //! write stores nothing, so it marks nothing for the next reset to
 //! zero. Each run is instead held to the mirror's model of what an
-//! all-data run marks ([`Residency::written`]): the device's dirty set
+//! all-data run marks (`Residency::written`): the device's dirty set
 //! is a subset of it, every byte in the difference is zero, and after
 //! every reset the whole device equals the shadow — zero outside the
 //! surviving images.

@@ -1,7 +1,9 @@
-//! CLI contract tests for degenerate inputs: a nonsensical request
-//! must exit nonzero with an error that names the offending flag and
-//! what a valid value looks like — never be silently clamped to
-//! something runnable (`--frames 0` used to become `--frames 1`).
+//! CLI contract tests. Degenerate inputs: a nonsensical request must
+//! exit nonzero with an error that names the offending flag and what a
+//! valid value looks like — never be silently clamped to something
+//! runnable (`--frames 0` used to become `--frames 1`). Smoke: every
+//! subcommand runs and prints the lines a reader looks for. Golden
+//! reports: six serve/fleet command lines, byte for byte.
 
 use std::process::Command;
 
@@ -503,6 +505,200 @@ fn run_repeat_reports_block_cache_counters() {
         cache_line.contains("0 misses"),
         "a warm run must replay without decoding: {cache_line}"
     );
+}
+
+/// Run a command that must succeed; return its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let (ok, stdout) = rv_nvdla_stdout(args);
+    assert!(
+        ok,
+        "`rv-nvdla {}` must succeed, got:\n{stdout}",
+        args.join(" ")
+    );
+    stdout
+}
+
+#[test]
+fn run_sweep_and_batch_reject_unknown_flags() {
+    assert_rejects(
+        &["run", "lenet5", "--bogus"],
+        &["unknown flag `--bogus`", "--timing-only"],
+    );
+    assert_rejects(
+        &["sweep", "lenet5", "--timingonly"],
+        &["unknown flag `--timingonly`", "--clocks"],
+    );
+    assert_rejects(
+        &["batch", "--models", "lenet5", "--frame", "2"],
+        &["unknown flag `--frame`", "--frames"],
+    );
+}
+
+/// The listings: the zoo, and Table I's resource model with the paper's
+/// finding that only `nv_small` fits the ZCU102.
+#[test]
+fn models_and_resources_list_the_zoo_and_the_fit() {
+    let models = stdout_of(&["models"]);
+    for name in [
+        "LeNet-5",
+        "ResNet-18",
+        "ResNet-50",
+        "MobileNet",
+        "GoogleNet",
+        "AlexNet",
+    ] {
+        assert!(models.contains(name), "missing {name}:\n{models}");
+    }
+    let resources = stdout_of(&["resources"]);
+    let fits = |class: &str| {
+        let line = resources
+            .lines()
+            .find(|l| l.starts_with(class))
+            .unwrap_or_else(|| panic!("no {class} line:\n{resources}"));
+        line.ends_with("fits ZCU102: true")
+    };
+    assert!(fits("nv_small") && !fits("nv_full"), "{resources}");
+}
+
+/// `compile --out` writes the paper's four offline artifacts.
+#[test]
+fn compile_out_writes_config_weights_assembly_and_image() {
+    let dir = std::env::temp_dir().join(format!("rvnv-compile-{}", std::process::id()));
+    stdout_of(&["compile", "lenet5", "--out", dir.to_str().expect("utf-8")]);
+    for file in ["lenet5.cfg", "lenet5_weights.bin", "lenet5.s", "lenet5.mem"] {
+        let len = std::fs::metadata(dir.join(file))
+            .unwrap_or_else(|e| panic!("{file} not written: {e}"))
+            .len();
+        assert!(len > 0, "{file} is empty");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sweep_prints_one_row_per_clock() {
+    let out = stdout_of(&[
+        "sweep",
+        "lenet5",
+        "--clocks",
+        "50,100,200",
+        "--threads",
+        "2",
+    ]);
+    for mhz in ["50 MHz", "100 MHz", "200 MHz"] {
+        assert!(out.contains(mhz), "missing the {mhz} row:\n{out}");
+    }
+}
+
+/// Multi-model residency round trips: both serial policies on worker
+/// threads, a functional drain, and the pipelined preload — including
+/// `eff`, the policy that only exists under contention.
+#[test]
+fn batch_drains_in_every_mode() {
+    for args in [
+        &[
+            "--models",
+            "lenet5,resnet18",
+            "--frames",
+            "6",
+            "--policy",
+            "rr",
+            "--threads",
+            "2",
+        ][..],
+        &[
+            "--models",
+            "lenet5,resnet18",
+            "--frames",
+            "4",
+            "--policy",
+            "sqf",
+        ],
+        &["--models", "lenet5", "--frames", "2", "--functional"],
+        &[
+            "--models",
+            "lenet5,resnet18",
+            "--frames",
+            "6",
+            "--policy",
+            "eff",
+            "--pipeline",
+        ],
+        &[
+            "--models",
+            "lenet5,resnet18",
+            "--frames",
+            "4",
+            "--policy",
+            "rr",
+            "--pipeline",
+            "--functional",
+        ],
+    ] {
+        let mut argv = vec!["batch"];
+        argv.extend(args);
+        let out = stdout_of(&argv);
+        assert!(out.contains("total:"), "`{}`:\n{out}", argv.join(" "));
+    }
+}
+
+/// The human-readable reports of a chaos serve and a heterogeneous
+/// fleet (their `--json` twins are pinned by the golden digests below).
+#[test]
+fn serve_and_fleet_print_their_tables() {
+    let serve = stdout_of(&[
+        "serve",
+        "--models",
+        "lenet5,resnet18",
+        "--rate",
+        "150",
+        "--duration",
+        "200",
+        "--seed",
+        "42",
+        "--workers",
+        "2",
+        "--timeout-us",
+        "10000",
+        "--retries",
+        "2",
+        "--faults",
+        "seed=7,flips=30000,errors=60000,spikes=30000,spike-us=2000,hangs=15000,crashes=15000",
+    ]);
+    for needle in ["p99", "total", "faults:", "replay divergence 0"] {
+        assert!(serve.contains(needle), "serve lacks {needle:?}:\n{serve}");
+    }
+    let fleet = stdout_of(&[
+        "fleet",
+        "--models",
+        "lenet5,resnet18",
+        "--pools",
+        "nv_small:workers=2;nv_full:workers=1",
+        "--route",
+        "model-affinity",
+        "--shape",
+        "diurnal",
+        "--rate",
+        "250",
+        "--duration",
+        "200",
+        "--seed",
+        "42",
+    ]);
+    for needle in ["nv_small", "nv_full", "p99", "divergence 0"] {
+        assert!(fleet.contains(needle), "fleet lacks {needle:?}:\n{fleet}");
+    }
+}
+
+#[test]
+fn validation_traces_pass() {
+    let out = stdout_of(&["traces"]);
+    for name in ["sanity", "convolution", "memory"] {
+        assert!(
+            out.lines()
+                .any(|l| l.starts_with(&format!("trace {name}")) && l.contains("PASS")),
+            "trace {name} must pass:\n{out}"
+        );
+    }
 }
 
 /// FNV-1a digest of a byte stream, as 16 hex digits.

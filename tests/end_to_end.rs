@@ -199,6 +199,24 @@ fn fused_and_unfused_agree_functionally() {
     );
 }
 
+/// Table II's "Layers" column is the unfused hardware-op count (the
+/// paper's 9 / 86 / 228), not the DAG node count: pin what the paper
+/// printer shows for it on Table II's configuration — INT8, unfused,
+/// timing-only.
+#[test]
+fn table2_layers_are_unfused_hardware_ops() {
+    for (model, ops) in [(zoo::Model::LeNet5, 11), (zoo::Model::ResNet18, 88)] {
+        let net = model.build(1);
+        let mut opt = CompileOptions::int8().unfused();
+        opt.calib_inputs = 1;
+        let artifacts = compile(&net, &opt).expect("compile");
+        let mut soc = Soc::new(SocConfig::zcu102_timing_only());
+        let input = Tensor::random(net.input_shape(), 7);
+        let result = soc.run_inference(&artifacts, &input).expect("inference");
+        assert_eq!(result.nvdla.total_ops(), ops, "{}", model.name());
+    }
+}
+
 #[test]
 fn resnet18_int8_runs_functionally_on_the_soc() {
     let net = zoo::resnet18_cifar(3);

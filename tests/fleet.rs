@@ -198,6 +198,7 @@ proptest! {
         prop_assert!(p.workers_low >= 1, "never scales to zero");
         prop_assert!(p.workers_high <= workers + headroom, "never exceeds max");
         prop_assert!(p.workers_low <= p.workers_high);
+        prop_assert!(p.workers_high >= p.workers_start, "the envelope includes the start");
         prop_assert!(
             (p.workers_low..=p.workers_high).contains(&p.workers_final),
             "final count within the observed envelope"
