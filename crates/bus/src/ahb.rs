@@ -105,13 +105,13 @@ impl<T: Target> Target for AhbPort<T> {
 
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         // An AHB block transfer is an INCR burst: one NONSEQ + SEQ beats.
-        self.last_addr = None;
-        let beats = (payload.len() as u64).div_ceil(4);
-        let done = self
-            .downstream
-            .burst(addr, payload, now + Self::NONSEQ_COST)?;
-        self.stats.transfers += beats;
-        Ok(done)
+        payload.walk(addr, now, |a, p, t| {
+            self.last_addr = None;
+            let beats = (p.len() as u64).div_ceil(4);
+            let done = self.downstream.burst(a, p, t + Self::NONSEQ_COST)?;
+            self.stats.transfers += beats;
+            Ok(done)
+        })
     }
 }
 

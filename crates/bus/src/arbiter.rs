@@ -9,9 +9,7 @@
 //! paper's tightly-coupled design minimizes (the core is parked in a
 //! register poll loop while NVDLA streams weights).
 
-use std::collections::BTreeMap;
-
-use crate::{BusError, Cycle, MasterId, Payload, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, Hop, MasterId, Payload, Request, Reset, Response, Target};
 
 /// Per-master contention statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,28 +29,78 @@ pub struct PortStats {
 #[derive(Debug)]
 pub struct Arbiter<T> {
     downstream: T,
+    grants: Grants,
+}
+
+/// The grant timeline and per-port books: the arbiter minus the target
+/// it guards.
+#[derive(Debug, Default)]
+struct Grants {
     busy_until: Cycle,
     last_owner: Option<MasterId>,
-    stats: BTreeMap<MasterId, PortStats>,
+    /// Indexed by `MasterId as usize`.
+    stats: [PortStats; 3],
 }
+
+impl Grants {
+    /// Grant the bus: returns the cycle at which `master` may start.
+    #[inline]
+    fn grant(&mut self, master: MasterId, now: Cycle) -> Cycle {
+        let turnaround = match self.last_owner {
+            Some(prev) if prev != master => TURNAROUND,
+            _ => 0,
+        };
+        let start = now.max(self.busy_until) + turnaround;
+        let port = &mut self.stats[master as usize];
+        port.grants += 1;
+        port.wait_cycles += start - now;
+        self.last_owner = Some(master);
+        start
+    }
+
+    #[inline]
+    fn release(&mut self, master: MasterId, done: Cycle, bytes: usize) {
+        self.busy_until = self.busy_until.max(done);
+        self.stats[master as usize].bytes += bytes as u64;
+    }
+}
+
+/// One master's bursts crossing the arbiter: a grant on the way in, a
+/// release on the way out — per constituent burst of a train.
+struct Port<'a> {
+    grants: &'a mut Grants,
+    master: MasterId,
+}
+
+impl Hop for Port<'_> {
+    #[inline]
+    fn issue(&mut self, now: Cycle) -> Cycle {
+        self.grants.grant(self.master, now)
+    }
+    #[inline]
+    fn complete(&mut self, done: Cycle, bytes: usize) -> Cycle {
+        self.grants.release(self.master, done, bytes);
+        done
+    }
+}
+
+const TURNAROUND: Cycle = 1;
 
 impl<T: Target> Arbiter<T> {
     /// Bus-turnaround penalty when the granted master changes.
-    pub const TURNAROUND: Cycle = 1;
+    pub const TURNAROUND: Cycle = TURNAROUND;
 
     /// Create an arbiter in front of `downstream`.
     pub fn new(downstream: T) -> Self {
         Arbiter {
             downstream,
-            busy_until: 0,
-            last_owner: None,
-            stats: BTreeMap::new(),
+            grants: Grants::default(),
         }
     }
 
     /// Statistics for one master (zeros if it never issued a request).
     pub fn port_stats(&self, master: MasterId) -> PortStats {
-        self.stats.get(&master).copied().unwrap_or_default()
+        self.grants.stats[master as usize]
     }
 
     /// Access the arbitrated target directly (backdoor, no arbitration).
@@ -65,28 +113,12 @@ impl<T: Target> Arbiter<T> {
         self.downstream
     }
 
-    /// Grant the bus: returns the cycle at which `master` may start.
-    fn grant(&mut self, master: MasterId, now: Cycle) -> Cycle {
-        let turnaround = match self.last_owner {
-            Some(prev) if prev != master => Self::TURNAROUND,
-            _ => 0,
-        };
-        let start = now.max(self.busy_until) + turnaround;
-        let entry = self.stats.entry(master).or_default();
-        entry.grants += 1;
-        entry.wait_cycles += start - now;
-        self.last_owner = Some(master);
-        start
-    }
-
-    fn release(&mut self, master: MasterId, done: Cycle, bytes: usize) {
-        self.busy_until = self.busy_until.max(done);
-        self.stats.entry(master).or_default().bytes += bytes as u64;
-    }
-
     /// [`Target::burst`] with an explicit requesting master, for ports
     /// the blanket DBB attribution does not fit — the Zynq PS streaming
-    /// a pipelined input preload while the SoC computes.
+    /// a pipelined input preload while the SoC computes. Every
+    /// constituent burst of a train is granted and released as if
+    /// issued alone; after the first (turnaround and wait included) a
+    /// master re-issuing its own train finds the bus already its own.
     ///
     /// # Errors
     ///
@@ -98,11 +130,12 @@ impl<T: Target> Arbiter<T> {
         payload: Payload<'_>,
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        let len = payload.len();
-        let start = self.grant(master, now);
-        let done = self.downstream.burst(addr, payload, start)?;
-        self.release(master, done, len);
-        Ok(done)
+        let downstream = &mut self.downstream;
+        let mut port = Port {
+            grants: &mut self.grants,
+            master,
+        };
+        payload.through(&mut port, now, |p, t| downstream.burst(addr, p, t))
     }
 
     /// [`Arbiter::burst_as`] reading into `buf`.
@@ -117,7 +150,7 @@ impl<T: Target> Arbiter<T> {
         buf: &mut [u8],
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        self.burst_as(master, addr, Payload::Read(buf), now)
+        self.burst_as(master, addr, Payload::read(buf), now)
     }
 
     /// [`Arbiter::burst_as`] writing `buf`.
@@ -132,7 +165,7 @@ impl<T: Target> Arbiter<T> {
         buf: &[u8],
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        self.burst_as(master, addr, Payload::Write(buf), now)
+        self.burst_as(master, addr, Payload::write(buf), now)
     }
 }
 
@@ -140,18 +173,17 @@ impl<T: Reset> Reset for Arbiter<T> {
     /// Reset the grant timeline and per-port statistics, then the
     /// arbitrated target.
     fn reset(&mut self) {
-        self.busy_until = 0;
-        self.last_owner = None;
-        self.stats.clear();
+        self.grants = Grants::default();
         self.downstream.reset();
     }
 }
 
 impl<T: Target> Target for Arbiter<T> {
     fn access(&mut self, req: &Request, now: Cycle) -> Result<Response, BusError> {
-        let start = self.grant(req.master, now);
+        let start = self.grants.grant(req.master, now);
         let resp = self.downstream.access(req, start)?;
-        self.release(req.master, resp.done_at, req.size.bytes() as usize);
+        self.grants
+            .release(req.master, resp.done_at, req.size.bytes() as usize);
         Ok(resp)
     }
 

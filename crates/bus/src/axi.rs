@@ -137,12 +137,14 @@ impl<T: Target> Target for AxiPort<T> {
     }
 
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
-        let len = payload.len();
-        let done = self.downstream.burst(addr, payload, now)?;
-        self.record(len);
-        // Protocol streaming and memory streaming overlap; the burst takes
-        // whichever is longer.
-        Ok(done.max(now + self.protocol_cycles(len)))
+        payload.walk(addr, now, |a, p, t| {
+            let len = p.len();
+            let done = self.downstream.burst(a, p, t)?;
+            self.record(len);
+            // Protocol streaming and memory streaming overlap; the burst
+            // takes whichever is longer.
+            Ok(done.max(t + self.protocol_cycles(len)))
+        })
     }
 }
 

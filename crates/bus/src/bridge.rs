@@ -112,8 +112,10 @@ impl<T: Target> Target for AhbToAxi<T> {
     }
 
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
-        self.crossings += 1;
-        self.axi.burst(addr, payload, now + Self::FIFO)
+        payload.walk(addr, now, |a, p, t| {
+            self.crossings += 1;
+            self.axi.burst(a, p, t + Self::FIFO)
+        })
     }
 }
 

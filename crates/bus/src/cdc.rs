@@ -6,16 +6,88 @@
 //! domain, adds a synchronizer latency on each crossing, and rescales the
 //! completion time back.
 
-use crate::{BusError, Cycle, Payload, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, Hop, Payload, Request, Reset, Response, Target};
 
 /// A frequency-translating bridge between two clock domains.
 #[derive(Debug)]
 pub struct ClockCrossing<T> {
     downstream: T,
-    master_hz: u64,
-    slave_hz: u64,
+    ratio: Ratio,
     sync_cycles: Cycle,
     crossings: u64,
+}
+
+/// The slave/master frequency ratio in lowest terms: the conversions
+/// run in `u64` and widen to `u128` only when the product overflows.
+/// Reducing the fraction changes no result — `t·S/M` and `t·s/m` are
+/// the same rational — it only keeps the product small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ratio {
+    slave: u64,
+    master: u64,
+}
+
+impl Ratio {
+    fn new(master_hz: u64, slave_hz: u64) -> Self {
+        let g = gcd(master_hz, slave_hz);
+        Ratio {
+            slave: slave_hz / g,
+            master: master_hz / g,
+        }
+    }
+
+    /// `floor(t · slave_hz / master_hz)`.
+    #[inline]
+    fn to_slave(self, t: Cycle) -> Cycle {
+        match t.checked_mul(self.slave) {
+            Some(x) if self.master == 1 => x,
+            Some(x) => x / self.master,
+            None => (u128::from(t) * u128::from(self.slave) / u128::from(self.master)) as Cycle,
+        }
+    }
+
+    /// `ceil(t · master_hz / slave_hz)`.
+    #[inline]
+    fn to_master(self, t: Cycle) -> Cycle {
+        match t.checked_mul(self.master) {
+            Some(x) if self.slave == 1 => x,
+            Some(x) => x.div_ceil(self.slave),
+            None => {
+                (u128::from(t) * u128::from(self.master)).div_ceil(u128::from(self.slave)) as Cycle
+            }
+        }
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// A burst's two crossings: out to the slave domain behind the
+/// synchronizer, and its completion back. Per constituent burst of a
+/// train, so every burst of a train rounds exactly as it would alone.
+struct Crossing<'a> {
+    ratio: Ratio,
+    sync: Cycle,
+    crossings: &'a mut u64,
+    /// Master-domain cycle the latest burst arrived at.
+    issued: Cycle,
+}
+
+impl Hop for Crossing<'_> {
+    #[inline]
+    fn issue(&mut self, now: Cycle) -> Cycle {
+        *self.crossings += 1;
+        self.issued = now;
+        self.ratio.to_slave(now) + self.sync
+    }
+    #[inline]
+    fn complete(&mut self, done: Cycle, _bytes: usize) -> Cycle {
+        self.ratio.to_master(done + self.sync).max(self.issued + 1)
+    }
 }
 
 impl<T: Target> ClockCrossing<T> {
@@ -30,8 +102,7 @@ impl<T: Target> ClockCrossing<T> {
         assert!(master_hz > 0 && slave_hz > 0, "frequencies must be nonzero");
         ClockCrossing {
             downstream,
-            master_hz,
-            slave_hz,
+            ratio: Ratio::new(master_hz, slave_hz),
             sync_cycles,
             crossings: 0,
         }
@@ -46,15 +117,13 @@ impl<T: Target> ClockCrossing<T> {
     /// Convert a master-domain time to the slave domain (floor).
     #[must_use]
     pub fn to_slave(&self, master_cycle: Cycle) -> Cycle {
-        ((u128::from(master_cycle) * u128::from(self.slave_hz)) / u128::from(self.master_hz))
-            as Cycle
+        self.ratio.to_slave(master_cycle)
     }
 
     /// Convert a slave-domain time to the master domain (ceiling).
     #[must_use]
     pub fn to_master(&self, slave_cycle: Cycle) -> Cycle {
-        ((u128::from(slave_cycle) * u128::from(self.master_hz)).div_ceil(u128::from(self.slave_hz)))
-            as Cycle
+        self.ratio.to_master(slave_cycle)
     }
 
     /// Number of transactions that crossed domains.
@@ -73,13 +142,15 @@ impl<T: Target> ClockCrossing<T> {
         &mut self.downstream
     }
 
-    fn outbound(&mut self, now: Cycle) -> Cycle {
-        self.crossings += 1;
-        self.to_slave(now) + self.sync_cycles
-    }
-
-    fn inbound(&self, done_slave: Cycle) -> Cycle {
-        self.to_master(done_slave + self.sync_cycles)
+    /// The crossing's hop and the slave-domain target, borrowed apart.
+    fn split(&mut self) -> (Crossing<'_>, &mut T) {
+        let hop = Crossing {
+            ratio: self.ratio,
+            sync: self.sync_cycles,
+            crossings: &mut self.crossings,
+            issued: 0,
+        };
+        (hop, &mut self.downstream)
     }
 }
 
@@ -94,18 +165,17 @@ impl<T: Reset> Reset for ClockCrossing<T> {
 
 impl<T: Target> Target for ClockCrossing<T> {
     fn access(&mut self, req: &Request, now: Cycle) -> Result<Response, BusError> {
-        let t = self.outbound(now);
-        let resp = self.downstream.access(req, t)?;
+        let (mut hop, downstream) = self.split();
+        let resp = downstream.access(req, hop.issue(now))?;
         Ok(Response {
             data: resp.data,
-            done_at: self.inbound(resp.done_at).max(now + 1),
+            done_at: hop.complete(resp.done_at, req.size.bytes() as usize),
         })
     }
 
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
-        let t = self.outbound(now);
-        let done = self.downstream.burst(addr, payload, t)?;
-        Ok(self.inbound(done).max(now + 1))
+        let (mut hop, downstream) = self.split();
+        payload.through(&mut hop, now, |p, t| downstream.burst(addr, p, t))
     }
 }
 
@@ -113,6 +183,7 @@ impl<T: Target> Target for ClockCrossing<T> {
 mod tests {
     use super::*;
     use crate::sram::Sram;
+    use rvnv_util::SplitMix64;
 
     #[test]
     fn slow_slave_cycles_cost_more_master_cycles() {
@@ -131,6 +202,35 @@ mod tests {
             let back = c.to_master(c.to_slave(t));
             assert!(back <= t + 3, "round trip close: {t} -> {back}");
             assert!(c.to_slave(t) <= t);
+        }
+    }
+
+    /// The reduced `u64` conversions are the `u128` formulas on the raw
+    /// frequencies, bit for bit: at the edges (0, `u64::MAX`, products
+    /// just either side of overflow) and at random cycles for the clock
+    /// sweep's 50–250 MHz SoC against the 100 MHz DDR, both ways round.
+    #[test]
+    fn reduced_conversions_equal_the_u128_formulas() {
+        let slave = |t: u64, m: u64, s: u64| (u128::from(t) * u128::from(s) / u128::from(m)) as u64;
+        let master =
+            |t: u64, m: u64, s: u64| (u128::from(t) * u128::from(m)).div_ceil(u128::from(s)) as u64;
+        let mhz = [50, 100, 150, 200, 250, 300, 333];
+        let mut rng = SplitMix64::new(0xCDC);
+        for &a in &mhz {
+            for (m, s) in [(a * 1_000_000, 100_000_000), (100_000_000, a * 1_000_000)] {
+                let c = ClockCrossing::new(Sram::new(4), m, s, 0);
+                let mut ts = vec![0, 1, 2, 3, u64::MAX, u64::MAX - 1, u64::MAX / 2];
+                for k in [1u64, 2, 3, 5, 7, 100, 1_000_000] {
+                    let edge = u64::MAX / k;
+                    ts.extend([edge, edge.saturating_add(1), edge.saturating_sub(1)]);
+                }
+                ts.extend((0..200).map(|_| rng.next_u64()));
+                ts.extend((0..200).map(|_| rng.next_u64() >> 20));
+                for t in ts {
+                    assert_eq!(c.to_slave(t), slave(t, m, s), "to_slave({t}) at {m}/{s}");
+                    assert_eq!(c.to_master(t), master(t, m, s), "to_master({t}) at {m}/{s}");
+                }
+            }
         }
     }
 

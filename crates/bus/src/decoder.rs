@@ -150,8 +150,11 @@ impl Target for SystemBus {
     }
 
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
-        let (region, local) = self.route(addr, payload.len())?;
-        region.target.burst(local, payload, now)
+        // Each constituent burst decodes on its own, as a walk would.
+        payload.walk(addr, now, |a, p, t| {
+            let (region, local) = self.route(a, p.len())?;
+            region.target.burst(local, p, t)
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! what makes large weight DMAs cheap per byte while keeping scattered
 //! CPU accesses expensive — the behaviour the paper's Table II depends on.
 
-use crate::{AccessKind, BusError, Cycle, Payload, Request, Reset, Response, Target};
+use crate::{AccessKind, BusError, Cycle, Data, Payload, Request, Reset, Response, Target};
 
 /// A sorted set of disjoint half-open byte ranges, coalescing
 /// overlapping or touching neighbours on insert.
@@ -162,41 +162,6 @@ impl DramTiming {
             bytes_per_beat: 4,
         }
     }
-
-    /// Memory-clock cycles a burst of `len` bytes at `addr` takes on an
-    /// **uncontended** device: controller + CAS overhead, row activates
-    /// (tracked against the caller-held `open_row` register, so a chunk
-    /// sequence models row hits across chunks exactly like the device),
-    /// then one data beat per cycle.
-    ///
-    /// This is the same arithmetic [`Dram`] charges when nothing else is
-    /// queued — a pure function the pipelined frame scheduler uses to
-    /// account an input preload without touching device state
-    /// (`dram_quiet_burst_matches_model` pins the equivalence).
-    #[must_use]
-    pub fn burst_cycles_tracked(&self, open_row: &mut Option<u32>, addr: u32, len: usize) -> Cycle {
-        let mut cycles = self.controller + self.cas;
-        let first = addr / self.row_bytes;
-        let last = (addr + len.max(1) as u32 - 1) / self.row_bytes;
-        for row in first..=last {
-            if *open_row != Some(row) {
-                cycles += if open_row.is_some() {
-                    self.rp + self.rcd
-                } else {
-                    self.rcd
-                };
-                *open_row = Some(row);
-            }
-        }
-        cycles + (len as u64).div_ceil(u64::from(self.bytes_per_beat))
-    }
-
-    /// [`DramTiming::burst_cycles_tracked`] from the post-reset state
-    /// (no open row).
-    #[must_use]
-    pub fn burst_cycles(&self, addr: u32, len: usize) -> Cycle {
-        self.burst_cycles_tracked(&mut None, addr, len)
-    }
 }
 
 impl Default for DramTiming {
@@ -224,12 +189,13 @@ pub struct DramStats {
     pub busy_cycles: u64,
 }
 
-/// Host work the model itself performed on its backing store: bytes it
-/// really moved, as opposed to the modeled traffic [`DramStats`] counts.
-/// Cumulative over the device's lifetime — [`Reset::reset`] adds to it
-/// and never clears it — and deliberately outside `DramStats`, which a
-/// length-only burst must keep equal to the data burst it stands for
-/// while moving none of these bytes.
+/// Host work the model itself performed: bytes it really moved, as
+/// opposed to the modeled traffic [`DramStats`] counts, and how often
+/// it entered its burst loop. Cumulative over the device's lifetime —
+/// [`Reset::reset`] adds to it and never clears it — and deliberately
+/// outside `DramStats`, which a length-only burst (or a train) must
+/// keep equal to the data burst (or the walk) it stands for while
+/// doing none of this work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramWork {
     /// Bytes copied into or out of the backing store (backdoor loads,
@@ -237,16 +203,156 @@ pub struct DramWork {
     pub bytes_copied: u64,
     /// Bytes zeroed by resets and image evictions.
     pub bytes_zeroed: u64,
+    /// Entries into the burst loop: a train counts once however many
+    /// bursts it carries; a walked transfer (an armed fault plan, a
+    /// train that runs off the end) counts once per burst.
+    pub walks: u64,
+}
+
+/// A DRAM's timing state — open row, busy-until and the [`DramStats`]
+/// they produce — without its storage. [`Dram`] charges every beat and
+/// burst through one; on its own it is the quiet model of the device:
+/// a train on a fresh timeline costs what it costs a just-reset DRAM,
+/// computed by the same loop (reads return zeros, nothing is stored,
+/// and there is no end to run off).
+#[derive(Debug, Clone)]
+pub struct DramTimeline {
+    timing: DramTiming,
+    open_row: Option<u32>,
+    busy_until: Cycle,
+    stats: DramStats,
+}
+
+impl DramTimeline {
+    /// A timeline in the post-reset state: no open row, idle, no stats.
+    #[must_use]
+    pub fn new(timing: DramTiming) -> Self {
+        DramTimeline {
+            timing,
+            open_row: None,
+            busy_until: 0,
+            stats: DramStats::default(),
+        }
+    }
+
+    fn row_of(&self, addr: u32) -> u32 {
+        addr / self.timing.row_bytes
+    }
+
+    /// Data beats a burst of `len` bytes streams.
+    fn beats(&self, len: usize) -> Cycle {
+        (len as u64).div_ceil(u64::from(self.timing.bytes_per_beat))
+    }
+
+    /// Cycles to open `row` (0 on a hit), updating the open-row state.
+    fn row_latency(&mut self, row: u32) -> Cycle {
+        if self.open_row == Some(row) {
+            self.stats.row_hits += 1;
+            0
+        } else {
+            let penalty = if self.open_row.is_some() {
+                self.timing.rp + self.timing.rcd
+            } else {
+                self.timing.rcd
+            };
+            self.open_row = Some(row);
+            self.stats.row_misses += 1;
+            penalty
+        }
+    }
+
+    /// Serialize a request on the device timeline starting not before
+    /// `now`, lasting `duration`; returns completion time.
+    fn occupy(&mut self, now: Cycle, duration: Cycle) -> Cycle {
+        let start = now.max(self.busy_until);
+        let done = start + duration;
+        self.busy_until = done;
+        self.stats.busy_cycles += duration;
+        done
+    }
+
+    /// One single-beat transaction of `bytes` at `addr`.
+    fn beat(&mut self, addr: u32, write: bool, bytes: u64, now: Cycle) -> Cycle {
+        let t = self.timing;
+        let duration = t.controller + t.cas + self.row_latency(self.row_of(addr)) + 1;
+        let done = self.occupy(now, duration);
+        self.stats.accesses += 1;
+        if write {
+            self.stats.bytes_written += bytes;
+        } else {
+            self.stats.bytes_read += bytes;
+        }
+        done
+    }
+
+    /// One burst of `len` bytes at `addr` arriving at `now`, `beats`
+    /// long on the data bus: the controller and CAS overhead, an
+    /// activate for each row it touches that is not open, the beats,
+    /// and a slot on the device timeline. Returns its completion.
+    #[inline(always)]
+    fn one_burst(&mut self, addr: u32, len: usize, beats: Cycle, now: Cycle) -> Cycle {
+        let t = self.timing;
+        let mut cycles = t.controller + t.cas + beats;
+        for row in self.row_of(addr)..=self.row_of(addr + len.max(1) as u32 - 1) {
+            cycles += self.row_latency(row);
+        }
+        self.stats.bursts += 1;
+        self.occupy(now, cycles)
+    }
+
+    /// Every burst of `payload`'s train, back to back: the first at
+    /// `now`, each later one when the layers above turn the previous
+    /// completion into its arrival. Returns the last burst's completion.
+    #[inline]
+    fn train(&mut self, addr: u32, payload: &mut Payload<'_>, now: Cycle) -> Cycle {
+        let (len, burst) = (payload.len(), payload.burst_bytes());
+        let full = self.beats(burst);
+        let mut done = self.one_burst(addr, burst, full, now);
+        let mut off = burst;
+        while off < len {
+            // Every burst but the last is a full one.
+            let at = payload.reissue(done, burst);
+            let n = burst.min(len - off);
+            let beats = if n == burst { full } else { self.beats(n) };
+            done = self.one_burst(addr.wrapping_add(off as u32), n, beats, at);
+            off += n;
+        }
+        if payload.is_write() {
+            self.stats.bytes_written += len as u64;
+        } else {
+            self.stats.bytes_read += len as u64;
+        }
+        done
+    }
+}
+
+impl Reset for DramTimeline {
+    fn reset(&mut self) {
+        *self = DramTimeline::new(self.timing);
+    }
+}
+
+impl Target for DramTimeline {
+    fn access(&mut self, req: &Request, now: Cycle) -> Result<Response, BusError> {
+        let done_at = self.beat(req.addr, req.is_write(), u64::from(req.size.bytes()), now);
+        Ok(Response::ack(done_at))
+    }
+
+    fn burst(
+        &mut self,
+        addr: u32,
+        mut payload: Payload<'_>,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
+        Ok(self.train(addr, &mut payload, now))
+    }
 }
 
 /// The DRAM device.
 #[derive(Debug, Clone)]
 pub struct Dram {
     data: Vec<u8>,
-    timing: DramTiming,
-    open_row: Option<u32>,
-    busy_until: Cycle,
-    stats: DramStats,
+    timeline: DramTimeline,
     work: DramWork,
     /// Extents whose bytes may be nonzero (stored to since the contents
     /// were last all-zero). A length-only write stores nothing and so
@@ -272,10 +378,7 @@ impl Dram {
     pub fn new(size: usize, timing: DramTiming) -> Self {
         Dram {
             data: vec![0; size],
-            timing,
-            open_row: None,
-            busy_until: 0,
-            stats: DramStats::default(),
+            timeline: DramTimeline::new(timing),
             work: DramWork::default(),
             dirty: RangeSet::new(),
             resident: Vec::new(),
@@ -287,7 +390,7 @@ impl Dram {
     /// The device's timing parameters.
     #[must_use]
     pub fn timing(&self) -> DramTiming {
-        self.timing
+        self.timeline.timing
     }
 
     /// 512 MB DDR4 with MIG timing — the paper's configuration.
@@ -305,15 +408,16 @@ impl Dram {
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> DramStats {
-        self.stats
+        self.timeline.stats
     }
 
     /// Reset statistics (e.g. between benchmark phases).
     pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
+        self.timeline.stats = DramStats::default();
     }
 
-    /// Host bytes moved and zeroed since construction.
+    /// Host bytes moved and zeroed, and burst-loop entries, since
+    /// construction.
     #[must_use]
     pub fn work(&self) -> DramWork {
         self.work
@@ -455,6 +559,14 @@ impl Dram {
         &self.dirty
     }
 
+    /// Extents written since residency went active, data and
+    /// length-only alike — what the next reset reads to find clobbered
+    /// images (empty while no image is resident).
+    #[must_use]
+    pub fn run_writes(&self) -> &RangeSet {
+        &self.run_writes
+    }
+
     /// Zero every byte of the given range set.
     fn zero_ranges(&mut self, ranges: &RangeSet) {
         for (s, e) in ranges.iter() {
@@ -494,29 +606,6 @@ impl Dram {
         &self.data[offset..offset + len]
     }
 
-    fn row_of(&self, addr: u32) -> u32 {
-        addr / self.timing.row_bytes
-    }
-
-    /// Cycles to open the row containing `addr` (0 on a hit) and update
-    /// the open-row state.
-    fn row_latency(&mut self, addr: u32) -> Cycle {
-        let row = self.row_of(addr);
-        if self.open_row == Some(row) {
-            self.stats.row_hits += 1;
-            0
-        } else {
-            let penalty = if self.open_row.is_some() {
-                self.timing.rp + self.timing.rcd
-            } else {
-                self.timing.rcd
-            };
-            self.open_row = Some(row);
-            self.stats.row_misses += 1;
-            penalty
-        }
-    }
-
     fn check(&self, addr: u32, len: usize) -> Result<usize, BusError> {
         let offset = addr as usize;
         if offset + len > self.data.len() {
@@ -527,30 +616,6 @@ impl Dram {
             });
         }
         Ok(offset)
-    }
-
-    /// Serialize a request on the device timeline starting not before
-    /// `now`, lasting `duration`; returns completion time.
-    fn occupy(&mut self, now: Cycle, duration: Cycle) -> Cycle {
-        let start = now.max(self.busy_until);
-        let done = start + duration;
-        self.busy_until = done;
-        self.stats.busy_cycles += duration;
-        done
-    }
-
-    fn burst_duration(&mut self, addr: u32, len: usize) -> Cycle {
-        let t = self.timing;
-        let mut cycles = t.controller + t.cas;
-        // Row activations for every row the burst touches.
-        let first_row = self.row_of(addr);
-        let last_row = self.row_of(addr + len.max(1) as u32 - 1);
-        for row in first_row..=last_row {
-            cycles += self.row_latency(row * t.row_bytes);
-        }
-        // One beat per cycle once streaming.
-        cycles += (len as u64).div_ceil(u64::from(t.bytes_per_beat));
-        cycles
     }
 }
 
@@ -604,9 +669,7 @@ impl Reset for Dram {
             self.resident = survivors;
         }
         self.run_writes.clear();
-        self.open_row = None;
-        self.busy_until = 0;
-        self.stats = DramStats::default();
+        self.timeline.reset();
     }
 }
 
@@ -620,14 +683,10 @@ impl Target for Dram {
         }
         let n = req.size.bytes() as usize;
         let offset = self.check(req.addr, n)?;
-        let t = self.timing;
-        let duration = t.controller + t.cas + self.row_latency(req.addr) + 1;
-        let done_at = self.occupy(now, duration);
-        self.stats.accesses += 1;
+        let done_at = self.timeline.beat(req.addr, req.is_write(), n as u64, now);
         self.work.bytes_copied += n as u64;
         match req.kind {
             AccessKind::Read => {
-                self.stats.bytes_read += n as u64;
                 let mut v = [0u8; 8];
                 v[..n].copy_from_slice(&self.data[offset..offset + n]);
                 Ok(Response {
@@ -636,7 +695,6 @@ impl Target for Dram {
                 })
             }
             AccessKind::Write(d) => {
-                self.stats.bytes_written += n as u64;
                 let bytes = d.to_le_bytes();
                 self.data[offset..offset + n].copy_from_slice(&bytes[..n]);
                 self.note_write(offset, n, true);
@@ -645,29 +703,39 @@ impl Target for Dram {
         }
     }
 
-    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+    /// A train that fits runs in one pass of the timeline's burst loop,
+    /// then moves its bytes with one copy and books its extent with one
+    /// write record. A train that runs off the end is decided before
+    /// anything moves and walked instead, so the bursts before the
+    /// failing one land and the error is that burst's.
+    fn burst(
+        &mut self,
+        addr: u32,
+        mut payload: Payload<'_>,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
         let len = payload.len();
-        let offset = self.check(addr, len)?;
-        let duration = self.burst_duration(addr, len);
-        let done = self.occupy(now, duration);
-        self.stats.bursts += 1;
-        if payload.is_write() {
-            self.stats.bytes_written += len as u64;
-        } else {
-            self.stats.bytes_read += len as u64;
-        }
-        match payload {
-            Payload::Read(buf) => {
+        let offset = match self.check(addr, len) {
+            Ok(offset) => offset,
+            Err(_) if payload.bursts() > 1 => {
+                return payload.walk(addr, now, |a, p, t| self.burst(a, p, t));
+            }
+            Err(e) => return Err(e),
+        };
+        self.work.walks += 1;
+        let done = self.timeline.train(addr, &mut payload, now);
+        match payload.data {
+            Data::Read(buf) => {
                 buf.copy_from_slice(&self.data[offset..offset + len]);
                 self.work.bytes_copied += len as u64;
             }
-            Payload::Write(buf) => {
+            Data::Write(buf) => {
                 self.data[offset..offset + len].copy_from_slice(buf);
                 self.work.bytes_copied += len as u64;
                 self.note_write(offset, len, true);
             }
-            Payload::Len { write: true, .. } => self.note_write(offset, len, false),
-            Payload::Len { write: false, .. } => {}
+            Data::Len { write: true, .. } => self.note_write(offset, len, false),
+            Data::Len { write: false, .. } => {}
         }
         Ok(done)
     }
@@ -1002,26 +1070,18 @@ mod tests {
             let mut buf = [0u8; 64];
             let (read, write, clobber) = if data {
                 (
-                    d.burst(0x100, Payload::Read(&mut buf), 0),
-                    d.burst(0x3000, Payload::Write(&[7; 48]), 40),
-                    d.burst(0x7FE, Payload::Write(&[7; 4]), 90),
+                    d.burst(0x100, Payload::read(&mut buf), 0),
+                    d.burst(0x3000, Payload::write(&[7; 48]), 40),
+                    d.burst(0x7FE, Payload::write(&[7; 4]), 90),
                 )
             } else {
-                let len = |len, write| Payload::Len { len, write };
                 (
-                    d.burst(0x100, len(64, false), 0),
-                    d.burst(0x3000, len(48, true), 40),
-                    d.burst(0x7FE, len(4, true), 90),
+                    d.burst(0x100, Payload::length_only(64, false), 0),
+                    d.burst(0x3000, Payload::length_only(48, true), 40),
+                    d.burst(0x7FE, Payload::length_only(4, true), 90),
                 )
             };
-            let past_end = d.burst(
-                0xFFF0,
-                Payload::Len {
-                    len: 64,
-                    write: true,
-                },
-                0,
-            );
+            let past_end = d.burst(0xFFF0, Payload::length_only(64, true), 0);
             let books = (read, write, clobber, past_end, d.stats());
             let dirty = d.dirty_extents().clone();
             let stored = d.peek(0x3000, 48).to_vec();
@@ -1130,23 +1190,58 @@ mod tests {
         assert_eq!(d.peek(0x2000, 4), &[7; 4]);
     }
 
+    /// The open-row model by hand, for a burst as the first post-reset
+    /// transaction: controller 8 + CAS 11, an activate per row touched
+    /// (RCD 11 for the first, RP + RCD 22 for each row it then
+    /// replaces), one cycle per 4-byte beat.
     #[test]
-    fn dram_quiet_burst_matches_model() {
-        // DramTiming::burst_cycles must equal what the device charges
-        // for the same burst as its first post-reset transaction.
-        let t = DramTiming::mig_ddr4();
-        for (addr, len) in [
-            (0u32, 64usize),
-            (0x100, 784),
-            (1024, 3072),
-            (2040, 16),   // straddles a row boundary
-            (4096, 4096), // several rows
-            (0, 0),
+    fn burst_timing_follows_the_open_row_model() {
+        for (addr, len, cycles) in [
+            (0u32, 64usize, 19 + 11 + 16),
+            (0x100, 784, 19 + 11 + 196),
+            (1024, 3072, 19 + 11 + 22 + 768),
+            (2040, 16, 19 + 11 + 22 + 4), // straddles a row boundary
+            (4096, 4096, 19 + 11 + 22 + 1024),
+            (0, 0, 19 + 11),
         ] {
             let mut d = small();
             let buf = vec![0xA5; len];
             let done = d.write_block(addr, &buf, 0).unwrap();
-            assert_eq!(done, t.burst_cycles(addr, len), "addr {addr:#x} len {len}");
+            assert_eq!(done, cycles, "addr {addr:#x} len {len}");
+        }
+    }
+
+    /// A train is its walk: one burst-loop entry instead of one per
+    /// burst, the same completion, statistics, contents and extents —
+    /// and a train that runs off the end lands the bursts before the
+    /// failing one and fails with that burst's error.
+    #[test]
+    fn a_train_is_its_walk_in_one_entry() {
+        for (addr, len) in [(0x7C0u32, 3000usize), (0xF000, 0x2000)] {
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8 | 1).collect();
+            let mut walked = small();
+            let mut want = Ok(0);
+            let mut t = 5;
+            for off in (0..len).step_by(128) {
+                let end = (off + 128).min(len);
+                want = walked.write_block(addr + off as u32, &bytes[off..end], t);
+                match want {
+                    Ok(done) => t = done,
+                    Err(_) => break,
+                }
+            }
+            let mut train = small();
+            let got = train.burst(addr, Payload::write(&bytes).in_bursts(128), 5);
+            assert_eq!(got, want, "addr {addr:#x}");
+            assert_eq!(train.stats(), walked.stats());
+            assert_eq!(train.dirty_extents(), walked.dirty_extents());
+            assert_eq!(train.peek(0, train.size()), walked.peek(0, walked.size()));
+            let entries = (train.work().walks, walked.work().walks);
+            if want.is_ok() {
+                assert_eq!(entries, (1, len.div_ceil(128) as u64));
+            } else {
+                assert_eq!(entries.0, entries.1, "an overrun train is walked");
+            }
         }
     }
 

@@ -34,7 +34,7 @@
 //! resets a warm SoC performs. Disarm (or re-arm) the plan explicitly
 //! to return to a pristine fault state.
 
-use crate::{BusError, Cycle, Payload, Request, Reset, Response, Target};
+use crate::{BusError, Cycle, Data, Payload, Request, Reset, Response, Target};
 
 /// One scheduled fault: at global access index `access`, apply `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,7 +302,21 @@ impl<T: Target> Target for FaultInjector<T> {
         self.inner.read_lease(addr, now)
     }
 
-    fn burst(
+    /// Disarmed, a train passes through untouched. Armed, every
+    /// constituent burst draws from the lottery once, so the train is
+    /// walked: each burst meets its own fate, and an error stops the
+    /// train there.
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        if self.plan.is_none() {
+            return self.inner.burst(addr, payload, now);
+        }
+        payload.walk(addr, now, |a, p, t| self.faulted_burst(a, p, t))
+    }
+}
+
+impl<T: Target> FaultInjector<T> {
+    /// One burst under the armed plan.
+    fn faulted_burst(
         &mut self,
         addr: u32,
         mut payload: Payload<'_>,
@@ -324,7 +338,7 @@ impl<T: Target> Target for FaultInjector<T> {
                 if !payload.is_write() {
                     self.stats.flips += 1;
                 }
-                if let Payload::Read(buf) = payload {
+                if let Data::Read(buf) = payload.data {
                     // Flip within the first 8 bytes of the burst.
                     for (b, m) in buf.iter_mut().zip(mask.to_le_bytes()) {
                         *b ^= m;
@@ -505,9 +519,9 @@ mod tests {
                 .into_iter()
                 .map(|write| {
                     let payload = match (data, write) {
-                        (true, false) => Payload::Read(&mut buf),
-                        (true, true) => Payload::Write(&[1; 16]),
-                        (false, write) => Payload::Len { len: 16, write },
+                        (true, false) => Payload::read(&mut buf),
+                        (true, true) => Payload::write(&[1; 16]),
+                        (false, write) => Payload::length_only(16, write),
                     };
                     f.burst(0, payload, 0)
                 })

@@ -55,7 +55,8 @@ pub mod sram;
 pub mod stats;
 pub mod width;
 
-pub use access::{AccessKind, AccessSize, MasterId, Payload, Request, Response};
+pub(crate) use access::Hop;
+pub use access::{AccessKind, AccessSize, Data, MasterId, Payload, Request, Response};
 pub use error::BusError;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStats};
 
@@ -101,73 +102,83 @@ pub trait Target {
         None
     }
 
-    /// Move (or, for [`Payload::Len`], only account) `payload.len()`
-    /// bytes starting at `addr` as one burst — the single block entry
-    /// point a layer overrides. [`Target::read_block`] and
-    /// [`Target::write_block`] are wrappers over it.
+    /// Move (or, for [`Data::Len`], only account) `payload.len()` bytes
+    /// starting at `addr` as the payload's train of back-to-back bursts
+    /// — the single block entry point a layer overrides; a single burst
+    /// is a train of one. [`Target::read_block`] and
+    /// [`Target::write_block`] are one-burst wrappers over it.
     ///
-    /// A length-only burst is the data burst minus the `memcpy`: the
-    /// completion cycle, device timeline and row state, arbiter grants,
-    /// every statistic, the fault-lottery draw and its outcome, and —
-    /// for a write — the dirty and clobber bookkeeping are identical;
-    /// only the bytes stay where they are. That is what lets a
-    /// timing-only run cost no memory bandwidth without moving a modeled
-    /// cycle or counter.
+    /// A train is the per-burst walk minus the walking: every
+    /// constituent burst's completion cycle, device timeline and row
+    /// state, arbiter grant, statistic and fault draw, and the dirty and
+    /// clobber bookkeeping are those of the master issuing the bursts
+    /// one by one, each when the previous one completes — including,
+    /// when a burst part-way fails, the bursts before it and the error.
+    /// A length-only transfer is the data transfer minus the `memcpy`:
+    /// identical in all of the above; only the bytes stay where they
+    /// are. Together they let a timing-only run cost neither memory
+    /// bandwidth nor a call per burst without moving a modeled cycle or
+    /// counter.
     ///
-    /// The default implementation issues one 32-bit beat per word;
-    /// devices with real burst support (DRAM) override this with
-    /// amortized timing. A beat cannot leave its data at home, so here a
-    /// length-only read discards each word and a length-only write
-    /// carries zeros.
+    /// The default implementation walks the train ([`Payload::walk`])
+    /// and each burst as one 32-bit beat per word; devices with real
+    /// burst support (DRAM) override this with amortized timing. A beat
+    /// cannot leave its data at home, so here a length-only read
+    /// discards each word and a length-only write carries zeros.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing beat.
-    fn burst(
-        &mut self,
-        addr: u32,
-        mut payload: Payload<'_>,
-        now: Cycle,
-    ) -> Result<Cycle, BusError> {
-        let mut t = now;
-        for off in (0..payload.len()).step_by(4) {
-            let a = addr.wrapping_add(off as u32);
-            let mut beat = payload.slice(off, 4);
-            let req = if beat.is_write() {
-                let mut word = [0u8; 4];
-                if let Payload::Write(chunk) = &beat {
-                    word[..chunk.len()].copy_from_slice(chunk);
-                }
-                Request::write(a, u64::from(u32::from_le_bytes(word)), AccessSize::Word)
-            } else {
-                Request::read(a, AccessSize::Word)
-            };
-            let r = self.access(&req, t)?;
-            if let Payload::Read(chunk) = &mut beat {
-                chunk.copy_from_slice(&(r.data as u32).to_le_bytes()[..chunk.len()]);
-            }
-            t = r.done_at;
-        }
-        Ok(t)
+    /// Propagates the first failing burst (here: beat).
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        payload.walk(addr, now, |a, p, t| beat_walk(self, a, p, t))
     }
 
-    /// Read `buf.len()` bytes starting at `addr` as a burst.
+    /// Read `buf.len()` bytes starting at `addr` as one burst.
     ///
     /// # Errors
     ///
     /// See [`Target::burst`].
     fn read_block(&mut self, addr: u32, buf: &mut [u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.burst(addr, Payload::Read(buf), now)
+        self.burst(addr, Payload::read(buf), now)
     }
 
-    /// Write `buf` starting at `addr` as a burst.
+    /// Write `buf` starting at `addr` as one burst.
     ///
     /// # Errors
     ///
     /// See [`Target::burst`].
     fn write_block(&mut self, addr: u32, buf: &[u8], now: Cycle) -> Result<Cycle, BusError> {
-        self.burst(addr, Payload::Write(buf), now)
+        self.burst(addr, Payload::write(buf), now)
     }
+}
+
+/// One burst as a sequence of 32-bit beats ([`Target::burst`]'s default).
+fn beat_walk<T: Target + ?Sized>(
+    target: &mut T,
+    addr: u32,
+    mut payload: Payload<'_>,
+    now: Cycle,
+) -> Result<Cycle, BusError> {
+    let mut t = now;
+    for off in (0..payload.len()).step_by(4) {
+        let a = addr.wrapping_add(off as u32);
+        let mut beat = payload.slice(off, 4);
+        let req = if beat.is_write() {
+            let mut word = [0u8; 4];
+            if let Data::Write(chunk) = &beat.data {
+                word[..chunk.len()].copy_from_slice(chunk);
+            }
+            Request::write(a, u64::from(u32::from_le_bytes(word)), AccessSize::Word)
+        } else {
+            Request::read(a, AccessSize::Word)
+        };
+        let r = target.access(&req, t)?;
+        if let Data::Read(chunk) = &mut beat.data {
+            chunk.copy_from_slice(&(r.data as u32).to_le_bytes()[..chunk.len()]);
+        }
+        t = r.done_at;
+    }
+    Ok(t)
 }
 
 /// Devices that can return to their power-on state **in place**, without

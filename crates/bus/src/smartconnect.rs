@@ -184,7 +184,8 @@ impl<T: Target> Target for SmartConnect<T> {
         // Bursts come from the DBB (SoC side) or PS preload; the Target
         // block API carries no master, so gate on the current owner by
         // allowing it — the SoC-level code switches ownership explicitly.
-        self.dram.burst(addr, payload, now + Self::ROUTE)
+        self.dram
+            .burst(addr, payload.delayed(Self::ROUTE), now + Self::ROUTE)
     }
 }
 

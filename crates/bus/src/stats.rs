@@ -107,18 +107,21 @@ impl<T: Target> Target for Monitor<T> {
         }
     }
 
+    /// Observes every constituent burst of a train, so walks it.
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
-        let (write, bytes) = (payload.is_write(), payload.len() as u64);
-        match self.inner.burst(addr, payload, now) {
-            Ok(done) => {
-                self.observe(write, bytes, now, done);
-                Ok(done)
+        payload.walk(addr, now, |a, p, t| {
+            let (write, bytes) = (p.is_write(), p.len() as u64);
+            match self.inner.burst(a, p, t) {
+                Ok(done) => {
+                    self.observe(write, bytes, t, done);
+                    Ok(done)
+                }
+                Err(e) => {
+                    self.stats.errors += 1;
+                    Err(e)
+                }
             }
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e)
-            }
-        }
+        })
     }
 }
 

@@ -106,8 +106,9 @@ impl<T: Target> Target for WidthConverter<T> {
 
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
         // The narrow side streams at its own width; conversion adds the
-        // packing register only.
-        self.downstream.burst(addr, payload, now + Self::PACK)
+        // packing register only, per constituent burst.
+        self.downstream
+            .burst(addr, payload.delayed(Self::PACK), now + Self::PACK)
     }
 }
 

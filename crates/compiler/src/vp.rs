@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 
 use rvnv_bus::dram::{Dram, DramTiming};
-use rvnv_bus::{BusError, Cycle, Payload, Request, Target};
+use rvnv_bus::{BusError, Cycle, Data, Payload, Request, Target};
 use rvnv_nvdla::{HwConfig, Nvdla};
 
 use crate::compile::Artifacts;
@@ -67,33 +67,43 @@ impl<T: Target> Target for DbbLogger<T> {
         Ok(resp)
     }
 
-    fn burst(
+    /// Disabled, a train passes through untouched. Enabled, every
+    /// constituent burst is logged in issue order, so the train is
+    /// walked.
+    fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
+        if !self.enabled {
+            return self.inner.burst(addr, payload, now);
+        }
+        payload.walk(addr, now, |a, p, t| self.logged_burst(a, p, t))
+    }
+}
+
+impl<T: Target> DbbLogger<T> {
+    /// One burst, logged beat by beat.
+    fn logged_burst(
         &mut self,
         addr: u32,
         mut payload: Payload<'_>,
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        if !self.enabled {
-            return self.inner.burst(addr, payload, now);
-        }
         // The log records data beats, so an enabled logger is the one
         // consumer of a length-only burst's bytes: it fetches what a
         // read would have returned, and logs the zeros a timing-only
         // engine's write stands for.
         let iswrite = payload.is_write();
         let mut stand_in = Vec::new();
-        if let Payload::Len { len, .. } = payload {
+        if let Data::Len { len, .. } = payload.data {
             stand_in = vec![0u8; len];
         }
         let done = if stand_in.is_empty() || iswrite {
             self.inner.burst(addr, payload.slice(0, usize::MAX), now)?
         } else {
-            self.inner.burst(addr, Payload::Read(&mut stand_in), now)?
+            self.inner.burst(addr, Payload::read(&mut stand_in), now)?
         };
-        let bytes: &[u8] = match &payload {
-            Payload::Read(buf) => buf,
-            Payload::Write(buf) => buf,
-            Payload::Len { .. } => &stand_in,
+        let bytes: &[u8] = match &payload.data {
+            Data::Read(buf) => buf,
+            Data::Write(buf) => buf,
+            Data::Len { .. } => &stand_in,
         };
         for (i, chunk) in bytes.chunks(8).enumerate() {
             let mut beat = [0u8; 8];

@@ -7,12 +7,12 @@ use rvnv_bus::arbiter::Arbiter;
 use rvnv_bus::bridge::{AhbToApb, AhbToAxi};
 use rvnv_bus::cdc::ClockCrossing;
 use rvnv_bus::decoder::{SystemBus, DRAM_BASE, DRAM_SIZE, NVDLA_BASE, NVDLA_SIZE};
-use rvnv_bus::dram::{Dram, DramTiming, DramWork, RangeSet};
+use rvnv_bus::dram::{Dram, DramTimeline, DramTiming, DramWork, RangeSet};
 use rvnv_bus::fault::{FaultInjector, FaultPlan, FaultStats};
 use rvnv_bus::smartconnect::{Side, SmartConnect};
 use rvnv_bus::sram::Sram;
 use rvnv_bus::width::WidthConverter;
-use rvnv_bus::{axi::AxiConfig, BusError, MasterId, Reset, Shared};
+use rvnv_bus::{axi::AxiConfig, BusError, MasterId, Payload, Reset, Shared, Target};
 use rvnv_compiler::Artifacts;
 use rvnv_nn::hash::Fnv;
 use rvnv_nn::Tensor;
@@ -31,6 +31,14 @@ use crate::firmware::Firmware;
 pub type DramPath = Shared<Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>>;
 /// The NVDLA instance with its width-converted DBB.
 pub type SocNvdla = Shared<Nvdla<WidthConverter<DramPath>>>;
+
+/// Arbiter → clock crossing → SmartConnect in front of `device`: the
+/// one definition of the DRAM path, for the SoC's fabric and for the
+/// quiet twin [`Soc::input_preload_cycles`] runs.
+fn dram_path<D: Target>(device: D, config: &SocConfig) -> Arbiter<ClockCrossing<SmartConnect<D>>> {
+    let mux = SmartConnect::new(device);
+    Arbiter::new(ClockCrossing::new(mux, config.soc_hz, config.mem_hz, 2))
+}
 
 /// Largest single burst the Zynq PS preload DMA issues (AXI bursts are
 /// bounded — 4 KB address boundary, 256 beats — and the PS DMA moves
@@ -468,9 +476,7 @@ impl Soc {
 
     fn build_fabric(config: &SocConfig) -> (DramPath, SocNvdla) {
         let ddr = FaultInjector::new(Dram::new(config.dram_bytes, config.dram_timing));
-        let mux = SmartConnect::new(ddr);
-        let cdc = ClockCrossing::new(mux, config.soc_hz, config.mem_hz, 2);
-        let dram: DramPath = Shared::new(Arbiter::new(cdc));
+        let dram: DramPath = Shared::new(dram_path(ddr, config));
         let dbb = WidthConverter::new(dram.clone(), config.hw.dbb_bytes.max(4), 4);
         let nvdla: SocNvdla = Shared::new(Nvdla::new(config.hw.clone(), dbb));
         (dram, nvdla)
@@ -652,10 +658,12 @@ impl Soc {
         self.dram.clone()
     }
 
-    /// Host bytes the DRAM model has really copied and zeroed since this
-    /// SoC was built (never cleared by resets). A timing-only frame must
-    /// move its input and nothing else, whatever the model's size —
-    /// `tests/hot_path.rs` pins that on these counters, not on timers.
+    /// Host bytes the DRAM model has really copied and zeroed, and its
+    /// burst-loop entries, since this SoC was built (never cleared by
+    /// resets). A timing-only frame must move its input and nothing
+    /// else, whatever the model's size, and enter the DRAM once per DMA
+    /// transfer, not once per burst — `tests/hot_path.rs` pins both on
+    /// these counters, not on timers.
     #[must_use]
     pub fn dram_work(&self) -> DramWork {
         self.with_dram(|d| d.work())
@@ -778,32 +786,21 @@ impl Soc {
 
     /// Modeled cycles a [`Soc::ps_stream`] of `len` bytes at `addr`
     /// takes on a **quiet** fabric (no contention, no open DRAM row),
-    /// computed without touching device state: per chunk, an arbiter
-    /// grant at issue, the clock-domain crossing out, SmartConnect
-    /// routing, the DRAM burst (row state carried across chunks), and
-    /// the crossing back. This is the input-preload cost a *serial*
-    /// frame pays on its critical path — and what a pipelined frame
-    /// hides under the previous frame's compute.
+    /// computed without touching device state: the stream's chunks run
+    /// as one PS train through a twin of the DRAM path — the same
+    /// arbiter, clock crossing and SmartConnect code, in front of a
+    /// fresh, storage-less [`DramTimeline`]. This is the input-preload
+    /// cost a *serial* frame pays on its critical path — and what a
+    /// pipelined frame hides under the previous frame's compute.
     #[must_use]
     pub fn input_preload_cycles(&self, addr: u32, len: usize) -> u64 {
-        let mut path = self.dram.lock();
-        let cdc = path.downstream_mut();
-        let sync = cdc.sync_cycles();
-        let timing = cdc.downstream_mut().dram_mut().inner().timing();
-        let mut open_row = None;
-        let mut busy_slave = 0u64;
-        let mut t = 0u64;
-        let mut offset = 0usize;
-        while offset < len {
-            let n = (len - offset).min(PS_CHUNK_BYTES);
-            let a = addr + offset as u32;
-            let start = (cdc.to_slave(t) + sync + SmartConnect::<FaultInjector<Dram>>::ROUTE)
-                .max(busy_slave);
-            busy_slave = start + timing.burst_cycles_tracked(&mut open_row, a, n);
-            t = cdc.to_master(busy_slave + sync);
-            offset += n;
+        if len == 0 {
+            return 0;
         }
-        t
+        let stream = Payload::length_only(len, true).in_bursts(PS_CHUNK_BYTES);
+        dram_path(DramTimeline::new(self.config.dram_timing), &self.config)
+            .burst_as(MasterId::ZynqPs, addr, stream, 0)
+            .expect("a storage-less timeline has no end to run off")
     }
 
     /// Chain-reset the fabric in place while keeping every resident

@@ -1,6 +1,7 @@
 //! `bus` target: seeded random programs over the SoC's composed DRAM
-//! path — `Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>`
-//! — checked against a host-side predicting mirror, the style of
+//! path — `Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>`,
+//! with the DBB's 64→32 `WidthConverter` in front — checked against a
+//! host-side predicting mirror, the style of
 //! `crates/bus/tests/fuzz_fabric.rs` made shrinkable: the program is
 //! plain data ([`BusOp`] steps), so the delete-chunk pass can drop
 //! steps and replay the remainder against a freshly-predicted mirror.
@@ -10,19 +11,19 @@
 //! shadow DRAM byte-for-byte (so do the final contents), resident
 //! images survive a reset exactly when the mirror saw no write land in
 //! them, completion times never run backwards, the arbiter/DRAM
-//! counters conserve, and a second execution of the same program
-//! produces a bit-identical event fingerprint.
+//! counters conserve burst by burst, and a second execution of the same
+//! program produces a bit-identical event fingerprint.
 //!
 //! **Length-only differential.** Every program also runs with each
-//! burst's `len_only` flag flipped — data bursts become length-only
-//! ones and the reverse. A length-only burst is the data burst minus
-//! the `memcpy`, so the two runs must agree on every completion cycle
-//! and typed error, on the arbiter port, DRAM and fault-shim counters
-//! and on which resident images survive each reset; their final
-//! contents may differ only inside burst writes, which carried bytes in
-//! exactly one of the two runs. The fault shim runs an armed
-//! latency-spike plan, so "draws from the lottery exactly once" is part
-//! of what must agree.
+//! transfer's `len_only` flag flipped — data transfers become
+//! length-only ones and the reverse. A length-only transfer is the data
+//! transfer minus the `memcpy`, so the two runs must agree on every
+//! completion cycle and typed error, on the arbiter port, DRAM and
+//! fault-shim counters and on which resident images survive each
+//! reset; their final contents may differ only inside burst writes,
+//! which carried bytes in exactly one of the two runs. With the fault
+//! shim armed (two programs in three), "draws from the lottery exactly
+//! once per burst" is part of what must agree.
 //!
 //! The dirty extents are *not* part of that agreement: a length-only
 //! write stores nothing, so it marks nothing for the next reset to
@@ -31,20 +32,38 @@
 //! is a subset of it, every byte in the difference is zero, and after
 //! every reset the whole device equals the shadow — zero outside the
 //! surviving images.
+//!
+//! **Train differential.** Every program runs once more with each
+//! block transfer walked by the harness — its constituent bursts
+//! issued one at a time, each at the previous one's completion, as a
+//! master without trains would — instead of handed down as one train.
+//! A train is the walk minus the walking, so the two runs must agree on
+//! every completion cycle and typed error (a train that runs off the
+//! end of DRAM lands the bursts before the failing one and fails with
+//! its error), on the books — port, DRAM and fault stats, clock
+//! crossings, split beats, surviving images — and, unlike the
+//! length-only swap, on the dirty and run-write extents around every
+//! reset and on the final contents. Programs run at one of the clock
+//! sweep's SoC frequencies or a random one against the 100 MHz DDR, so
+//! the crossing's rounding is exercised inside trains, and with the
+//! fault shim armed (it walks each train itself) or disarmed (the
+//! device runs the whole train in one pass).
 
-use rvnv_bus::arbiter::Arbiter;
-use rvnv_bus::arbiter::PortStats;
+use rvnv_bus::arbiter::{Arbiter, PortStats};
 use rvnv_bus::cdc::ClockCrossing;
 use rvnv_bus::dram::{Dram, DramStats, DramTiming, RangeSet};
 use rvnv_bus::fault::{FaultInjector, FaultPlan, FaultStats};
 use rvnv_bus::smartconnect::{Side, SmartConnect};
+use rvnv_bus::width::WidthConverter;
 use rvnv_bus::{AccessSize, BusError, Cycle, MasterId, Payload, Request, Reset, Target};
 use rvnv_util::mix64;
 
-use crate::gen::{self, BusOp, BUS_DRAM_BYTES};
+use crate::gen::{self, BusOp, BusProgram, BUS_DRAM_BYTES};
 use crate::{shrink, FuzzTarget};
 
 type DramPath = Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>;
+/// The path as the DBB sees it: behind the 64→32 width converter.
+type Fabric = WidthConverter<DramPath>;
 
 /// Two resident images `(id, offset, len)` preloaded under every
 /// program — a sixteenth of the DRAM each, so random writes clobber
@@ -55,7 +74,7 @@ fn image_bytes(id: u64, len: usize) -> Vec<u8> {
     (0..len).map(|j| mix64(id ^ j as u64) as u8 | 1).collect()
 }
 
-fn build_path() -> DramPath {
+fn build_fabric(prog: &BusProgram) -> Fabric {
     let mut dram = Dram::new(BUS_DRAM_BYTES, DramTiming::mig_ddr4());
     for (id, offset, len) in IMAGES {
         dram.load(offset, &image_bytes(id, len))
@@ -65,20 +84,28 @@ fn build_path() -> DramPath {
         dram.add_resident(id, extents).expect("images are disjoint");
     }
     let mut shim = FaultInjector::new(dram);
-    // Spikes only: they stretch completions, which the mirror does not
-    // predict, and leave data and outcomes alone, which it does.
-    shim.arm(FaultPlan {
-        seed: 0xB05,
-        spike_per_million: 60_000,
-        spike_cycles: 23,
-        ..FaultPlan::default()
-    });
+    if prog.armed {
+        // Spikes only: they stretch completions, which the mirror does
+        // not predict, and leave data and outcomes alone, which it does.
+        shim.arm(FaultPlan {
+            seed: 0xB05,
+            spike_per_million: 60_000,
+            spike_cycles: 23,
+            ..FaultPlan::default()
+        });
+    }
     let mux = SmartConnect::new(shim);
-    Arbiter::new(ClockCrossing::new(mux, 100_000_000, 100_000_000, 2))
+    let soc_hz = u64::from(prog.soc_mhz.max(1)) * 1_000_000;
+    let path = Arbiter::new(ClockCrossing::new(mux, soc_hz, 100_000_000, 2));
+    WidthConverter::new(path, 8, 4)
 }
 
-fn mux_of(path: &mut DramPath) -> &mut SmartConnect<FaultInjector<Dram>> {
-    path.downstream_mut().downstream_mut()
+fn arbiter(f: &mut Fabric) -> &mut DramPath {
+    f.downstream_mut()
+}
+
+fn mux_of(f: &mut Fabric) -> &mut SmartConnect<FaultInjector<Dram>> {
+    arbiter(f).downstream_mut().downstream_mut()
 }
 
 const MASTERS: [MasterId; 3] = [MasterId::Cpu, MasterId::NvdlaDbb, MasterId::ZynqPs];
@@ -104,6 +131,69 @@ fn midx(master: MasterId) -> usize {
     }
 }
 
+/// The constituent bursts `(offset, len)` of a block transfer, in issue
+/// order: one burst when `burst` is 0, else bursts of at most `burst`
+/// bytes — at least one, even for an empty transfer.
+fn bursts_of(len: usize, burst: u16) -> Vec<(usize, usize)> {
+    let most = if burst == 0 {
+        len.max(1)
+    } else {
+        usize::from(burst)
+    };
+    let mut out = Vec::new();
+    let mut off = 0;
+    loop {
+        let n = most.min(len - off);
+        out.push((off, n));
+        off += n;
+        if off >= len {
+            return out;
+        }
+    }
+}
+
+/// Hand one payload to the fabric on `master`'s port: the DBB's through
+/// the width converter (whose block API attributes to the DBB), the
+/// other masters' through their explicit arbiter ports.
+fn issue(
+    f: &mut Fabric,
+    master: MasterId,
+    addr: u32,
+    payload: Payload<'_>,
+    now: Cycle,
+) -> Result<Cycle, BusError> {
+    if master == MasterId::NvdlaDbb {
+        f.burst(addr, payload, now)
+    } else {
+        arbiter(f).burst_as(master, addr, payload, now)
+    }
+}
+
+/// Move one block transfer: as one train, or — `walked` — burst by
+/// burst, each issued at the previous one's completion and the first
+/// failure ending the transfer.
+fn transfer(
+    f: &mut Fabric,
+    master: MasterId,
+    addr: u32,
+    mut payload: Payload<'_>,
+    burst: u16,
+    walked: bool,
+    now: Cycle,
+) -> Result<Cycle, BusError> {
+    if !walked {
+        if burst > 0 {
+            payload = payload.in_bursts(usize::from(burst));
+        }
+        return issue(f, master, addr, payload, now);
+    }
+    let mut t = now;
+    for (off, n) in bursts_of(payload.len(), burst) {
+        t = issue(f, master, addr + off as u32, payload.slice(off, n), t)?;
+    }
+    Ok(t)
+}
+
 /// What the mirror predicts for one single-beat transaction, in fabric
 /// order: the SmartConnect gates on ownership, then DRAM checks
 /// alignment, then range.
@@ -115,32 +205,52 @@ enum Expect {
     OutOfRange,
 }
 
-/// The fabric's books at one instant — everything a length-only burst
-/// must keep exactly as the data burst it stands for would.
+/// The fabric's books at one instant — everything a length-only
+/// transfer must keep exactly as the data transfer it stands for, and a
+/// train exactly as its walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Books {
     ports: [PortStats; 3],
     dram: DramStats,
     faults: FaultStats,
+    crossings: u64,
+    beats_split: u64,
     resident: [bool; 2],
 }
 
-fn books(path: &mut DramPath) -> Books {
-    let ports = MASTERS.map(|m| path.port_stats(m));
-    let shim = mux_of(path).dram_mut();
-    Books {
-        ports,
-        dram: shim.inner().stats(),
-        faults: shim.stats(),
-        resident: IMAGES.map(|(id, ..)| shim.inner().is_image_resident(id)),
+/// The books plus the DRAM's write trackers at one instant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Snapshot {
+    books: Books,
+    dirty: RangeSet,
+    run_writes: RangeSet,
+}
+
+fn snapshot(f: &mut Fabric) -> Snapshot {
+    let beats_split = f.beats_split();
+    let ports = MASTERS.map(|m| arbiter(f).port_stats(m));
+    let crossings = arbiter(f).downstream_mut().crossings();
+    let shim = mux_of(f).dram_mut();
+    let dram = shim.inner();
+    Snapshot {
+        books: Books {
+            ports,
+            dram: dram.stats(),
+            faults: shim.stats(),
+            crossings,
+            beats_split,
+            resident: IMAGES.map(|(id, ..)| dram.is_image_resident(id)),
+        },
+        dirty: dram.dirty_extents().clone(),
+        run_writes: dram.run_writes().clone(),
     }
 }
 
 /// Hold the device's dirty set to `written`, the extents an all-data
 /// run would have marked: it may fall short of them only by extents
 /// that length-only writes covered, which therefore hold zeros.
-fn check_dirty(path: &mut DramPath, written: &RangeSet) -> Result<(), String> {
-    let dram = mux_of(path).dram_mut().inner();
+fn check_dirty(f: &mut Fabric, written: &RangeSet) -> Result<(), String> {
+    let dram = mux_of(f).dram_mut().inner();
     let mut extra = dram.dirty_extents().clone();
     extra.subtract(written);
     if let Some((s, e)) = extra.iter().next() {
@@ -166,11 +276,11 @@ struct Outcome {
     fp: u64,
     /// Per transaction, in order: completion cycle or typed error.
     timeline: Vec<Result<Cycle, BusError>>,
-    /// [`Books`] before and after every reset, and around a final one.
-    books: Vec<Books>,
+    /// [`Snapshot`]s before and after every reset, and around a final one.
+    snapshots: Vec<Snapshot>,
     /// DRAM contents when the program ended.
     contents: Vec<u8>,
-    /// Burst writes that succeeded since the last reset.
+    /// Burst writes that landed since the last reset.
     burst_writes: RangeSet,
 }
 
@@ -210,33 +320,45 @@ impl Residency {
     }
 }
 
-/// Reset the fabric and the mirror together, recording the books on
+/// Reset the fabric and the mirror together, recording snapshots on
 /// both sides of it and holding the device to the mirror's survivors,
 /// dirty model and — after the reset — contents: zero everywhere but
 /// the surviving images.
 fn reset_both(
-    path: &mut DramPath,
+    f: &mut Fabric,
     shadow: &mut [u8],
     residency: &mut Residency,
-    log: &mut Vec<Books>,
+    log: &mut Vec<Snapshot>,
 ) -> Result<(), String> {
-    log.push(books(path));
-    check_dirty(path, &residency.written).map_err(|m| format!("before reset: {m}"))?;
-    path.reset();
+    log.push(snapshot(f));
+    check_dirty(f, &residency.written).map_err(|m| format!("before reset: {m}"))?;
+    f.reset();
     residency.reset(shadow);
-    let after = books(path);
-    if after.resident != residency.alive {
+    let after = snapshot(f);
+    if after.books.resident != residency.alive {
         return Err(format!(
             "resident images after reset {:?}, mirror predicted {:?}",
-            after.resident, residency.alive
+            after.books.resident, residency.alive
         ));
     }
-    check_dirty(path, &residency.written).map_err(|m| format!("after reset: {m}"))?;
-    if mux_of(path).dram_mut().inner().peek(0, BUS_DRAM_BYTES) != shadow {
+    check_dirty(f, &residency.written).map_err(|m| format!("after reset: {m}"))?;
+    if mux_of(f).dram_mut().inner().peek(0, BUS_DRAM_BYTES) != shadow {
         return Err("reset left nonzero bytes outside the surviving images".into());
     }
     log.push(after);
     Ok(())
+}
+
+/// How one execution issues the program's block transfers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// As generated: each transfer is one call, a train when it has
+    /// several bursts.
+    AsGenerated,
+    /// Data and length-only transfers swapped.
+    Swapped,
+    /// Every transfer walked burst by burst by the harness.
+    Walked,
 }
 
 /// Deliberate oracle mutations, used only by the harness's own
@@ -275,11 +397,10 @@ impl BusTarget {
         }
     }
 
-    /// Execute the program once — with every burst's `len_only` flag
-    /// inverted when `flip` — checking every prediction.
-    fn execute(&self, ops: &[BusOp], flip: bool) -> Result<Outcome, String> {
-        let mut path = build_path();
-        mux_of(&mut path).switch_to(Side::Soc);
+    /// Execute the program once in `mode`, checking every prediction.
+    fn execute(&self, prog: &BusProgram, mode: Mode) -> Result<Outcome, String> {
+        let mut f = build_fabric(prog);
+        mux_of(&mut f).switch_to(Side::Soc);
         let mut owner = Side::Soc;
         let mut shadow = vec![0u8; BUS_DRAM_BYTES];
         let mut residency = Residency {
@@ -296,7 +417,7 @@ impl BusTarget {
         let (mut singles_ok, mut bursts_ok) = (0u64, 0u64);
         let mut now: Cycle = 0;
         let mut fp = 0u64;
-        for (i, op) in ops.iter().enumerate() {
+        for (i, op) in prog.ops.iter().enumerate() {
             match *op {
                 BusOp::Single {
                     master,
@@ -317,7 +438,7 @@ impl BusTarget {
                     let expect = self.classify(owner, master, addr, size);
                     let mi = midx(master);
                     attempts[mi] += 1;
-                    let result = path.access(&req, now);
+                    let result = arbiter(&mut f).access(&req, now);
                     timeline.push(result.as_ref().map(|r| r.done_at).map_err(Clone::clone));
                     match result {
                         Ok(resp) => {
@@ -362,31 +483,44 @@ impl BusTarget {
                     write,
                     addr,
                     len,
+                    burst,
                     fill,
                     len_only,
                 } => {
-                    // Bursts bypass the ownership gate (the SoC switches
-                    // the mux before streaming), so only range can fail.
+                    // Block transfers bypass the ownership gate (the SoC
+                    // switches the mux before streaming), so only range
+                    // can fail: at the first burst that runs off the end,
+                    // after the bursts before it landed.
                     let master = MASTERS[master as usize % 3];
                     let len = len as usize;
-                    let in_range = addr as usize + len <= BUS_DRAM_BYTES;
+                    let shape = bursts_of(len, burst);
+                    let failing = (shape.iter())
+                        .position(|&(off, n)| addr as usize + off + n > BUS_DRAM_BYTES);
+                    let landed = failing.map_or(len, |j| shape[j].0);
                     let mi = midx(master);
-                    attempts[mi] += 1;
-                    let result = if len_only != flip {
-                        path.burst_as(master, addr, Payload::Len { len, write }, now)
+                    attempts[mi] += failing.map_or(shape.len(), |j| j + 1) as u64;
+                    ok_bytes[mi] += landed as u64;
+                    bursts_ok += failing.unwrap_or(shape.len()) as u64;
+                    let walked = mode == Mode::Walked;
+                    let (o, end) = (addr as usize, addr as usize + landed);
+                    let result = if len_only != (mode == Mode::Swapped) {
+                        let payload = Payload::length_only(len, write);
+                        transfer(&mut f, master, addr, payload, burst, walked, now)
                     } else if write {
                         let buf: Vec<u8> = (0..len)
                             .map(|j| (mix64(fill ^ j as u64) & 0xFF) as u8)
                             .collect();
-                        let r = path.write_block_as(master, addr, &buf, now);
-                        if r.is_ok() {
-                            shadow[addr as usize..addr as usize + len].copy_from_slice(&buf);
+                        let payload = Payload::write(&buf);
+                        let r = transfer(&mut f, master, addr, payload, burst, walked, now);
+                        if landed > 0 {
+                            shadow[o..end].copy_from_slice(&buf[..landed]);
                         }
                         r
                     } else {
                         let mut buf = vec![0u8; len];
-                        let r = path.read_block_as(master, addr, &mut buf, now);
-                        if r.is_ok() && buf != shadow[addr as usize..addr as usize + len] {
+                        let payload = Payload::read(&mut buf);
+                        let r = transfer(&mut f, master, addr, payload, burst, walked, now);
+                        if landed > 0 && buf[..landed] != shadow[o..end] {
                             return Err(format!(
                                 "op {i}: burst read at {addr:#x}+{len} diverged from the \
                                  shadow model"
@@ -394,30 +528,28 @@ impl BusTarget {
                         }
                         r
                     };
+                    if write && landed > 0 {
+                        residency.note_write(o, landed);
+                        burst_writes.insert(o, end);
+                    }
                     timeline.push(result.clone());
                     match result {
                         Ok(done) => {
-                            if !in_range {
+                            if failing.is_some() {
                                 return Err(format!(
-                                    "op {i}: out-of-range burst at {addr:#x}+{len} succeeded"
+                                    "op {i}: out-of-range transfer at {addr:#x}+{len} succeeded"
                                 ));
                             }
                             if done < now {
                                 return Err(format!("op {i}: time ran backwards"));
                             }
-                            if write {
-                                residency.note_write(addr as usize, len);
-                                burst_writes.insert(addr as usize, addr as usize + len);
-                            }
-                            ok_bytes[mi] += len as u64;
-                            bursts_ok += 1;
                             fp = mix64(fp ^ done);
                             now = done;
                         }
                         Err(e) => {
-                            if in_range {
+                            if failing.is_none() {
                                 return Err(format!(
-                                    "op {i}: in-range burst at {addr:#x}+{len} failed: {e}"
+                                    "op {i}: in-range transfer at {addr:#x}+{len} failed: {e}"
                                 ));
                             }
                             check_error(Expect::OutOfRange, addr, &e)
@@ -428,11 +560,11 @@ impl BusTarget {
                 }
                 BusOp::Switch { soc } => {
                     let side = if soc { Side::Soc } else { Side::ZynqPs };
-                    mux_of(&mut path).switch_to(side);
+                    mux_of(&mut f).switch_to(side);
                     owner = side;
                 }
                 BusOp::Reset => {
-                    reset_both(&mut path, &mut shadow, &mut residency, &mut log)?;
+                    reset_both(&mut f, &mut shadow, &mut residency, &mut log)?;
                     burst_writes.clear();
                     owner = Side::ZynqPs;
                     attempts = [0; 3];
@@ -444,12 +576,13 @@ impl BusTarget {
                 BusOp::Advance(d) => now += u64::from(d),
             }
         }
-        // Conservation: the fabric's books against the mirror's.
+        // Conservation: the fabric's books against the mirror's, burst
+        // by burst.
         for (mi, master) in MASTERS.iter().enumerate() {
-            let s = path.port_stats(*master);
+            let s = arbiter(&mut f).port_stats(*master);
             if s.grants != attempts[mi] {
                 return Err(format!(
-                    "grants {} != attempts {} for {master:?}",
+                    "grants {} != attempted bursts {} for {master:?}",
                     s.grants, attempts[mi]
                 ));
             }
@@ -460,7 +593,7 @@ impl BusTarget {
                 ));
             }
         }
-        let dram = mux_of(&mut path).dram_mut().inner().stats();
+        let dram = mux_of(&mut f).dram_mut().inner().stats();
         if dram.accesses != singles_ok {
             return Err(format!(
                 "DRAM beats {} != successful beats {singles_ok}",
@@ -473,7 +606,7 @@ impl BusTarget {
                 dram.bursts
             ));
         }
-        let contents = mux_of(&mut path)
+        let contents = mux_of(&mut f)
             .dram_mut()
             .inner()
             .peek(0, BUS_DRAM_BYTES)
@@ -481,31 +614,45 @@ impl BusTarget {
         if contents != shadow {
             return Err("final DRAM contents diverged from the shadow model".into());
         }
-        reset_both(&mut path, &mut shadow, &mut residency, &mut log)?;
+        reset_both(&mut f, &mut shadow, &mut residency, &mut log)?;
         Ok(Outcome {
             fp,
             timeline,
-            books: log,
+            snapshots: log,
             contents,
             burst_writes,
         })
     }
 }
 
-/// Hold a program's two executions — as generated, and with data and
-/// length-only bursts swapped — to the length-only contract.
-fn check_length_only_contract(a: &Outcome, b: &Outcome) -> Result<(), String> {
-    if let Some(i) = (0..a.timeline.len()).find(|&i| a.timeline[i] != b.timeline[i]) {
-        return Err(format!(
-            "length-only swap moved transaction {i}: {:?} as generated, {:?} swapped",
+/// Fail on the first transaction two executions disagree on; `what`
+/// names the difference and `how` the second execution.
+fn first_divergence(a: &Outcome, b: &Outcome, what: &str, how: &str) -> Result<(), String> {
+    match (0..a.timeline.len()).find(|&i| a.timeline[i] != b.timeline[i]) {
+        Some(i) => Err(format!(
+            "{what} moved transaction {i}: {:?} as generated, {:?} {how}",
             a.timeline[i], b.timeline[i]
-        ));
+        )),
+        None => Ok(()),
     }
-    if let Some(i) = (0..a.books.len()).find(|&i| a.books[i] != b.books[i]) {
+}
+
+/// Hold a program's two executions — as generated, and with data and
+/// length-only transfers swapped — to the length-only contract.
+fn check_length_only_contract(a: &Outcome, b: &Outcome) -> Result<(), String> {
+    first_divergence(a, b, "length-only swap", "swapped")?;
+    let books = |o: &Outcome| {
+        o.snapshots
+            .iter()
+            .map(|s| s.books.clone())
+            .collect::<Vec<_>>()
+    };
+    let (a_books, b_books) = (books(a), books(b));
+    if let Some(i) = (0..a_books.len()).find(|&i| a_books[i] != b_books[i]) {
         return Err(format!(
             "length-only swap changed the books at snapshot {i}: {:?} as generated, \
              {:?} swapped",
-            a.books[i], b.books[i]
+            a_books[i], b_books[i]
         ));
     }
     // Outside the burst writes (bytes in exactly one of the two runs)
@@ -519,6 +666,32 @@ fn check_length_only_contract(a: &Outcome, b: &Outcome) -> Result<(), String> {
             ));
         }
         from = end;
+    }
+    Ok(())
+}
+
+/// Hold a program's two executions — trains as generated, and every
+/// transfer walked burst by burst — to the train contract: everything
+/// equal, books, write trackers and bytes included.
+fn check_train_contract(a: &Outcome, b: &Outcome) -> Result<(), String> {
+    first_divergence(a, b, "walking the trains", "walked")?;
+    for (i, (x, y)) in a.snapshots.iter().zip(&b.snapshots).enumerate() {
+        if x.books != y.books {
+            return Err(format!(
+                "train != walk in the books at snapshot {i}: {:?} as trains, {:?} walked",
+                x.books, y.books
+            ));
+        }
+        if (&x.dirty, &x.run_writes) != (&y.dirty, &y.run_writes) {
+            return Err(format!(
+                "train != walk in the write trackers at snapshot {i}: dirty {:?}, run {:?} \
+                 as trains; dirty {:?}, run {:?} walked",
+                x.dirty, x.run_writes, y.dirty, y.run_writes
+            ));
+        }
+    }
+    if a.contents != b.contents {
+        return Err("train != walk in the final DRAM contents".into());
     }
     Ok(())
 }
@@ -543,16 +716,16 @@ fn check_error(expect: Expect, addr: u32, err: &BusError) -> Result<(), String> 
 }
 
 impl FuzzTarget for BusTarget {
-    type Input = Vec<BusOp>;
+    type Input = BusProgram;
     const NAME: &'static str = "bus";
 
-    fn generate(&self, seed: u64) -> Vec<BusOp> {
+    fn generate(&self, seed: u64) -> BusProgram {
         gen::bus_program(seed)
     }
 
-    fn check(&self, ops: &Vec<BusOp>) -> Result<(), String> {
-        let first = self.execute(ops, false)?;
-        let second = self.execute(ops, false)?;
+    fn check(&self, prog: &BusProgram) -> Result<(), String> {
+        let first = self.execute(prog, Mode::AsGenerated)?;
+        let second = self.execute(prog, Mode::AsGenerated)?;
         if first.fp != second.fp {
             return Err(format!(
                 "replay diverged: fingerprint {:#x} then {:#x}",
@@ -560,16 +733,25 @@ impl FuzzTarget for BusTarget {
             ));
         }
         let swapped = self
-            .execute(ops, true)
-            .map_err(|m| format!("with data and length-only bursts swapped: {m}"))?;
-        check_length_only_contract(&first, &swapped)
+            .execute(prog, Mode::Swapped)
+            .map_err(|m| format!("with data and length-only transfers swapped: {m}"))?;
+        check_length_only_contract(&first, &swapped)?;
+        let walked = self
+            .execute(prog, Mode::Walked)
+            .map_err(|m| format!("with every transfer walked burst by burst: {m}"))?;
+        check_train_contract(&first, &walked)
     }
 
-    fn shrink(&self, input: Vec<BusOp>, fails: &dyn Fn(&Vec<BusOp>) -> bool) -> Vec<BusOp> {
-        shrink::shrink_elements(input, |xs| fails(&xs.to_vec()))
+    fn shrink(&self, input: BusProgram, fails: &dyn Fn(&BusProgram) -> bool) -> BusProgram {
+        let with = |ops: &[BusOp]| BusProgram {
+            ops: ops.to_vec(),
+            ..input.clone()
+        };
+        let ops = shrink::shrink_elements(input.ops.clone(), |ops| fails(&with(ops)));
+        with(&ops)
     }
 
-    fn size(input: &Vec<BusOp>) -> usize {
-        input.len()
+    fn size(input: &BusProgram) -> usize {
+        input.ops.len()
     }
 }

@@ -137,7 +137,8 @@ pub enum BusOp {
         /// Write data (ignored for reads).
         data: u64,
     },
-    /// A block transfer through the explicit-master arbiter ports.
+    /// A block transfer: the DBB's through the width converter, the
+    /// others' through the explicit-master arbiter ports.
     Burst {
         /// Index into the canonical `[Cpu, NvdlaDbb, ZynqPs]` order.
         master: u8,
@@ -147,9 +148,12 @@ pub enum BusOp {
         addr: u32,
         /// Transfer length in bytes (0 is legal and must succeed).
         len: u16,
+        /// Largest constituent burst of a train, in bytes; 0 issues the
+        /// transfer as one burst.
+        burst: u16,
         /// Seed for the write payload.
         fill: u64,
-        /// Issue the burst length-only (`Payload::Len`): same
+        /// Issue the transfer length-only (`Data::Len`): same
         /// transaction, no bytes attached.
         len_only: bool,
     },
@@ -168,15 +172,39 @@ pub enum BusOp {
 /// crate's own fuzz suite).
 pub const BUS_DRAM_BYTES: usize = 1 << 20;
 
+/// A random bus program and the fabric it runs on: the SoC clock
+/// against the fixed 100 MHz DDR, and whether a fault plan is armed.
+/// Only the steps shrink.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BusProgram {
+    /// Master-side clock of the clock crossing, MHz.
+    pub soc_mhz: u16,
+    /// Arm the fault shim with a latency-spike plan.
+    pub armed: bool,
+    /// The steps.
+    pub ops: Vec<BusOp>,
+}
+
+/// The SoC clocks the benchmark's clock sweep visits, MHz.
+const SWEEP_MHZ: [u16; 8] = [50, 75, 100, 125, 150, 175, 200, 250];
+
 /// A seeded bus program in the quiet-program distribution of
-/// `crates/bus/tests/fuzz_fabric.rs`: mostly singles, a quarter bursts
-/// (a third of them length-only), occasional ownership flips, resets
-/// and idle gaps.
+/// `crates/bus/tests/fuzz_fabric.rs`: mostly singles, a quarter block
+/// transfers (half of them burst trains, a third length-only, some
+/// running off the end of DRAM), occasional ownership flips, resets
+/// and idle gaps — at a sweep clock or a random one, with faults armed
+/// two times in three.
 #[must_use]
-pub fn bus_program(seed: u64) -> Vec<BusOp> {
+pub fn bus_program(seed: u64) -> BusProgram {
     let mut rng = SplitMix64::new(seed);
+    let soc_mhz = if rng.chance(1, 2) {
+        *rng.pick(&SWEEP_MHZ)
+    } else {
+        rng.range(10, 400) as u16
+    };
+    let armed = rng.chance(2, 3);
     let len = rng.range(4, 96) as usize;
-    (0..len)
+    let ops = (0..len)
         .map(|_| match rng.below(100) {
             0..=54 => {
                 let size = rng.below(4) as u8;
@@ -194,29 +222,46 @@ pub fn bus_program(seed: u64) -> Vec<BusOp> {
                     data: rng.next_u64(),
                 }
             }
-            55..=79 => BusOp::Burst {
-                master: rng.below(3) as u8,
-                write: rng.chance(1, 2),
-                addr: if rng.chance(1, 8) {
-                    rng.next_u32() % (2 * BUS_DRAM_BYTES as u32)
-                } else {
-                    rng.next_u32() % (BUS_DRAM_BYTES as u32 - 600)
-                },
-                len: if rng.chance(1, 32) {
+            55..=79 => {
+                let train = rng.chance(1, 2);
+                let len = if rng.chance(1, 32) {
                     0
                 } else {
-                    rng.range(1, 512) as u16
-                },
-                fill: rng.next_u64(),
-                len_only: rng.chance(1, 3),
-            },
+                    rng.range(1, if train { 4096 } else { 512 })
+                };
+                let size = BUS_DRAM_BYTES as u32;
+                BusOp::Burst {
+                    master: rng.below(3) as u8,
+                    write: rng.chance(1, 2),
+                    addr: match rng.below(8) {
+                        0 => rng.next_u32() % (2 * size),
+                        // Starts inside, ends outside: a train fails
+                        // part-way.
+                        1 => size - rng.below(len) as u32,
+                        _ => rng.next_u32() % (size - 4200),
+                    },
+                    len: len as u16,
+                    burst: match (train, rng.below(3)) {
+                        (false, _) => 0,
+                        (true, 0) => *rng.pick(&[128, 1024]),
+                        (true, _) => rng.range(1, 700) as u16,
+                    },
+                    fill: rng.next_u64(),
+                    len_only: rng.chance(1, 3),
+                }
+            }
             80..=89 => BusOp::Switch {
                 soc: rng.chance(1, 2),
             },
             90..=92 => BusOp::Reset,
             _ => BusOp::Advance(rng.below(16) as u8),
         })
-        .collect()
+        .collect();
+    BusProgram {
+        soc_mhz,
+        armed,
+        ops,
+    }
 }
 
 /// One layer of a random small network, as plain data: the network is

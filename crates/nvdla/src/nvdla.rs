@@ -152,7 +152,7 @@ impl<D: Target> Nvdla<D> {
 
     /// Enable/disable functional computation. When disabled, operations
     /// keep their exact DMA and timing behaviour but move no bytes:
-    /// every burst is issued length-only ([`Payload::Len`]) and nothing
+    /// every burst is issued length-only ([`rvnv_bus::Data::Len`]) and nothing
     /// surface-sized is allocated, so outputs stay at their post-reset
     /// zero — used for timing-only sweeps over large models.
     pub fn set_functional(&mut self, functional: bool) {
@@ -250,16 +250,15 @@ impl<D: Target> Nvdla<D> {
 
     // --- DMA helpers -------------------------------------------------------
 
-    /// MCIF issues bounded bursts; each pays the memory round trip.
-    fn dma(&mut self, addr: u32, mut payload: Payload<'_>, at: Cycle) -> Result<Cycle, BusError> {
-        let chunk = self.cfg.mcif_burst_bytes as usize;
-        let mut t = at;
-        for off in (0..payload.len()).step_by(chunk) {
-            t = self
-                .dbb
-                .burst(addr + off as u32, payload.slice(off, chunk), t)?;
+    /// MCIF issues bounded bursts, each when the previous one completes,
+    /// and each pays the memory round trip: one transfer is one train
+    /// handed to the DBB in a single call.
+    fn dma(&mut self, addr: u32, payload: Payload<'_>, at: Cycle) -> Result<Cycle, BusError> {
+        if payload.len() == 0 {
+            return Ok(at);
         }
-        Ok(t)
+        let chunk = self.cfg.mcif_burst_bytes as usize;
+        self.dbb.burst(addr, payload.in_bursts(chunk), at)
     }
 
     /// Fetch `len` bytes for `block`. A timing-only accelerator issues
@@ -274,9 +273,9 @@ impl<D: Target> Nvdla<D> {
         let mut buf = Vec::new();
         let t = if self.functional {
             buf = vec![0u8; len];
-            self.dma(addr, Payload::Read(&mut buf), at)?
+            self.dma(addr, Payload::read(&mut buf), at)?
         } else {
-            self.dma(addr, Payload::Len { len, write: false }, at)?
+            self.dma(addr, Payload::length_only(len, false), at)?
         };
         self.engine_stats_mut(block).dma_read_bytes += len as u64;
         Ok((buf, t))
@@ -294,8 +293,8 @@ impl<D: Target> Nvdla<D> {
     ) -> Result<Cycle, BusError> {
         debug_assert!(data.is_none_or(|bytes| bytes.len() == len));
         let payload = match data {
-            Some(bytes) => Payload::Write(bytes),
-            None => Payload::Len { len, write: true },
+            Some(bytes) => Payload::write(bytes),
+            None => Payload::length_only(len, true),
         };
         let t = self.dma(addr, payload, at)?;
         self.engine_stats_mut(block).dma_write_bytes += len as u64;
@@ -661,16 +660,17 @@ mod tests {
     use rvnv_bus::dram::Dram;
     use rvnv_bus::sram::Sram;
 
-    /// One burst as the DBB saw it.
+    /// One transfer as the DBB saw it.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Seen {
         addr: u32,
         len: usize,
+        bursts: usize,
         write: bool,
         carries_bytes: bool,
     }
 
-    /// An SRAM-backed DBB that records every burst it is handed.
+    /// An SRAM-backed DBB that records every transfer it is handed.
     #[derive(Debug)]
     struct Recorder {
         mem: Sram,
@@ -711,8 +711,9 @@ mod tests {
             self.bursts.push(Seen {
                 addr,
                 len: payload.len(),
+                bursts: payload.bursts(),
                 write: payload.is_write(),
-                carries_bytes: !matches!(payload, Payload::Len { .. }),
+                carries_bytes: !matches!(payload.data, rvnv_bus::Data::Len { .. }),
             });
             self.mem.burst(addr, payload, now)
         }
@@ -970,9 +971,9 @@ mod tests {
 
     /// Timing-only moves no bytes: over a conv (flying SDP), a
     /// standalone SDP and a PDP, the DBB sees the functional run's
-    /// bursts — same addresses, lengths, directions, order — and every
-    /// one of them length-only, so no launch path had a surface to
-    /// allocate, fill or free.
+    /// transfers — same addresses, lengths, burst trains, directions,
+    /// order — and every one of them length-only, so no launch path had
+    /// a surface to allocate, fill or free.
     #[test]
     fn timing_only_issues_the_same_bursts_length_only() {
         let bursts_of = |functional: bool| {
@@ -988,7 +989,7 @@ mod tests {
         assert!(functional.len() >= 8, "three ops move operands and results");
         assert!(functional.iter().all(|b| b.carries_bytes));
         assert!(timing.iter().all(|b| !b.carries_bytes));
-        let shape = |b: &Seen| (b.addr, b.len, b.write);
+        let shape = |b: &Seen| (b.addr, b.len, b.bursts, b.write);
         assert_eq!(
             timing.iter().map(shape).collect::<Vec<_>>(),
             functional.iter().map(shape).collect::<Vec<_>>()

@@ -5,6 +5,7 @@
 //! reset/resident-weights hot path.
 
 use rv_nvdla::prelude::*;
+use rvnv_bus::fault::FaultPlan;
 
 fn compiled_lenet() -> (rvnv_nn::graph::Network, Artifacts) {
     let net = Model::LeNet5.build(11);
@@ -171,6 +172,72 @@ fn timing_only_frame_moves_only_its_input_int8_nv_small() {
 fn timing_only_frame_moves_only_its_input_fp16_nv_full() {
     assert_timing_only_frame_moves_only_its_input(
         SocConfig::zcu102_nv_full(),
+        SocConfig::zcu102_nv_full_timing_only(),
+        CompileOptions::fp16(),
+    );
+}
+
+/// One warm timing-only LeNet-5 frame's modeled DRAM bursts, the DRAM's
+/// burst-loop entries over it (`DramWork::walks`) and its cycles, with
+/// the fault shim armed with `plan` when given.
+fn warm_frame_bursts_and_walks(
+    config: SocConfig,
+    mut opt: CompileOptions,
+    plan: Option<FaultPlan>,
+) -> (u64, u64, u64) {
+    let net = Model::LeNet5.build(11);
+    opt.calib_inputs = 1;
+    let artifacts = compile(&net, &opt).expect("compile");
+    let fw = Firmware::build(&artifacts).expect("fw");
+    let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 100));
+    let mut soc = Soc::new(config);
+    if let Some(plan) = plan {
+        soc.arm_faults(plan);
+    }
+    soc.run_firmware(&artifacts, &bytes, &fw).expect("warm-up");
+    let before = soc.dram_work().walks;
+    let cycles = soc
+        .run_firmware(&artifacts, &bytes, &fw)
+        .expect("warm")
+        .cycles;
+    let walks = soc.dram_work().walks - before;
+    let bursts = (soc.dram_path().lock())
+        .downstream_mut()
+        .downstream_mut()
+        .dram_mut()
+        .inner()
+        .stats()
+        .bursts;
+    (bursts, walks, cycles)
+}
+
+/// Each DMA transfer is one train down the fabric: a warm timing-only
+/// frame enters the DRAM's burst loop once per transfer, at least ten
+/// times fewer than the bursts it models. Under an armed (quiet) fault
+/// plan the shim draws once per burst, so the same frame walks: exactly
+/// one entry per burst, and not a cycle different.
+fn assert_dma_transfers_are_trains(config: SocConfig, opt: CompileOptions) {
+    let (bursts, walks, cycles) = warm_frame_bursts_and_walks(config.clone(), opt.clone(), None);
+    assert!(
+        walks > 0 && walks * 10 <= bursts,
+        "{walks} walks for {bursts} bursts"
+    );
+    let armed = warm_frame_bursts_and_walks(config, opt, Some(FaultPlan::quiet(7)));
+    assert_eq!(
+        armed,
+        (bursts, bursts, cycles),
+        "an armed plan walks every burst"
+    );
+}
+
+#[test]
+fn dma_transfers_are_trains_int8_nv_small() {
+    assert_dma_transfers_are_trains(SocConfig::zcu102_timing_only(), CompileOptions::int8());
+}
+
+#[test]
+fn dma_transfers_are_trains_fp16_nv_full() {
+    assert_dma_transfers_are_trains(
         SocConfig::zcu102_nv_full_timing_only(),
         CompileOptions::fp16(),
     );
