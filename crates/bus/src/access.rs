@@ -210,11 +210,20 @@ pub enum Data<'a> {
     },
 }
 
-/// How the layers above a device re-issue the next burst of a train:
-/// given when the device finished a burst of `bytes` bytes, when the
-/// next one reaches it. Built by [`Payload::through`], one layer at a
-/// time.
-type Reissue<'a> = &'a mut (dyn FnMut(Cycle, usize) -> Cycle + 'a);
+/// How the layers above a device re-issue the next burst of a train.
+/// Built by [`Payload::through`], one layer at a time.
+pub(crate) trait Reissue {
+    /// The device finished a burst of `bytes` bytes at `done`: when the
+    /// next one reaches it.
+    fn next(&mut self, done: Cycle, bytes: usize) -> Cycle;
+    /// The constant `c` with `next(done, bytes) == done + c` for every
+    /// *steady* burst — a full one, after the train's first — or `None`
+    /// when some layer above times bursts otherwise.
+    fn offset(&self) -> Option<Cycle>;
+    /// Book `n` steady bursts of `bytes` each at every layer above, as
+    /// `n` calls of `next` would, without timing them.
+    fn skip(&mut self, n: u64, bytes: usize);
+}
 
 /// What one [`crate::Target::burst`] call carries: a transfer's bytes
 /// ([`Data`]) and how the master cuts them into back-to-back bursts.
@@ -225,10 +234,12 @@ type Reissue<'a> = &'a mut (dyn FnMut(Cycle, usize) -> Cycle + 'a);
 /// into. A train is that per-burst walk minus the walking: it crosses
 /// each layer in one call and carries the recurrence with it. The
 /// fabric's layers add their fixed delays and per-burst arithmetic to
-/// it on the way down; the DRAM at the bottom runs every burst in one
-/// loop, asking the train when the next one arrives; a layer with a
-/// per-burst side effect it cannot aggregate falls back to
-/// [`Payload::walk`]. A single burst is a train of one.
+/// it on the way down; the DRAM at the bottom runs the bursts, asking
+/// the train when the next one arrives — or, when every layer above
+/// re-issues at a constant offset ([`Payload::offset`]), computes the
+/// middle ones in closed form; a layer with a per-burst side effect it
+/// cannot aggregate falls back to [`Payload::walk`]. A single burst is
+/// a train of one.
 pub struct Payload<'a> {
     /// The bytes (or only their count).
     pub data: Data<'a>,
@@ -236,7 +247,7 @@ pub struct Payload<'a> {
     burst: usize,
     /// The layers above that time bursts per burst (`None`: the master
     /// re-issues the moment a burst completes) ...
-    reissue: Option<Reissue<'a>>,
+    reissue: Option<&'a mut (dyn Reissue + 'a)>,
     /// ... followed by the fixed delays between them and this layer.
     lag: Cycle,
 }
@@ -260,6 +271,53 @@ pub(crate) trait Hop {
     /// The layer below finished that burst, `bytes` long, at `done`:
     /// book it, and say when it completes at this layer.
     fn complete(&mut self, done: Cycle, bytes: usize) -> Cycle;
+    /// The layers above re-issue `up` cycles after this layer completes
+    /// a steady burst: how long after the layer below completes it does
+    /// the next one reach the layer below — or `None` when that is not
+    /// a constant. Asked once the train's first burst has been issued.
+    /// A steady burst takes at least a cycle below, and completes there
+    /// after it arrived.
+    fn offset(&self, up: Cycle) -> Option<Cycle>;
+    /// Book `n` steady bursts of `bytes` each — `n` `complete`/`issue`
+    /// pairs — without timing them. Only ever called after `offset`
+    /// said the timing is a constant shift.
+    fn skip(&mut self, n: u64, bytes: usize);
+}
+
+/// The re-issue of a train that crossed `hop`: the burst completes at
+/// the hop, the layers above turn it around, the fixed delays between
+/// them pass, and it is issued through the hop again.
+struct Crossed<'h, 'u, H> {
+    hop: &'h mut H,
+    up: Option<&'u mut (dyn Reissue + 'u)>,
+    lag: Cycle,
+}
+
+impl<H: Hop> Reissue for Crossed<'_, '_, H> {
+    #[inline]
+    fn next(&mut self, done: Cycle, bytes: usize) -> Cycle {
+        let done = self.hop.complete(done, bytes);
+        let again = match self.up.as_deref_mut() {
+            Some(up) => up.next(done, bytes),
+            None => done,
+        };
+        self.hop.issue(again + self.lag)
+    }
+
+    fn offset(&self) -> Option<Cycle> {
+        let up = match self.up.as_deref() {
+            Some(up) => up.offset()?,
+            None => 0,
+        };
+        self.hop.offset(up + self.lag)
+    }
+
+    fn skip(&mut self, n: u64, bytes: usize) {
+        self.hop.skip(n, bytes);
+        if let Some(up) = self.up.as_deref_mut() {
+            up.skip(n, bytes);
+        }
+    }
 }
 
 impl<'a> Payload<'a> {
@@ -374,10 +432,31 @@ impl<'a> Payload<'a> {
     #[inline]
     pub(crate) fn reissue(&mut self, done: Cycle, bytes: usize) -> Cycle {
         let again = match self.reissue.as_deref_mut() {
-            Some(up) => up(done, bytes),
+            Some(up) => up.next(done, bytes),
             None => done,
         };
         again + self.lag
+    }
+
+    /// The constant `c` with `reissue(done, bytes) == done + c` for every
+    /// steady burst of the train — a full one, after the first — or
+    /// `None` when a layer above rounds (a clock crossing at a
+    /// non-integer ratio). Ask it only after the first burst went out.
+    pub(crate) fn offset(&self) -> Option<Cycle> {
+        let up = match self.reissue.as_deref() {
+            Some(up) => up.offset()?,
+            None => 0,
+        };
+        Some(up + self.lag)
+    }
+
+    /// Book `n` steady bursts of `bytes` each at every layer above —
+    /// grants, bytes, crossings — as `n` calls of `reissue` would,
+    /// without timing them: the other half of [`Payload::offset`].
+    pub(crate) fn skip(&mut self, n: u64, bytes: usize) {
+        if let Some(up) = self.reissue.as_deref_mut() {
+            up.skip(n, bytes);
+        }
     }
 
     /// The same train one fixed pipeline delay further down (width
@@ -403,37 +482,35 @@ impl<'a> Payload<'a> {
     /// and times the last burst on the way out. Every burst in between
     /// crosses `hop` (complete, then the layers above, then issue) when
     /// the device below asks for it — exactly the per-burst walk's
-    /// order of events, one call deep.
+    /// order of events, one call deep — or, steady bursts under a
+    /// constant offset, is booked at `hop` and above in one
+    /// [`Hop::skip`].
     ///
     /// # Errors
     ///
     /// Whatever `down` returns; `hop` then saw the failing burst issued
     /// but not completed, as a walk would.
     pub(crate) fn through<H: Hop>(
-        mut self,
+        self,
         hop: &mut H,
         now: Cycle,
         down: impl FnOnce(Payload<'_>, Cycle) -> Result<Cycle, BusError>,
     ) -> Result<Cycle, BusError> {
         let last = self.last_burst();
         let first = hop.issue(now);
-        let (mut up, lag) = (self.reissue.take(), self.lag);
-        let mut next = |done: Cycle, bytes: usize| {
-            let done = hop.complete(done, bytes);
-            let again = match up.as_deref_mut() {
-                Some(up) => up(done, bytes),
-                None => done,
-            };
-            hop.issue(again + lag)
+        let mut crossed = Crossed {
+            hop,
+            up: self.reissue,
+            lag: self.lag,
         };
         let below = Payload {
             data: self.data,
             burst: self.burst,
-            reissue: Some(&mut next),
+            reissue: Some(&mut crossed),
             lag: 0,
         };
         let done = down(below, first)?;
-        Ok(hop.complete(done, last))
+        Ok(crossed.hop.complete(done, last))
     }
 
     /// Walk the train burst by burst: `one` moves each constituent
@@ -516,6 +593,77 @@ mod tests {
             self.0.push(format!("complete {done} ({bytes} B)"));
             done + 1
         }
+        fn offset(&self, _up: Cycle) -> Option<Cycle> {
+            None
+        }
+        fn skip(&mut self, _n: u64, _bytes: usize) {
+            unreachable!("a doubling hop has no constant offset");
+        }
+    }
+
+    /// A layer hop that delays the issue by `by` and the completion by
+    /// one cycle, counting the bursts it books.
+    struct Shift {
+        by: Cycle,
+        bursts: u64,
+    }
+
+    impl Hop for Shift {
+        fn issue(&mut self, now: Cycle) -> Cycle {
+            self.bursts += 1;
+            now + self.by
+        }
+        fn complete(&mut self, done: Cycle, _bytes: usize) -> Cycle {
+            done + 1
+        }
+        fn offset(&self, up: Cycle) -> Option<Cycle> {
+            Some(1 + up + self.by)
+        }
+        fn skip(&mut self, n: u64, _bytes: usize) {
+            self.bursts += n;
+        }
+    }
+
+    /// Constant offsets compose down the fabric: each hop maps the
+    /// offset of the layers above through itself, the fixed delays in
+    /// between add, and the composite is exactly what the real
+    /// re-issue does to any completion. One non-constant hop anywhere
+    /// above makes the whole train's offset unknown. A skip books its
+    /// bursts at every hop crossed.
+    #[test]
+    fn constant_offsets_compose_through_hops_and_delays() {
+        let (mut outer, mut inner) = (Shift { by: 5, bursts: 0 }, Shift { by: 7, bursts: 0 });
+        let mut seen = None;
+        Payload::length_only(64, false)
+            .in_bursts(16)
+            .delayed(2)
+            .through(&mut outer, 0, |p, t| {
+                p.delayed(3).through(&mut inner, t + 3, |p, t| {
+                    let mut p = p.delayed(11);
+                    let c = p.offset().expect("every hop is a shift");
+                    for done in [10, 1000, 77_777] {
+                        assert_eq!(p.reissue(done, 16), done + c);
+                    }
+                    p.skip(4, 16);
+                    seen = Some(c);
+                    Ok(t)
+                })
+            })
+            .unwrap();
+        // inner: 1 + (outer: 1 + 2 + 5) + 3 + 7, then the last delay.
+        assert_eq!(seen, Some(1 + (1 + 2 + 5) + 3 + 7 + 11));
+        // The first issue, three re-issues and four skipped bursts.
+        assert_eq!((outer.bursts, inner.bursts), (1 + 3 + 4, 1 + 3 + 4));
+        let mut doubler = Doubler(Vec::new());
+        Payload::length_only(64, false)
+            .in_bursts(16)
+            .through(&mut doubler, 0, |p, t| {
+                p.through(&mut inner, t, |p, t| {
+                    assert_eq!(p.offset(), None, "a doubling hop above");
+                    Ok(t)
+                })
+            })
+            .unwrap();
     }
 
     /// A walk issues every constituent burst at the previous one's

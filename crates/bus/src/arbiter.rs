@@ -82,6 +82,21 @@ impl Hop for Port<'_> {
         self.grants.release(self.master, done, bytes);
         done
     }
+    /// Once the train's first grant has made the master the owner, a
+    /// steady burst's release leaves the bus free at its completion
+    /// (the grant started after every earlier reservation), so the next
+    /// grant waits 0 cycles and pays no turnaround: the identity.
+    fn offset(&self, up: Cycle) -> Option<Cycle> {
+        (self.grants.last_owner == Some(self.master)).then_some(up)
+    }
+    /// `n` grants with no wait, and their bytes. `busy_until` is left
+    /// where it is: the next real release raises it to that burst's
+    /// completion, past every steady one.
+    fn skip(&mut self, n: u64, bytes: usize) {
+        let port = &mut self.grants.stats[self.master as usize];
+        port.grants += n;
+        port.bytes += n * bytes as u64;
+    }
 }
 
 const TURNAROUND: Cycle = 1;

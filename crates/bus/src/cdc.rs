@@ -59,7 +59,7 @@ impl Ratio {
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -87,6 +87,22 @@ impl Hop for Crossing<'_> {
     #[inline]
     fn complete(&mut self, done: Cycle, _bytes: usize) -> Cycle {
         self.ratio.to_master(done + self.sync).max(self.issued + 1)
+    }
+    /// A constant only when the master clock is an integer multiple `m`
+    /// of the slave clock: a completion at slave cycle `d` returns at
+    /// `(d + sync)·m` and the next issue, `up` later, reaches the slave
+    /// at `d + sync + up / m + sync` for every `d`. (The `issued + 1`
+    /// floor never binds on a steady burst: it completes below after
+    /// it arrived there, and `(⌊t/m⌋ + 1)·m > t`.) Any other ratio
+    /// rounds differently from burst to burst.
+    fn offset(&self, up: Cycle) -> Option<Cycle> {
+        (self.ratio.slave == 1).then(|| 2 * self.sync + up / self.ratio.master)
+    }
+    /// `n` more bursts crossed. `issued` stays stale: it only feeds the
+    /// floor that steady bursts never reach, and the next real issue
+    /// overwrites it.
+    fn skip(&mut self, n: u64, _bytes: usize) {
+        *self.crossings += n;
     }
 }
 

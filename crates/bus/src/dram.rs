@@ -207,6 +207,10 @@ pub struct DramWork {
     /// bursts it carries; a walked transfer (an armed fault plan, a
     /// train that runs off the end) counts once per burst.
     pub walks: u64,
+    /// Bursts the loop stepped one by one. A train whose layers above
+    /// re-issue at a constant offset steps its first and last burst and
+    /// computes the rest in closed form; any other train steps them all.
+    pub burst_steps: u64,
 }
 
 /// A DRAM's timing state — open row, busy-until and the [`DramStats`]
@@ -302,13 +306,31 @@ impl DramTimeline {
 
     /// Every burst of `payload`'s train, back to back: the first at
     /// `now`, each later one when the layers above turn the previous
-    /// completion into its arrival. Returns the last burst's completion.
+    /// completion into its arrival. Returns the last burst's completion
+    /// and how many bursts it stepped one by one.
+    ///
+    /// When the layers above re-issue at a constant offset
+    /// ([`Payload::offset`]) and the train does not wrap the address
+    /// space, the bursts between the first and the last are
+    /// [`DramTimeline::steady`] and booked above in one
+    /// [`Payload::skip`]; the last still goes through the real
+    /// re-issue, so every layer ends where the walk leaves it.
     #[inline]
-    fn train(&mut self, addr: u32, payload: &mut Payload<'_>, now: Cycle) -> Cycle {
+    fn train(&mut self, addr: u32, payload: &mut Payload<'_>, now: Cycle) -> (Cycle, u64) {
         let (len, burst) = (payload.len(), payload.burst_bytes());
         let full = self.beats(burst);
         let mut done = self.one_burst(addr, burst, full, now);
         let mut off = burst;
+        let mut steps = 1;
+        let bursts = payload.bursts() as u64;
+        if bursts > 2 && u64::from(addr) + len as u64 <= 1 << 32 {
+            if let Some(offset) = payload.offset() {
+                let n = bursts - 2;
+                done = self.steady(u64::from(addr) + burst as u64, burst, n, offset, done);
+                payload.skip(n, burst);
+                off += n as usize * burst;
+            }
+        }
         while off < len {
             // Every burst but the last is a full one.
             let at = payload.reissue(done, burst);
@@ -316,13 +338,48 @@ impl DramTimeline {
             let beats = if n == burst { full } else { self.beats(n) };
             done = self.one_burst(addr.wrapping_add(off as u32), n, beats, at);
             off += n;
+            steps += 1;
         }
         if payload.is_write() {
             self.stats.bytes_written += len as u64;
         } else {
             self.stats.bytes_read += len as u64;
         }
-        done
+        (done, steps)
+    }
+
+    /// `n` full bursts of `burst` bytes back to back from `addr`, each
+    /// arriving `offset` cycles after its predecessor completes (the
+    /// first: after `done`) and finding that predecessor's last row
+    /// open. Books them and returns the last one's completion.
+    ///
+    /// Each arrives after the device went idle, so it completes its
+    /// own cost after arriving: the overhead and beats, plus RP + RCD
+    /// for each row boundary in its bytes — on its first byte the
+    /// previous burst's row is left, past it a row is crossed. The
+    /// bursts cover `[addr, addr + n·burst)` without gaps, so the
+    /// misses are the row boundaries in that range, and the hits are
+    /// the bursts whose first byte is not on one — a row phase that
+    /// repeats every `row_bytes / gcd(burst, row_bytes)` bursts.
+    fn steady(&mut self, addr: u64, burst: usize, n: u64, offset: Cycle, done: Cycle) -> Cycle {
+        let t = self.timing;
+        let row = u64::from(t.row_bytes);
+        let (b, end) = (burst as u64, addr + n * burst as u64);
+        let misses = (end - 1) / row - (addr - 1) / row;
+        // The first burst in the row phase's period to start on a
+        // boundary, if any does; every period repeats it once.
+        let period = row / crate::cdc::gcd(b, row);
+        let aligned = (0..n.min(period))
+            .find(|j| (addr + j * b).is_multiple_of(row))
+            .map_or(0, |j| (n - 1 - j) / period + 1);
+        let busy = n * (t.controller + t.cas + self.beats(burst)) + misses * (t.rp + t.rcd);
+        self.stats.bursts += n;
+        self.stats.row_hits += n - aligned;
+        self.stats.row_misses += misses;
+        self.stats.busy_cycles += busy;
+        self.open_row = Some(((end - 1) / row) as u32);
+        self.busy_until = done + n * offset + busy;
+        self.busy_until
     }
 }
 
@@ -344,7 +401,7 @@ impl Target for DramTimeline {
         mut payload: Payload<'_>,
         now: Cycle,
     ) -> Result<Cycle, BusError> {
-        Ok(self.train(addr, &mut payload, now))
+        Ok(self.train(addr, &mut payload, now).0)
     }
 }
 
@@ -722,8 +779,9 @@ impl Target for Dram {
             }
             Err(e) => return Err(e),
         };
+        let (done, steps) = self.timeline.train(addr, &mut payload, now);
         self.work.walks += 1;
-        let done = self.timeline.train(addr, &mut payload, now);
+        self.work.burst_steps += steps;
         match payload.data {
             Data::Read(buf) => {
                 buf.copy_from_slice(&self.data[offset..offset + len]);
@@ -1237,12 +1295,123 @@ mod tests {
             assert_eq!(train.dirty_extents(), walked.dirty_extents());
             assert_eq!(train.peek(0, train.size()), walked.peek(0, walked.size()));
             let entries = (train.work().walks, walked.work().walks);
+            let steps = (train.work().burst_steps, walked.work().burst_steps);
             if want.is_ok() {
                 assert_eq!(entries, (1, len.div_ceil(128) as u64));
+                assert_eq!(
+                    steps,
+                    (2, len.div_ceil(128) as u64),
+                    "first and last stepped"
+                );
             } else {
                 assert_eq!(entries.0, entries.1, "an overrun train is walked");
+                assert_eq!(steps.0, steps.1, "an overrun train steps every burst");
             }
         }
+    }
+
+    /// Trains down the SoC's DRAM path against their walks, burst by
+    /// burst, with the SoC clock at one to four times the memory clock
+    /// (the closed form) and at 1.5 times (the loop): bursts that span
+    /// two or three rows, that do not divide the row, of one or three
+    /// bytes (a row phase longer than the train, and one that wraps),
+    /// unaligned starts, short last bursts, a row another master left
+    /// open and that master's reservation still holding the bus when
+    /// the train arrives, then a second train behind the first.
+    /// Completions, `DramStats`, both masters' `PortStats` and the
+    /// crossings equal the walk's field by field; the closed form
+    /// steps each train's first and last burst.
+    #[test]
+    fn trains_down_the_dram_path_are_their_walks() {
+        use crate::arbiter::{Arbiter, PortStats};
+        use crate::cdc::ClockCrossing;
+        use crate::smartconnect::{Side, SmartConnect};
+        use crate::MasterId;
+
+        type Books = (Vec<Cycle>, DramStats, [PortStats; 2], u64, u64);
+        let run = |soc_mhz: u64, addr: u32, len: usize, burst: usize, walked: bool| -> Books {
+            let mut mux = SmartConnect::new(small());
+            mux.switch_to(Side::Soc);
+            let mut a = Arbiter::new(ClockCrossing::new(mux, soc_mhz * 1_000_000, 100_000_000, 2));
+            // The CPU opens the train's first row and holds the bus
+            // past the train's arrival at cycle 5.
+            a.access(&Request::read32(addr & !3), 0).unwrap();
+            let mut dones = Vec::new();
+            let mut now = 5;
+            for (at, write) in [(addr, true), (addr + len as u32, false)] {
+                now = if walked {
+                    (0..len).step_by(burst).fold(now, |t, off| {
+                        let n = burst.min(len - off);
+                        let p = Payload::length_only(n, write);
+                        a.burst(at + off as u32, p, t).unwrap()
+                    })
+                } else {
+                    let p = Payload::length_only(len, write).in_bursts(burst);
+                    a.burst(at, p, now).unwrap()
+                };
+                dones.push(now);
+            }
+            let ports = [MasterId::Cpu, MasterId::NvdlaDbb].map(|m| a.port_stats(m));
+            let crossings = a.downstream_mut().crossings();
+            let dram = a.downstream_mut().downstream_mut().dram_mut();
+            (
+                dones,
+                dram.stats(),
+                ports,
+                crossings,
+                dram.work().burst_steps,
+            )
+        };
+        for soc_mhz in [100, 200, 300, 400, 150] {
+            for (addr, len, burst) in [
+                (0x7C0, 3000, 768),
+                (0x803, 9000, 768),
+                (0x1000, 8192, 2048),
+                (0x1100, 8192, 2048),
+                (0xFFF, 10_000, 3000),
+                (0x2004, 1001, 100),
+                (0x3001, 700, 1),
+                (0x4002, 7000, 3),
+            ] {
+                let case = format!("{soc_mhz} MHz, {len} B at {addr:#x} in {burst} B bursts");
+                let (train, walk) = (
+                    run(soc_mhz, addr, len, burst, false),
+                    run(soc_mhz, addr, len, burst, true),
+                );
+                assert_eq!(train.0, walk.0, "completions: {case}");
+                assert_eq!(train.1, walk.1, "DramStats: {case}");
+                assert_eq!(train.2, walk.2, "PortStats: {case}");
+                assert_eq!(train.3, walk.3, "crossings: {case}");
+                let bursts = 2 * len.div_ceil(burst) as u64;
+                assert_eq!(walk.4, bursts, "a walk steps every burst: {case}");
+                let closed = soc_mhz % 100 == 0;
+                assert_eq!(train.4, if closed { 4 } else { bursts }, "steps: {case}");
+            }
+        }
+    }
+
+    /// The closed form by hand, on a timeline with no layers above:
+    /// five 768 B bursts from 0x7C0 on 2 KiB rows. The first opens row
+    /// 0 and crosses into row 1 (RCD, then RP + RCD); the three middle
+    /// ones start at 0xAC0, 0xDC0 and 0x10C0 — mid-row each, so each
+    /// hits, and the second of them crosses into row 2 — and the last
+    /// starts at 0x13C0 and ends in row 2.
+    #[test]
+    fn steady_bursts_follow_the_row_phase() {
+        let mut t = DramTimeline::new(DramTiming::mig_ddr4());
+        let done = t
+            .burst(
+                0x7C0,
+                Payload::length_only(5 * 768, false).in_bursts(768),
+                0,
+            )
+            .unwrap();
+        let each = 19 + 192;
+        assert_eq!(done, 5 * each + 11 + 22 + 22);
+        let s = t.stats;
+        assert_eq!((s.bursts, s.row_hits, s.row_misses), (5, 4, 3));
+        assert_eq!(s.busy_cycles, done);
+        assert_eq!(t.open_row, Some(2));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! On-chip SRAM / block-RAM model (used for the RISC-V program memory).
 
+use std::borrow::Cow;
+
 use crate::{AccessKind, BusError, Cycle, Request, Reset, Response, Target};
 
 /// Single-cycle on-chip memory.
@@ -7,9 +9,17 @@ use crate::{AccessKind, BusError, Cycle, Request, Reset, Response, Target};
 /// The paper's program memory is built from FPGA block RAMs and serves one
 /// 32-bit word per cycle with no wait states; reads and writes both cost
 /// [`Sram::LATENCY`] cycles.
+///
+/// Only the bytes up to the highest one written so far are backed;
+/// every byte past them reads as zero, like the rest of a zeroed
+/// memory. A program memory that holds a 60 KB firmware image then
+/// costs that image, not its megabyte of capacity, each time it is
+/// built.
 #[derive(Debug, Clone)]
 pub struct Sram {
+    /// The backed prefix: bytes `0..data.len()`.
     data: Vec<u8>,
+    size: usize,
     read_only: bool,
 }
 
@@ -21,7 +31,8 @@ impl Sram {
     #[must_use]
     pub fn new(size: usize) -> Self {
         Sram {
-            data: vec![0; size],
+            data: Vec::new(),
+            size,
             read_only: false,
         }
     }
@@ -30,6 +41,7 @@ impl Sram {
     #[must_use]
     pub fn rom(image: Vec<u8>) -> Self {
         Sram {
+            size: image.len(),
             data: image,
             read_only: true,
         }
@@ -38,7 +50,16 @@ impl Sram {
     /// Size in bytes.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.data.len()
+        self.size
+    }
+
+    /// The bytes at `offset..offset + n`, already range-checked, for
+    /// writing: backs every byte up to their end first.
+    fn backed_mut(&mut self, offset: usize, n: usize) -> &mut [u8] {
+        if self.data.len() < offset + n {
+            self.data.resize(offset + n, 0);
+        }
+        &mut self.data[offset..offset + n]
     }
 
     /// Bulk-load `image` at byte offset `offset` (backdoor, zero cycles) —
@@ -48,37 +69,40 @@ impl Sram {
     ///
     /// Returns [`BusError::OutOfRange`] if the image does not fit.
     pub fn load(&mut self, offset: usize, image: &[u8]) -> Result<(), BusError> {
-        let end = offset
-            .checked_add(image.len())
-            .ok_or(BusError::OutOfRange {
-                addr: offset as u32,
-                len: image.len(),
-                size: self.data.len(),
-            })?;
-        if end > self.data.len() {
-            return Err(BusError::OutOfRange {
-                addr: offset as u32,
-                len: image.len(),
-                size: self.data.len(),
-            });
+        let out_of_range = BusError::OutOfRange {
+            addr: offset as u32,
+            len: image.len(),
+            size: self.size,
+        };
+        match offset.checked_add(image.len()) {
+            Some(end) if end <= self.size => {
+                self.backed_mut(offset, image.len()).copy_from_slice(image);
+                Ok(())
+            }
+            _ => Err(out_of_range),
         }
-        self.data[offset..end].copy_from_slice(image);
-        Ok(())
     }
 
-    /// Backdoor view of the memory contents (no cycles consumed).
+    /// Backdoor view of the memory contents (no cycles consumed):
+    /// borrowed when every byte is backed, else a zero-padded copy.
     #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        if self.data.len() == self.size {
+            Cow::Borrowed(&self.data)
+        } else {
+            let mut all = self.data.clone();
+            all.resize(self.size, 0);
+            Cow::Owned(all)
+        }
     }
 
     fn check(&self, addr: u32, len: u32) -> Result<usize, BusError> {
         let offset = addr as usize;
-        if offset + len as usize > self.data.len() {
+        if offset + len as usize > self.size {
             return Err(BusError::OutOfRange {
                 addr,
                 len: len as usize,
-                size: self.data.len(),
+                size: self.size,
             });
         }
         Ok(offset)
@@ -90,7 +114,7 @@ impl Reset for Sram {
     /// its image (block-RAM initial contents survive reset on the FPGA).
     fn reset(&mut self) {
         if !self.read_only {
-            self.data.fill(0);
+            self.data.clear();
         }
     }
 }
@@ -103,13 +127,16 @@ impl Target for Sram {
                 align: req.size.bytes(),
             });
         }
-        let n = req.size.bytes();
-        let offset = self.check(req.addr, n)?;
+        let n = req.size.bytes() as usize;
+        let offset = self.check(req.addr, n as u32)?;
         let done_at = now + Self::LATENCY;
         match req.kind {
             AccessKind::Read => {
+                // Past the backed prefix every byte is zero.
+                let backed = self.data.get(offset..).unwrap_or_default();
                 let mut v = [0u8; 8];
-                v[..n as usize].copy_from_slice(&self.data[offset..offset + n as usize]);
+                let m = n.min(backed.len());
+                v[..m].copy_from_slice(&backed[..m]);
                 Ok(Response {
                     data: u64::from_le_bytes(v),
                     done_at,
@@ -122,8 +149,8 @@ impl Target for Sram {
                         reason: "write to read-only memory",
                     });
                 }
-                let bytes = d.to_le_bytes();
-                self.data[offset..offset + n as usize].copy_from_slice(&bytes[..n as usize]);
+                self.backed_mut(offset, n)
+                    .copy_from_slice(&d.to_le_bytes()[..n]);
                 Ok(Response::ack(done_at))
             }
         }
@@ -220,6 +247,35 @@ mod tests {
         m.load(2, &[9, 8, 7]).unwrap();
         assert_eq!(&m.bytes()[2..5], &[9, 8, 7]);
         assert!(m.load(7, &[1, 2]).is_err());
+    }
+
+    /// Backed up to the highest byte written, zero past it: a RAM reads
+    /// exactly as the zeroed memory it stands for, and faults exactly
+    /// where that memory ends.
+    #[test]
+    fn unwritten_bytes_read_zero_up_to_the_end() {
+        let mut m = Sram::new(64);
+        m.load(8, &[1, 2, 3, 4, 5]).unwrap();
+        assert_eq!(m.data.len(), 13, "only the written prefix is backed");
+        let word = |m: &mut Sram, addr| m.access(&Request::read32(addr), 0).map(|r| r.data);
+        assert_eq!(word(&mut m, 12), Ok(5), "a word half past the prefix");
+        assert_eq!(word(&mut m, 60), Ok(0));
+        assert!(matches!(
+            word(&mut m, 64),
+            Err(BusError::OutOfRange { size: 64, .. })
+        ));
+        assert!(matches!(
+            m.load(62, &[1; 4]),
+            Err(BusError::OutOfRange { .. })
+        ));
+        m.access(&Request::write(40, 0xAB, AccessSize::Byte), 0)
+            .unwrap();
+        let all = m.bytes();
+        assert_eq!(all.len(), 64);
+        assert_eq!((&all[8..13], all[40]), (&[1, 2, 3, 4, 5][..], 0xAB));
+        m.reset();
+        assert!(m.data.is_empty() && m.bytes().iter().all(|&b| b == 0));
+        assert_eq!(m.size(), 64);
     }
 
     #[test]

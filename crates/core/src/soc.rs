@@ -1075,7 +1075,7 @@ impl Soc {
         let mut pump = preload.map(|(addr, bytes)| PreloadPump::new(addr, bytes, 0));
         self.nvdla.lock().set_functional(self.config.functional);
 
-        // Program memory.
+        // Program memory, backed only as far as the image reaches.
         assert!(
             fw.size_bytes() <= self.config.progmem_bytes,
             "firmware ({} B) exceeds program memory ({} B)",
@@ -1094,7 +1094,7 @@ impl Soc {
         // it was built from; otherwise start a cold cache. (Attached
         // *after* the program image is loaded — the cache must never
         // see bytes that are about to change.)
-        let fw_key = firmware_cache_key(fw);
+        let fw_key = fw.image.fingerprint();
         if self.config.block_cache {
             match self.decoded.take() {
                 Some((key, cache)) if key == fw_key => core.attach_block_cache(cache),
@@ -1262,15 +1262,6 @@ impl Soc {
             preload_done,
         ))
     }
-}
-
-/// Identity of a firmware image for decoded-block-cache retention:
-/// same base, same bytes → the retained decode is valid.
-fn firmware_cache_key(fw: &Firmware) -> u64 {
-    let mut h = Fnv::new();
-    h.mix(u64::from(fw.image.base()));
-    h.bytes(fw.image.as_bytes());
-    h.finish()
 }
 
 #[cfg(test)]

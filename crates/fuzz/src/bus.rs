@@ -43,11 +43,19 @@
 //! its error), on the books — port, DRAM and fault stats, clock
 //! crossings, split beats, surviving images — and, unlike the
 //! length-only swap, on the dirty and run-write extents around every
-//! reset and on the final contents. Programs run at one of the clock
-//! sweep's SoC frequencies or a random one against the 100 MHz DDR, so
-//! the crossing's rounding is exercised inside trains, and with the
-//! fault shim armed (it walks each train itself) or disarmed (the
-//! device runs the whole train in one pass).
+//! reset and on the final contents. Programs run at one to four times
+//! the 100 MHz DDR clock, at one of the clock sweep's SoC frequencies
+//! or at a random one, and with the fault shim armed (it walks each
+//! train itself) or disarmed (the device runs the whole train in one
+//! pass). At an integer ratio with the shim disarmed every layer
+//! re-issues a train's middle bursts at a constant offset, so the
+//! DRAM computes them in closed form — bursts that do not divide the
+//! row, unaligned starts, short last bursts, a row the previous access
+//! left open, and a lagging master ([`BusOp::Lag`]) that finds another
+//! master's reservation still holding the bus all meet it there; at
+//! any other ratio the crossing rounds burst by burst and the DRAM
+//! steps each one. Which of the two ran is checked too: the DRAM's
+//! stepped-burst counter must equal the mirror's prediction.
 
 use rvnv_bus::arbiter::{Arbiter, PortStats};
 use rvnv_bus::cdc::ClockCrossing;
@@ -415,6 +423,11 @@ impl BusTarget {
         let mut attempts = [0u64; 3];
         let mut ok_bytes = [0u64; 3];
         let (mut singles_ok, mut bursts_ok) = (0u64, 0u64);
+        // A train's layers re-issue at a constant offset when the SoC
+        // clock is a multiple of the DDR's: the DRAM then steps only
+        // its first and last burst. Cumulative, like the counter.
+        let closed_form = prog.soc_mhz.is_multiple_of(100);
+        let mut predicted_steps = 0u64;
         let mut now: Cycle = 0;
         let mut fp = 0u64;
         for (i, op) in prog.ops.iter().enumerate() {
@@ -502,6 +515,14 @@ impl BusTarget {
                     ok_bytes[mi] += landed as u64;
                     bursts_ok += failing.unwrap_or(shape.len()) as u64;
                     let walked = mode == Mode::Walked;
+                    predicted_steps += if walked || prog.armed || failing.is_some() {
+                        // One burst per DRAM entry: each one is stepped.
+                        failing.unwrap_or(shape.len())
+                    } else if shape.len() > 2 && closed_form {
+                        2
+                    } else {
+                        shape.len()
+                    } as u64;
                     let (o, end) = (addr as usize, addr as usize + landed);
                     let result = if len_only != (mode == Mode::Swapped) {
                         let payload = Payload::length_only(len, write);
@@ -574,7 +595,14 @@ impl BusTarget {
                     // Modeled time is the master's clock; no rewind.
                 }
                 BusOp::Advance(d) => now += u64::from(d),
+                BusOp::Lag(d) => now = now.saturating_sub(u64::from(d)),
             }
+        }
+        let steps = mux_of(&mut f).dram_mut().inner().work().burst_steps;
+        if steps != predicted_steps {
+            return Err(format!(
+                "DRAM stepped {steps} bursts one by one, {predicted_steps} predicted"
+            ));
         }
         // Conservation: the fabric's books against the mirror's, burst
         // by burst.

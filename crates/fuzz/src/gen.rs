@@ -166,6 +166,10 @@ pub enum BusOp {
     Reset,
     /// Let modeled time idle forward.
     Advance(u8),
+    /// Issue the next transaction this many cycles before the last
+    /// completion: a master whose clock trails the bus, so it finds
+    /// another master's reservation still holding it.
+    Lag(u16),
 }
 
 /// DRAM size every bus program runs against (1 MiB, matching the bus
@@ -188,22 +192,28 @@ pub struct BusProgram {
 /// The SoC clocks the benchmark's clock sweep visits, MHz.
 const SWEEP_MHZ: [u16; 8] = [50, 75, 100, 125, 150, 175, 200, 250];
 
+/// SoC clocks at one to four times the 100 MHz DDR, MHz: the ratios at
+/// which a train's middle bursts run in closed form.
+const MULTIPLE_MHZ: [u16; 4] = [100, 200, 300, 400];
+
 /// A seeded bus program in the quiet-program distribution of
 /// `crates/bus/tests/fuzz_fabric.rs`: mostly singles, a quarter block
 /// transfers (half of them burst trains, a third length-only, some
-/// running off the end of DRAM), occasional ownership flips, resets
-/// and idle gaps — at a sweep clock or a random one, with faults armed
-/// two times in three.
+/// running off the end of DRAM, some starting in the row the previous
+/// access left open), occasional ownership flips, resets, idle gaps
+/// and lagging masters — at a multiple of the DDR clock, a sweep clock
+/// or a random one, with faults armed two times in three.
 #[must_use]
 pub fn bus_program(seed: u64) -> BusProgram {
     let mut rng = SplitMix64::new(seed);
-    let soc_mhz = if rng.chance(1, 2) {
-        *rng.pick(&SWEEP_MHZ)
-    } else {
-        rng.range(10, 400) as u16
+    let soc_mhz = match rng.below(3) {
+        0 => *rng.pick(&MULTIPLE_MHZ),
+        1 => *rng.pick(&SWEEP_MHZ),
+        _ => rng.range(10, 400) as u16,
     };
     let armed = rng.chance(2, 3);
     let len = rng.range(4, 96) as usize;
+    let mut last = 0u32;
     let ops = (0..len)
         .map(|_| match rng.below(100) {
             0..=54 => {
@@ -214,6 +224,7 @@ pub fn bus_program(seed: u64) -> BusProgram {
                 } else {
                     (rng.next_u32() % (BUS_DRAM_BYTES as u32 - 8)) & !(n - 1)
                 };
+                last = addr;
                 BusOp::Single {
                     master: rng.below(3) as u8,
                     write: rng.chance(1, 2),
@@ -230,20 +241,24 @@ pub fn bus_program(seed: u64) -> BusProgram {
                     rng.range(1, if train { 4096 } else { 512 })
                 };
                 let size = BUS_DRAM_BYTES as u32;
+                let addr = match rng.below(8) {
+                    0 => rng.next_u32() % (2 * size),
+                    // Starts inside, ends outside: a train fails
+                    // part-way.
+                    1 => size - rng.below(len) as u32,
+                    // Starts in the row the previous access opened.
+                    2 => (last + rng.below(256) as u32) % (size - 4200),
+                    _ => rng.next_u32() % (size - 4200),
+                };
+                last = addr;
                 BusOp::Burst {
                     master: rng.below(3) as u8,
                     write: rng.chance(1, 2),
-                    addr: match rng.below(8) {
-                        0 => rng.next_u32() % (2 * size),
-                        // Starts inside, ends outside: a train fails
-                        // part-way.
-                        1 => size - rng.below(len) as u32,
-                        _ => rng.next_u32() % (size - 4200),
-                    },
+                    addr,
                     len: len as u16,
                     burst: match (train, rng.below(3)) {
                         (false, _) => 0,
-                        (true, 0) => *rng.pick(&[128, 1024]),
+                        (true, 0) => *rng.pick(&[128, 768, 1024]),
                         (true, _) => rng.range(1, 700) as u16,
                     },
                     fill: rng.next_u64(),
@@ -254,7 +269,8 @@ pub fn bus_program(seed: u64) -> BusProgram {
                 soc: rng.chance(1, 2),
             },
             90..=92 => BusOp::Reset,
-            _ => BusOp::Advance(rng.below(16) as u8),
+            93..=96 => BusOp::Advance(rng.below(16) as u8),
+            _ => BusOp::Lag(rng.range(1, 400) as u16),
         })
         .collect();
     BusProgram {

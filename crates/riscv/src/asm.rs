@@ -17,6 +17,8 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use rvnv_util::Fnv;
+
 use crate::csr;
 use crate::encode::encode;
 use crate::inst::{AluOp, BranchOp, CsrOp, Inst, MemWidth, MulOp};
@@ -52,6 +54,8 @@ pub struct Image {
     base: u32,
     data: Vec<u8>,
     symbols: BTreeMap<String, u32>,
+    /// FNV-1a of the base and the bytes, folded once by the assembler.
+    fingerprint: u64,
 }
 
 impl Image {
@@ -59,6 +63,15 @@ impl Image {
     #[must_use]
     pub fn base(&self) -> u32 {
         self.base
+    }
+
+    /// Content identity of the image: FNV-1a over its base and bytes.
+    /// O(1) — the assembler folds it once — so a caller that keys state
+    /// on the image (the SoC's decoded-block cache) need not re-hash it
+    /// every run.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The raw little-endian bytes, copied.
@@ -877,10 +890,15 @@ impl<'a> Assembler<'a> {
             }
         }
         let _ = self.source;
+        let base = base.unwrap_or(0);
+        let mut fingerprint = Fnv::new();
+        fingerprint.mix(u64::from(base));
+        fingerprint.bytes(&data);
         Ok(Image {
-            base: base.unwrap_or(0),
+            base,
             data,
             symbols: self.symbols.clone(),
+            fingerprint: fingerprint.finish(),
         })
     }
 }
@@ -927,6 +945,23 @@ mod tests {
         assert!(assemble("# just a comment\n   // another\n")
             .unwrap()
             .is_empty());
+    }
+
+    /// The fingerprint is the fold of the base and the bytes: equal
+    /// images agree, and moving or changing one changes it.
+    #[test]
+    fn fingerprint_folds_the_base_and_the_bytes() {
+        let img = assemble(".org 0x100\naddi a0, zero, 5\nebreak").unwrap();
+        let mut fold = Fnv::new();
+        fold.mix(0x100);
+        fold.bytes(img.as_bytes());
+        assert_eq!(img.fingerprint(), fold.finish());
+        let same = assemble(".org 0x100\naddi a0, zero, 5\nebreak").unwrap();
+        let moved = assemble(".org 0x200\naddi a0, zero, 5\nebreak").unwrap();
+        let changed = assemble(".org 0x100\naddi a0, zero, 6\nebreak").unwrap();
+        assert_eq!(same.fingerprint(), img.fingerprint());
+        assert_ne!(moved.fingerprint(), img.fingerprint());
+        assert_ne!(changed.fingerprint(), img.fingerprint());
     }
 
     #[test]

@@ -471,12 +471,13 @@ fn cmd_run(args: &[String]) -> Result<(), AnyError> {
     }
     if obs.wants_metrics() {
         // Host work, not modeled traffic: what the DRAM model really
-        // copied and zeroed, and how often it entered its burst loop,
-        // over all the runs above.
+        // copied and zeroed, how often it entered its burst loop and
+        // how many bursts it stepped there, over all the runs above.
         let work = soc.dram_work();
         metrics.counter("work.dram_bytes_copied", work.bytes_copied);
         metrics.counter("work.dram_bytes_zeroed", work.bytes_zeroed);
         metrics.counter("work.dram_walks", work.walks);
+        metrics.counter("work.dram_burst_steps", work.burst_steps);
     }
     obs.write(soc_hz, &metrics)?;
     Ok(())

@@ -177,30 +177,29 @@ fn timing_only_frame_moves_only_its_input_fp16_nv_full() {
     );
 }
 
-/// One warm timing-only LeNet-5 frame's modeled DRAM bursts, the DRAM's
-/// burst-loop entries over it (`DramWork::walks`) and its cycles, with
-/// the fault shim armed with `plan` when given.
-fn warm_frame_bursts_and_walks(
+/// One warm timing-only frame of `artifacts` and the DRAM's host work
+/// over it: `(bursts, walks, steps, cycles)` — its modeled DRAM bursts,
+/// the burst-loop entries (`DramWork::walks`), the bursts those stepped
+/// one by one (`DramWork::burst_steps`) and its cycles, with the fault
+/// shim armed with `plan` when given.
+fn warm_frame_work(
     config: SocConfig,
-    mut opt: CompileOptions,
+    artifacts: &Artifacts,
     plan: Option<FaultPlan>,
-) -> (u64, u64, u64) {
-    let net = Model::LeNet5.build(11);
-    opt.calib_inputs = 1;
-    let artifacts = compile(&net, &opt).expect("compile");
-    let fw = Firmware::build(&artifacts).expect("fw");
-    let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 100));
+) -> (u64, u64, u64, u64) {
+    let fw = Firmware::build(artifacts).expect("fw");
+    let bytes = vec![0; artifacts.input_len];
     let mut soc = Soc::new(config);
     if let Some(plan) = plan {
         soc.arm_faults(plan);
     }
-    soc.run_firmware(&artifacts, &bytes, &fw).expect("warm-up");
-    let before = soc.dram_work().walks;
+    soc.run_firmware(artifacts, &bytes, &fw).expect("warm-up");
+    let before = soc.dram_work();
     let cycles = soc
-        .run_firmware(&artifacts, &bytes, &fw)
+        .run_firmware(artifacts, &bytes, &fw)
         .expect("warm")
         .cycles;
-    let walks = soc.dram_work().walks - before;
+    let after = soc.dram_work();
     let bursts = (soc.dram_path().lock())
         .downstream_mut()
         .downstream_mut()
@@ -208,23 +207,31 @@ fn warm_frame_bursts_and_walks(
         .inner()
         .stats()
         .bursts;
-    (bursts, walks, cycles)
+    (
+        bursts,
+        after.walks - before.walks,
+        after.burst_steps - before.burst_steps,
+        cycles,
+    )
 }
 
 /// Each DMA transfer is one train down the fabric: a warm timing-only
-/// frame enters the DRAM's burst loop once per transfer, at least ten
-/// times fewer than the bursts it models. Under an armed (quiet) fault
-/// plan the shim draws once per burst, so the same frame walks: exactly
-/// one entry per burst, and not a cycle different.
-fn assert_dma_transfers_are_trains(config: SocConfig, opt: CompileOptions) {
-    let (bursts, walks, cycles) = warm_frame_bursts_and_walks(config.clone(), opt.clone(), None);
+/// LeNet-5 frame enters the DRAM's burst loop once per transfer, at
+/// least ten times fewer than the bursts it models. Under an armed
+/// (quiet) fault plan the shim draws once per burst, so the same frame
+/// walks: exactly one entry per burst, and not a cycle different.
+fn assert_dma_transfers_are_trains(config: SocConfig, mut opt: CompileOptions) {
+    opt.calib_inputs = 1;
+    let artifacts = compile(&Model::LeNet5.build(11), &opt).expect("compile");
+    let (bursts, walks, _, cycles) = warm_frame_work(config.clone(), &artifacts, None);
     assert!(
         walks > 0 && walks * 10 <= bursts,
         "{walks} walks for {bursts} bursts"
     );
-    let armed = warm_frame_bursts_and_walks(config, opt, Some(FaultPlan::quiet(7)));
+    let (armed_bursts, armed_walks, _, armed_cycles) =
+        warm_frame_work(config, &artifacts, Some(FaultPlan::quiet(7)));
     assert_eq!(
-        armed,
+        (armed_bursts, armed_walks, armed_cycles),
         (bursts, bursts, cycles),
         "an armed plan walks every burst"
     );
@@ -240,6 +247,52 @@ fn dma_transfers_are_trains_fp16_nv_full() {
     assert_dma_transfers_are_trains(
         SocConfig::zcu102_nv_full_timing_only(),
         CompileOptions::fp16(),
+    );
+}
+
+/// Table III's largest frame computes its bursts instead of stepping
+/// them: every shipped preset clocks the SoC at the memory clock, so
+/// each layer above the DRAM re-issues a train's steady bursts at a
+/// constant offset and the DRAM steps only each train's first and last
+/// burst — at most a tenth of `DramStats::bursts`, on the warm
+/// timing-only SoC frame and on the timing-only VP run, which has no
+/// layers above at all. An armed (quiet) fault plan walks, and a
+/// 150 MHz SoC against the 100 MHz memory rounds differently burst to
+/// burst: both step every burst, and the armed frame takes exactly the
+/// cycles of the closed form.
+#[test]
+fn resnet50_fp16_trains_step_a_tenth_of_their_bursts() {
+    let artifacts = compile(&Model::ResNet50.skeleton(), &CompileOptions::fp16()).expect("compile");
+    let config = SocConfig::zcu102_nv_full_timing_only();
+    let (bursts, _, steps, cycles) = warm_frame_work(config.clone(), &artifacts, None);
+    assert!(
+        steps > 0 && steps * 10 <= bursts,
+        "{steps} stepped of {bursts} bursts"
+    );
+    let (armed_bursts, _, armed_steps, armed_cycles) =
+        warm_frame_work(config.clone(), &artifacts, Some(FaultPlan::quiet(7)));
+    assert_eq!(
+        (armed_bursts, armed_steps, armed_cycles),
+        (bursts, bursts, cycles),
+        "an armed plan steps every burst"
+    );
+    let mut uneven = config.clone();
+    uneven.soc_hz = 150_000_000;
+    let (bursts_150, _, steps_150, _) = warm_frame_work(uneven, &artifacts, None);
+    assert_eq!(
+        steps_150, bursts_150,
+        "a non-integer clock ratio steps every burst"
+    );
+
+    let mut vp = VirtualPlatform::new(config.hw, 256 << 20);
+    vp.set_functional(false);
+    vp.run(&artifacts, &vec![0; artifacts.input_len], false)
+        .expect("VP replays");
+    let dram = vp.nvdla().dbb().inner();
+    let (bursts, steps) = (dram.stats().bursts, dram.work().burst_steps);
+    assert!(
+        steps > 0 && steps * 10 <= bursts,
+        "VP: {steps} stepped of {bursts} bursts"
     );
 }
 
