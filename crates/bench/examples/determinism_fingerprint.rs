@@ -38,9 +38,9 @@
 //! `rvnv_obs::Tracer` must be bit- and cycle-identical to untraced
 //! ones, while recording a structurally valid, nonempty trace.
 
-use rvnv_bench::{inference_fingerprint, nv_full_vp_timing};
+use rvnv_bench::inference_fingerprint;
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
-use rvnv_compiler::{compile, Artifacts, CompileOptions, VirtualPlatform};
+use rvnv_compiler::{compile, Artifacts, CompileOptions};
 use rvnv_nn::conv::{conv2d, conv2d_naive};
 use rvnv_nn::exec::Executor;
 use rvnv_nn::quant::CalibrationTable;
@@ -49,8 +49,8 @@ use rvnv_nn::Tensor;
 use rvnv_nvdla::config::Precision;
 use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_nvdla::engines::conv;
-use rvnv_nvdla::HwConfig;
 use rvnv_soc::firmware::Firmware;
+use rvnv_soc::paper;
 use rvnv_soc::soc::{InferenceResult, Soc, SocConfig};
 
 struct Variant {
@@ -91,10 +91,7 @@ fn variants() -> Vec<Variant> {
         },
         Variant {
             name: "functional/poll/fp16",
-            config: SocConfig {
-                hw: HwConfig::nv_full(),
-                ..SocConfig::zcu102_nv_small()
-            },
+            config: SocConfig::zcu102_nv_full(),
             artifacts: fp16_artifacts.clone(),
             codegen: CodegenOptions::default(),
         },
@@ -202,16 +199,15 @@ fn check_soc_kernels() {
     }
 }
 
-/// The path `table3_fp16` times: a timing-only `VirtualPlatform` replay
-/// with the Table III memory timing must land on the functional
-/// replay's cycle count and NVDLA books, with its output left at zero.
+/// The path `table3_fp16` times: a timing-only replay on Table III's
+/// `VirtualPlatform` must land on the functional replay's cycle count
+/// and NVDLA books, with its output left at zero.
 fn check_vp_timing_only() {
     let net = Model::LeNet5.build(1);
-    let artifacts = compile(&net, &CompileOptions::fp16()).expect("fp16 compile");
+    let artifacts = compile(&net, &paper::table3_compile_options()).expect("fp16 compile");
     let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 2));
     let replay = |functional: bool| {
-        let mut vp =
-            VirtualPlatform::with_timing(HwConfig::nv_full(), 64 << 20, nv_full_vp_timing());
+        let mut vp = paper::table3_vp();
         vp.set_functional(functional);
         let run = vp.run(&artifacts, &bytes, false).expect("VP replays");
         (run.cycles, vp.nvdla().stats().clone(), run.output)

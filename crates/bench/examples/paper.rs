@@ -4,22 +4,26 @@
 //! bare-metal ablations (1–4), Fig. 1/3's toolflow stage outputs,
 //! Fig. 2's per-hop interconnect latencies, Fig. 4's Zynq sessions and
 //! SmartConnect exclusion, Table I's resource model with the `nv_full`
-//! fit line, Table II's `nv_small` evaluation and Table III's `nv_full`
-//! FP16 cycle counts, paper values in parentheses where the paper has
-//! them. Everything printed is modeled (cycles, bytes, LUTs), so the
-//! output is identical on every host; host wall-clock lives in the
-//! benchmark ledger (`BENCHMARK.json`, `examples/benchmark/`).
+//! fit line, Table II's `nv_small` evaluation, Table III's `nv_full`
+//! FP16 cycle counts and the `nv_small` vs `nv_full` VP speedups. Paper
+//! values are in parentheses where the paper has them, with each row's
+//! signed error and each table's mean absolute error; set-ups and paper
+//! values come from `rvnv_soc::paper`. Everything printed is modeled
+//! (cycles, bytes, LUTs), so the output is identical on every host; host
+//! wall-clock lives in the benchmark ledger (`BENCHMARK.json`,
+//! `examples/benchmark/`).
 //!
-//! Two claims are asserted, not just printed: the scraped configuration
-//! file equals the compiled command list (Fig. 1), and `nv_full` does
-//! not fit the ZCU102 (Table I). No flags, no environment.
+//! Three claims are asserted, not just printed: the scraped
+//! configuration file equals the compiled command list (Fig. 1),
+//! `nv_full` does not fit the ZCU102 (Table I), and every number of
+//! Tables II and III is the `ours` of its `rvnv_soc::paper::ROWS` row.
+//! No flags, no environment.
 
-use rvnv_bench::nv_full_vp_timing;
 use rvnv_bus::ahb::AhbPort;
 use rvnv_bus::arbiter::Arbiter;
 use rvnv_bus::axi::AxiConfig;
 use rvnv_bus::bridge::{AhbToApb, AhbToAxi};
-use rvnv_bus::dram::Dram;
+use rvnv_bus::dram::{Dram, DramTiming};
 use rvnv_bus::smartconnect::Side;
 use rvnv_bus::sram::Sram;
 use rvnv_bus::width::WidthConverter;
@@ -34,8 +38,9 @@ use rvnv_nn::Tensor;
 use rvnv_nvdla::HwConfig;
 use rvnv_soc::baseline::LinuxRuntimeModel;
 use rvnv_soc::firmware::{Firmware, StorageFootprint};
+use rvnv_soc::paper::{self, Row, Table, Unit};
 use rvnv_soc::resources::{self, fits_zcu102, table1, ZCU102};
-use rvnv_soc::soc::{Soc, SocConfig};
+use rvnv_soc::soc::Soc;
 use rvnv_soc::zynq::ZynqTestbench;
 
 /// Pretty-print a table with a title and aligned columns.
@@ -84,6 +89,47 @@ fn format_time(cycles: u64, hz: u64) -> String {
     }
 }
 
+/// `table`'s row for `model` counting `unit`, with `ours` checked
+/// against what this run measured.
+fn pinned(table: Table, model: Model, unit: Unit, measured: u64) -> &'static Row {
+    let row = paper::row(table, model, unit).expect("paper::ROWS has every printed cell");
+    assert_eq!(
+        measured,
+        row.ours,
+        "Table {table:?} {} {unit:?} moved: update rvnv_soc::paper::ROWS",
+        model.name()
+    );
+    row
+}
+
+/// A paper time as the paper prints it: ms below a second, s above, to
+/// the digits it gives; "NA" where it has none.
+fn paper_time(row: &Row) -> String {
+    let (Some(cycles), Some(hz)) = (row.paper, row.unit.hz()) else {
+        return "NA".to_string();
+    };
+    let ms = cycles as f64 * 1000.0 / hz as f64;
+    if ms >= 1000.0 {
+        format!("{} s", ms / 1000.0)
+    } else {
+        format!("{ms} ms")
+    }
+}
+
+/// A row's signed error against the paper, in percent.
+fn signed_error(row: &Row) -> String {
+    row.error()
+        .map_or("NA".to_string(), |e| format!("{:+.1} %", 100.0 * e))
+}
+
+/// The mean-absolute-error line under a results table.
+fn print_mean_abs_error(table: Table) {
+    println!(
+        "\nTable {table:?} mean absolute error of the processing time: {:.1} %",
+        100.0 * paper::mean_abs_error(table)
+    );
+}
+
 /// The Table II/III "Model Size" column (fp32 Caffe file).
 fn model_size_string(model: Model) -> String {
     ModelStats::of(&model.build(1)).model_size_string(NnPrecision::Fp32)
@@ -96,17 +142,16 @@ fn input_string(model: Model) -> String {
 
 /// Ablation 1: the speedup collapses from tens of × on tiny models to
 /// ~2× on large ones because the Linux overhead is roughly fixed per
-/// inference.
-fn ablation_baremetal_vs_linux(nv_small: &[(Model, Artifacts)]) {
-    let baseline = LinuxRuntimeModel::esp_ariane_50mhz();
+/// inference. Table II's two time columns, as `paper::ROWS` pins them
+/// (Table II asserts the pins).
+fn ablation_baremetal_vs_linux() {
     let mut rows = Vec::new();
-    for (model, artifacts) in nv_small {
-        let mut soc = Soc::new(SocConfig::zcu102_timing_only());
-        let input = Tensor::random(model.build(1).input_shape(), 5);
-        let r = soc.run_inference(artifacts, &input).expect("run");
-        let bm_ms = r.cycles as f64 * 1000.0 / 100e6;
-        let data = artifacts.weights.total_bytes() as u64 + artifacts.input_len as u64;
-        let lx_ms = baseline.latency_ms(r.cycles, artifacts.ops.len() as u64, data);
+    for model in Model::NV_SMALL {
+        let ms = |unit: Unit| {
+            let row = paper::row(Table::II, model, unit).expect("Table II times");
+            row.ours as f64 * 1000.0 / unit.hz().expect("a time") as f64
+        };
+        let (bm_ms, lx_ms) = (ms(Unit::SocCycles), ms(Unit::LinuxCycles));
         rows.push(vec![
             model.name().to_string(),
             format!("{bm_ms:.1} ms"),
@@ -128,14 +173,13 @@ fn ablation_fusion() {
         let net = model.build(1);
         let input = Tensor::random(net.input_shape(), 5);
         let mut cells = vec![model.name().to_string()];
-        for fused in [false, true] {
-            let mut opt = CompileOptions::int8();
-            opt.calib_inputs = 1;
-            if !fused {
-                opt = opt.unfused();
-            }
+        for fuse in [false, true] {
+            let opt = CompileOptions {
+                fuse,
+                ..paper::table2_compile_options()
+            };
             let artifacts = compile(&net, &opt).expect("compile");
-            let mut soc = Soc::new(SocConfig::zcu102_timing_only());
+            let mut soc = Soc::new(paper::table2_soc());
             let r = soc.run_inference(&artifacts, &input).expect("run");
             cells.push(format!(
                 "{} ({} ops)",
@@ -158,7 +202,7 @@ fn ablation_clock_sweep(lenet5: &Artifacts) {
     let mut rows = Vec::new();
     for mhz in [50u64, 100, 200] {
         // The DDR4 stays at 100 MHz on the board.
-        let mut cfg = SocConfig::zcu102_timing_only();
+        let mut cfg = paper::table2_soc();
         cfg.soc_hz = mhz * 1_000_000;
         let mut soc = Soc::new(cfg);
         let r = soc.run_inference(lenet5, &input).expect("run");
@@ -326,7 +370,7 @@ fn fig2_interconnect() {
 fn fig4_setup(nv_small: &[(Model, Artifacts)]) {
     let mut rows = Vec::new();
     for (model, artifacts) in &nv_small[..2] {
-        let mut tb = ZynqTestbench::new(Soc::new(SocConfig::zcu102_timing_only()));
+        let mut tb = ZynqTestbench::new(Soc::new(paper::table2_soc()));
         let input = Tensor::random(model.build(1).input_shape(), 3);
         let session = tb.run(artifacts, &input).expect("session");
         rows.push(vec![
@@ -349,7 +393,7 @@ fn fig4_setup(nv_small: &[(Model, Artifacts)]) {
         &rows,
     );
 
-    let soc = Soc::new(SocConfig::zcu102_timing_only());
+    let soc = Soc::new(paper::table2_soc());
     soc.switch_dram_to(Side::ZynqPs);
     let denied = soc.dram_path().access(&Request::read32(0), 0);
     println!(
@@ -417,7 +461,7 @@ fn table2_nv_small(nv_small: &[(Model, Artifacts)]) {
     let baseline = LinuxRuntimeModel::esp_ariane_50mhz();
     let mut rows = Vec::new();
     for (model, artifacts) in nv_small {
-        let mut soc = Soc::new(SocConfig::zcu102_timing_only());
+        let mut soc = Soc::new(paper::table2_soc());
         let input = Tensor::random(model.build(1).input_shape(), 7);
         let result = soc
             .run_inference(artifacts, &input)
@@ -426,23 +470,24 @@ fn table2_nv_small(nv_small: &[(Model, Artifacts)]) {
         let data_bytes = artifacts.weights.total_bytes() as u64 + artifacts.input_len as u64;
         let base_cycles =
             baseline.total_cycles(result.cycles, artifacts.ops.len() as u64, data_bytes);
+        let model = *model;
         // The paper's "Layers" column counts unfused hardware ops.
-        let (paper_layers, paper_t, paper_base) = match model {
-            Model::LeNet5 => ("9", "4.8 ms", "263 ms"),
-            Model::ResNet18 => ("86", "16.2 ms", "NA"),
-            Model::ResNet50 => ("228", "1.1 s", "2.5 s"),
-            _ => unreachable!("Table II covers the nv_small models"),
-        };
+        let ops = result.nvdla.total_ops();
+        let layers = pinned(Table::II, model, Unit::HwOps, ops);
+        let time = pinned(Table::II, model, Unit::SocCycles, result.cycles);
+        let linux = pinned(Table::II, model, Unit::LinuxCycles, base_cycles);
         rows.push(vec![
             model.name().to_string(),
-            format!("{} ({paper_layers})", result.nvdla.total_ops()),
-            input_string(*model),
-            model_size_string(*model),
-            format!("{} ({paper_t})", format_time(result.cycles, hz)),
+            format!("{ops} ({})", layers.paper.expect("the paper counts layers")),
+            input_string(model),
+            model_size_string(model),
+            format!("{} ({})", format_time(result.cycles, hz), paper_time(time)),
             format!(
-                "{} ({paper_base})",
-                format_time(base_cycles, baseline.clock_hz)
+                "{} ({})",
+                format_time(base_cycles, baseline.clock_hz),
+                paper_time(linux)
             ),
+            signed_error(time),
         ]);
     }
     print_table(
@@ -454,38 +499,35 @@ fn table2_nv_small(nv_small: &[(Model, Artifacts)]) {
             "Model Size",
             "Proc. Time @100MHz",
             "Proc. Time @50MHz [8]",
+            "Error @100MHz",
         ],
         &rows,
     );
+    print_mean_abs_error(Table::II);
 }
 
 /// Table III: all six models in FP16 on the `nv_full` virtual platform
-/// with the official VP's memory timing, timing-only.
-fn table3_nv_full() {
-    let hz = 100_000_000u64;
+/// with the official VP's memory timing, timing-only. Returns each
+/// model's cycles.
+fn table3_nv_full() -> Vec<u64> {
+    let hz = 100_000_000;
+    let mut cycles_of = Vec::new();
     let mut rows = Vec::new();
     for model in Model::ALL {
-        let artifacts = compile(&model.build(1), &CompileOptions::fp16()).expect("fp16 compile");
-        let mut vp =
-            VirtualPlatform::with_timing(HwConfig::nv_full(), 512 << 20, nv_full_vp_timing());
-        vp.set_functional(false);
-        let input = vec![0u8; artifacts.input_len];
-        let cycles = vp.run(&artifacts, &input, false).expect("vp run").cycles;
-        let paper = match model {
-            Model::LeNet5 => 143_188,
-            Model::ResNet18 => 324_387,
-            Model::ResNet50 => 26_565_315,
-            Model::MobileNet => 22_525_704,
-            Model::GoogLeNet => 40_889_646,
-            Model::AlexNet => 35_535_582,
-        };
+        let opt = paper::table3_compile_options();
+        let artifacts = compile(&model.build(1), &opt).expect("fp16 compile");
+        let cycles = paper::vp_cycles(&mut paper::table3_vp(), &artifacts).expect("vp run");
+        let row = pinned(Table::III, model, Unit::SocCycles, cycles);
+        let paper = row.paper.expect("Table III has every cycle count");
         rows.push(vec![
             model.name().to_string(),
             input_string(model),
             model_size_string(model),
             format!("{cycles} ({paper})"),
             format!("{} ({})", format_time(cycles, hz), format_time(paper, hz)),
+            signed_error(row),
         ]);
+        cycles_of.push(cycles);
     }
     print_table(
         "Table III: nv_full simulation, FP16 — measured (paper)",
@@ -495,17 +537,47 @@ fn table3_nv_full() {
             "Model size",
             "Clock cycles",
             "Proc. time @100MHz",
+            "Error",
         ],
+        &rows,
+    );
+    print_mean_abs_error(Table::III);
+    cycles_of
+}
+
+/// The configuration step the paper's conclusion anticipates: the
+/// `nv_small` models in INT8 on an `nv_small` VP with Table III's memory
+/// timing, against Table III's `nv_full` FP16 cycles (`Model::ALL` order).
+fn nv_small_vs_nv_full(nv_full: &[u64]) {
+    let mut opt = CompileOptions::int8();
+    opt.calib_inputs = 1;
+    let mut rows = Vec::new();
+    for (model, &full) in Model::ALL.into_iter().zip(nv_full) {
+        let small = Model::NV_SMALL.contains(&model).then(|| {
+            let artifacts = compile(&model.build(1), &opt).expect("int8 compile");
+            let timing = DramTiming::nvdla_vp();
+            let mut vp = VirtualPlatform::with_timing(HwConfig::nv_small(), 512 << 20, timing);
+            vp.set_functional(false);
+            paper::vp_cycles(&mut vp, &artifacts).expect("vp run")
+        });
+        let dash = || "-".to_string();
+        rows.push(vec![
+            model.name().to_string(),
+            small.map_or_else(dash, |c| c.to_string()),
+            full.to_string(),
+            small.map_or_else(dash, |c| format!("{:.1}x", c as f64 / full as f64)),
+        ]);
+    }
+    print_table(
+        "nv_small INT8 vs nv_full FP16 on the VP (Table III memory timing), cycles",
+        &["Model", "nv_small INT8", "nv_full FP16", "Speedup"],
         &rows,
     );
 }
 
 fn main() {
-    // Table II's configuration — the paper's `nv_small` trace-replay
-    // flow: INT8, unfused, one calibration input — compiled once for
-    // every section on it.
-    let mut opt = CompileOptions::int8().unfused();
-    opt.calib_inputs = 1;
+    // Table II's configuration, compiled once for every section on it.
+    let opt = paper::table2_compile_options();
     let nv_small: Vec<(Model, Artifacts)> = Model::NV_SMALL
         .into_iter()
         .map(|m| {
@@ -515,7 +587,7 @@ fn main() {
             )
         })
         .collect();
-    ablation_baremetal_vs_linux(&nv_small);
+    ablation_baremetal_vs_linux();
     ablation_fusion();
     ablation_clock_sweep(&nv_small[0].1);
     ablation_storage(&nv_small);
@@ -524,5 +596,6 @@ fn main() {
     fig4_setup(&nv_small);
     table1_resources();
     table2_nv_small(&nv_small);
-    table3_nv_full();
+    let nv_full = table3_nv_full();
+    nv_small_vs_nv_full(&nv_full);
 }

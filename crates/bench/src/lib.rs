@@ -1,7 +1,7 @@
-//! What the paper printer (`examples/paper.rs`), the determinism gate
-//! (`examples/determinism_fingerprint.rs`) and the benchmark harness
-//! (`examples/benchmark/`) share: the inference fingerprint and the
-//! `nv_full` VP memory timing of Table III.
+//! What the determinism gate (`examples/determinism_fingerprint.rs`)
+//! and the benchmark harness (`examples/benchmark/`) share: the
+//! inference fingerprint, and the `nv_full` VP memory timing of Table III
+//! under the name the harness imports.
 
 use rvnv_bus::dram::DramTiming;
 use rvnv_nn::hash::Fnv;
@@ -23,21 +23,8 @@ pub fn inference_fingerprint(r: &InferenceResult) -> u64 {
     h.finish()
 }
 
-/// Memory timing used for `nv_full` VP simulation.
-///
-/// The official VP's SystemC memory is a behavioral model that delivers
-/// on the order of 4 bytes/cycle regardless of the configured DBB width
-/// — visible in the paper's Table III, where AlexNet's 122 MB of FP16
-/// weights take 35.5 M cycles (~3.4 B/cycle). We reproduce that
-/// behaviour with a 32-bit-per-beat memory and moderate latencies.
+/// [`DramTiming::nvdla_vp`], Table III's VP memory timing.
 #[must_use]
 pub fn nv_full_vp_timing() -> DramTiming {
-    DramTiming {
-        cas: 6,
-        rcd: 6,
-        rp: 6,
-        controller: 4,
-        row_bytes: 2048,
-        bytes_per_beat: 4,
-    }
+    DramTiming::nvdla_vp()
 }

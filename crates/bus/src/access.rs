@@ -236,7 +236,7 @@ pub(crate) trait Reissue {
 /// fabric's layers add their fixed delays and per-burst arithmetic to
 /// it on the way down; the DRAM at the bottom runs the bursts, asking
 /// the train when the next one arrives — or, when every layer above
-/// re-issues at a constant offset ([`Payload::offset`]), computes the
+/// re-issues at a constant offset (`Payload::offset`), computes the
 /// middle ones in closed form; a layer with a per-burst side effect it
 /// cannot aggregate falls back to [`Payload::walk`]. A single burst is
 /// a train of one.

@@ -170,15 +170,18 @@ pub struct VirtualPlatform {
 }
 
 impl VirtualPlatform {
-    /// Build a VP for the given configuration with default (MIG-like)
-    /// memory timing and `mem_bytes` of DRAM.
+    /// Build a VP for the given configuration with the FPGA's MIG memory
+    /// timing ([`DramTiming::mig_ddr4`]) and `mem_bytes` of DRAM. That is
+    /// not Table III's timing: `rvnv_soc::paper::table3_vp` builds the VP
+    /// the paper's `nv_full` cycle counts come from.
     #[must_use]
     pub fn new(cfg: HwConfig, mem_bytes: usize) -> Self {
         Self::with_timing(cfg, mem_bytes, DramTiming::mig_ddr4())
     }
 
-    /// Build a VP with explicit memory timing (Table III `nv_full` runs
-    /// use a wider, lower-latency memory than the FPGA MIG).
+    /// Build a VP with explicit memory timing. Table III's `nv_full` runs
+    /// use [`DramTiming::nvdla_vp`]: the MIG's 4 B/beat at lower
+    /// latencies.
     #[must_use]
     pub fn with_timing(cfg: HwConfig, mem_bytes: usize, timing: DramTiming) -> Self {
         VirtualPlatform {

@@ -15,6 +15,8 @@
 //! * [`baseline`] — the Linux-driver runtime model used as the Table II
 //!   comparison column (ref.\[8\], Ariane+NVDLA on ESP at 50 MHz),
 //! * [`resources`] — the analytical FPGA resource model behind Table I,
+//! * [`paper`] — Tables II and III as data: their set-ups, and the
+//!   paper's every number beside ours,
 //! * [`sweep`] — host-side worker fan-out for configuration sweeps,
 //! * [`batch`] — the multi-model resident batch scheduler (several
 //!   weight images pinned in one DRAM, frames interleaved across them),
@@ -48,6 +50,7 @@ pub mod baseline;
 pub mod batch;
 pub mod firmware;
 pub mod fleet;
+pub mod paper;
 pub mod profile;
 mod queueing;
 pub mod resources;

@@ -1330,7 +1330,7 @@ impl Server {
 
     /// Plan `spec` without running frames: trace generation plus the
     /// queueing simulation on the calibrated profile. Host-cheap, which
-    /// is what makes dense rate sweeps (`examples/load_test.rs`)
+    /// is what makes dense rate and fault-rate sweeps (`tests/serve.rs`)
     /// practical; [`Server::serve`] replays the same plan on real SoCs.
     ///
     /// # Errors

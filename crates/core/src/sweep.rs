@@ -2,8 +2,8 @@
 //!
 //! Sweep points are independent — each worker owns its SoC or virtual
 //! platform — so the only shared state a sweep needs is a work index.
-//! [`fan_out`] is that one pattern, used by `rv-nvdla sweep`, the
-//! `config_explorer` example and the benchmark's sweep rows, so fixes to the
+//! [`fan_out`] is that one pattern, used by `rv-nvdla sweep`, the serve
+//! and fleet replays and the benchmark's sweep rows, so fixes to the
 //! fan-out (ordering, panic behavior) live in exactly one place.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,10 +1,11 @@
 //! Docs-consistency checks, run as a tier-1 test and as a dedicated CI
 //! step: every intra-repo markdown link must resolve to a real file,
 //! every `rv-nvdla` subcommand a document names must exist in the
-//! binary's `--help` (usage) output, and every `--flag` a document
-//! names for a subcommand must exist in that subcommand's strict
-//! `validate_args` rejection list — documentation can't drift from the
-//! CLI it describes, down to the flag grammar.
+//! binary's `--help` (usage) output, every `--flag` a document names
+//! for a subcommand must exist in that subcommand's strict
+//! `validate_args` rejection list, and every `--example NAME` must be a
+//! real example — documentation can't drift from the CLI it describes,
+//! down to the flag grammar.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -259,6 +260,43 @@ fn documented_flags_exist_in_the_cli() {
         drift.is_empty(),
         "documents name flags the CLI would reject:\n{}",
         drift.join("\n")
+    );
+}
+
+/// Every `--example NAME` a document names must be a real example: a
+/// root `examples/NAME.rs` or a `crates/*/examples/NAME.rs`.
+#[test]
+fn documented_examples_exist() {
+    let root = repo_root();
+    let mut dirs = vec![root.join("examples")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        dirs.push(entry.expect("readable entry").path().join("examples"));
+    }
+    let exists = |name: &str| dirs.iter().any(|d| d.join(format!("{name}.rs")).is_file());
+    assert!(
+        exists("quickstart") && exists("paper"),
+        "example lookup sanity"
+    );
+    let mut missing = Vec::new();
+    for file in doc_files() {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for (n, line) in text.lines().enumerate() {
+            for mention in line.split("--example ").skip(1) {
+                let name: String = mention
+                    .chars()
+                    .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
+                    .collect();
+                if !exists(&name) {
+                    missing.push(format!("{}:{}: --example {name}", file.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "documents name examples that do not exist:\n{}",
+        missing.join("\n")
     );
 }
 

@@ -8,8 +8,8 @@ use rvnv_nn::exec::Executor;
 use rvnv_nn::graph::{Network, Op, PoolKind};
 use rvnv_nn::tensor::{Shape, WeightTensor};
 use rvnv_nn::{zoo, Tensor};
-use rvnv_nvdla::HwConfig;
 use rvnv_soc::firmware::Firmware;
+use rvnv_soc::paper::{self, Table, Unit};
 use rvnv_soc::soc::{Soc, SocConfig};
 
 /// A network exercising every NVDLA engine and compiler path: fused
@@ -113,9 +113,7 @@ fn kitchen_sink_fp16_on_nv_full_soc_matches_golden() {
         assert!(engines.contains(e), "missing engine {e}: {engines:?}");
     }
 
-    let mut config = SocConfig::zcu102_nv_small();
-    config.hw = HwConfig::nv_full();
-    let mut soc = Soc::new(config);
+    let mut soc = Soc::new(SocConfig::zcu102_nv_full());
     let input = Tensor::random(net.input_shape(), 77);
     let result = soc.run_inference(&artifacts, &input).expect("inference");
 
@@ -199,21 +197,39 @@ fn fused_and_unfused_agree_functionally() {
     );
 }
 
-/// Table II's "Layers" column is the unfused hardware-op count (the
-/// paper's 9 / 86 / 228), not the DAG node count: pin what the paper
-/// printer shows for it on Table II's configuration — INT8, unfused,
-/// timing-only.
+/// The paper pins of the small networks, read from `rvnv_soc::paper` on
+/// its set-ups: Table II's "Layers" column is the unfused hardware-op
+/// count (the paper's 9 / 86 / 228), not the DAG node count, and Table
+/// II's SoC and Table III's VP cycles are exactly `ours`. The paper
+/// printer asserts the other rows.
 #[test]
 fn table2_layers_are_unfused_hardware_ops() {
-    for (model, ops) in [(zoo::Model::LeNet5, 11), (zoo::Model::ResNet18, 88)] {
+    let ours = |table, model, unit| {
+        paper::row(table, model, unit)
+            .expect("paper::ROWS covers the small networks")
+            .ours
+    };
+    for model in [zoo::Model::LeNet5, zoo::Model::ResNet18] {
         let net = model.build(1);
-        let mut opt = CompileOptions::int8().unfused();
-        opt.calib_inputs = 1;
-        let artifacts = compile(&net, &opt).expect("compile");
-        let mut soc = Soc::new(SocConfig::zcu102_timing_only());
+        let artifacts = compile(&net, &paper::table2_compile_options()).expect("compile");
+        let mut soc = Soc::new(paper::table2_soc());
         let input = Tensor::random(net.input_shape(), 7);
         let result = soc.run_inference(&artifacts, &input).expect("inference");
-        assert_eq!(result.nvdla.total_ops(), ops, "{}", model.name());
+        let name = model.name();
+        assert_eq!(
+            result.nvdla.total_ops(),
+            ours(Table::II, model, Unit::HwOps),
+            "{name}"
+        );
+        assert_eq!(
+            result.cycles,
+            ours(Table::II, model, Unit::SocCycles),
+            "{name}"
+        );
+
+        let fp16 = compile(&net, &paper::table3_compile_options()).expect("fp16 compile");
+        let cycles = paper::vp_cycles(&mut paper::table3_vp(), &fp16).expect("vp run");
+        assert_eq!(cycles, ours(Table::III, model, Unit::SocCycles), "{name}");
     }
 }
 

@@ -13,6 +13,7 @@
 //! * **Replay exactness** — `Fleet::run` spot-replays sampled windows
 //!   of the dispatch plan on real per-pool SoCs; divergence must be 0
 //!   across policies × heterogeneous pools.
+//! * **Capacity** — the minimal worker counts docs/FLEET.md quotes.
 
 use std::sync::OnceLock;
 
@@ -331,22 +332,8 @@ fn fleet2() -> (&'static Fleet, FleetSpec) {
     static FLEET: OnceLock<Fleet> = OnceLock::new();
     let spec = FleetSpec {
         pools: vec![
-            PoolSpec {
-                class: SocClass::NvSmall,
-                workers: 2,
-                min_workers: 2,
-                max_workers: 2,
-                queue_depth: 8,
-                models: None,
-            },
-            PoolSpec {
-                class: SocClass::NvFull,
-                workers: 1,
-                min_workers: 1,
-                max_workers: 1,
-                queue_depth: 8,
-                models: None,
-            },
+            fixed_pool(SocClass::NvSmall, 2, 8),
+            fixed_pool(SocClass::NvFull, 1, 8),
         ],
         rate_rps: 300,
         duration_ms: 150,
@@ -356,17 +343,67 @@ fn fleet2() -> (&'static Fleet, FleetSpec) {
         window_frames: 16,
         ..FleetSpec::default()
     };
-    let fleet = FLEET.get_or_init(|| {
-        let mut opt = CompileOptions::int8();
-        opt.calib_inputs = 1;
-        let nets = [Model::LeNet5.build(1), Model::ResNet18.build(1)];
-        let codegen = CodegenOptions {
-            wait_mode: WaitMode::Wfi,
-            ..CodegenOptions::default()
-        };
-        Fleet::new(&nets, &opt, codegen, &spec).expect("calibrate fleet")
+    (FLEET.get_or_init(|| calibrate(&spec)), spec)
+}
+
+/// A fleet for `spec`'s pool shapes, serving LeNet-5 and ResNet-18 in
+/// INT8 with `wfi` firmware.
+fn calibrate(spec: &FleetSpec) -> Fleet {
+    let mut opt = CompileOptions::int8();
+    opt.calib_inputs = 1;
+    let nets = [Model::LeNet5.build(1), Model::ResNet18.build(1)];
+    let codegen = CodegenOptions {
+        wait_mode: WaitMode::Wfi,
+        ..CodegenOptions::default()
+    };
+    Fleet::new(&nets, &opt, codegen, spec).expect("calibrate fleet")
+}
+
+/// A pool of `workers` that never autoscales.
+fn fixed_pool(class: SocClass, workers: usize, queue_depth: usize) -> PoolSpec {
+    PoolSpec {
+        class,
+        workers,
+        min_workers: workers,
+        max_workers: workers,
+        queue_depth,
+        models: None,
+    }
+}
+
+/// docs/FLEET.md's capacity question: do fixed pools of these sizes,
+/// 16 deep, hold p99 under a 12 ms SLO at 500 req/s of diurnal traffic,
+/// shedding nothing?
+fn holds_12ms_at_500_rps(fleet: &Fleet, pools: &[(SocClass, usize)]) -> bool {
+    let spec = FleetSpec {
+        pools: pools.iter().map(|&(c, n)| fixed_pool(c, n, 16)).collect(),
+        route: RoutePolicy::ModelAffinity,
+        shape: TrafficShape::Diurnal,
+        rate_rps: 500,
+        duration_ms: 1_000,
+        seed: 42,
+        slo_us: 12_000,
+        ..FleetSpec::default()
+    };
+    let r = fleet.plan(&spec).expect("plan");
+    r.total.p99 < r.slo_cycles && r.shed == 0
+}
+
+/// docs/FLEET.md's capacity table: at 500 req/s diurnal and a 12 ms
+/// SLO, 5 nv_small workers is the minimum; with one nv_full worker
+/// attached, 4.
+#[test]
+fn minimal_worker_counts_hold_the_capacity_slo() {
+    use SocClass::{NvFull, NvSmall};
+    let small = calibrate(&FleetSpec {
+        pools: vec![fixed_pool(NvSmall, 1, 16)],
+        ..FleetSpec::default()
     });
-    (fleet, spec)
+    assert!(!holds_12ms_at_500_rps(&small, &[(NvSmall, 4)]));
+    assert!(holds_12ms_at_500_rps(&small, &[(NvSmall, 5)]));
+    let (hetero, _) = fleet2();
+    assert!(!holds_12ms_at_500_rps(hetero, &[(NvSmall, 3), (NvFull, 1)]));
+    assert!(holds_12ms_at_500_rps(hetero, &[(NvSmall, 4), (NvFull, 1)]));
 }
 
 #[test]
