@@ -7,6 +7,8 @@
 //! what makes large weight DMAs cheap per byte while keeping scattered
 //! CPU accesses expensive — the behaviour the paper's Table II depends on.
 
+use std::borrow::Cow;
+
 use crate::{AccessKind, BusError, Cycle, Data, Payload, Request, Reset, Response, Target};
 
 /// A sorted set of disjoint half-open byte ranges, coalescing
@@ -218,7 +220,8 @@ pub struct DramStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramWork {
     /// Bytes copied into or out of the backing store (backdoor loads,
-    /// single beats, data bursts). [`Dram::peek`] borrows and is free.
+    /// single beats, data bursts). [`Dram::peek`] is not counted: it
+    /// borrows, or hands back zeros while the device is unbacked.
     pub bytes_copied: u64,
     /// Bytes zeroed by resets and image evictions.
     pub bytes_zeroed: u64,
@@ -425,9 +428,18 @@ impl Target for DramTimeline {
 }
 
 /// The DRAM device.
+///
+/// Its contents are backed on the first byte stored or copied out, not
+/// at construction: until then every byte reads as zero, [`Dram::peek`]
+/// hands back zeros, and resets have nothing to zero. A device that
+/// only ever sees length-only trains — a timing-only, unlogged VP
+/// replay — never maps its storage. Once backed, it is the whole size,
+/// zeroed, so no later store grows it.
 #[derive(Debug, Clone)]
 pub struct Dram {
+    /// The contents: empty until backed, then `size` bytes.
     data: Vec<u8>,
+    size: usize,
     timeline: DramTimeline,
     work: DramWork,
     /// Extents whose bytes may be nonzero (stored to since the contents
@@ -453,7 +465,8 @@ impl Dram {
     #[must_use]
     pub fn new(size: usize, timing: DramTiming) -> Self {
         Dram {
-            data: vec![0; size],
+            data: Vec::new(),
+            size,
             timeline: DramTimeline::new(timing),
             work: DramWork::default(),
             dirty: RangeSet::new(),
@@ -478,7 +491,16 @@ impl Dram {
     /// Size in bytes.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.data.len()
+        self.size
+    }
+
+    /// The contents, for moving bytes in or out: the first call backs
+    /// the whole device with zeros.
+    fn backed(&mut self) -> &mut [u8] {
+        if self.data.is_empty() {
+            self.data = vec![0; self.size];
+        }
+        &mut self.data
     }
 
     /// Accumulated statistics.
@@ -544,11 +566,11 @@ impl Dram {
     /// image (including a previous image with the same id), or
     /// [`BusError::OutOfRange`] if it reaches past the end of the device.
     pub fn add_resident(&mut self, id: u64, extents: RangeSet) -> Result<(), BusError> {
-        if let Some((s, e)) = extents.iter().find(|&(_, e)| e > self.data.len()) {
+        if let Some((s, e)) = extents.iter().find(|&(_, e)| e > self.size) {
             return Err(BusError::OutOfRange {
                 addr: s as u32,
                 len: e - s,
-                size: self.data.len(),
+                size: self.size,
             });
         }
         if let Some(&(other, _)) = self.resident.iter().find(|(_, ext)| ext.overlaps(&extents)) {
@@ -643,8 +665,12 @@ impl Dram {
         &self.run_writes
     }
 
-    /// Zero every byte of the given range set.
+    /// Zero every byte of the given range set (nothing to do while
+    /// unbacked: every byte already reads as zero).
     fn zero_ranges(&mut self, ranges: &RangeSet) {
+        if self.data.is_empty() {
+            return;
+        }
         for (s, e) in ranges.iter() {
             self.data[s..e].fill(0);
         }
@@ -659,36 +685,42 @@ impl Dram {
     ///
     /// Returns [`BusError::OutOfRange`] if the image does not fit.
     pub fn load(&mut self, offset: usize, image: &[u8]) -> Result<(), BusError> {
-        if offset + image.len() > self.data.len() {
+        if offset + image.len() > self.size {
             return Err(BusError::OutOfRange {
                 addr: offset as u32,
                 len: image.len(),
-                size: self.data.len(),
+                size: self.size,
             });
         }
-        self.data[offset..offset + image.len()].copy_from_slice(image);
+        self.backed()[offset..offset + image.len()].copy_from_slice(image);
         self.work.bytes_copied += image.len() as u64;
         self.note_write(offset, image.len(), true);
         Ok(())
     }
 
-    /// Backdoor read of memory contents.
+    /// Backdoor read of memory contents: borrowed once the device is
+    /// backed, else zeros (which never back it).
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     #[must_use]
-    pub fn peek(&self, offset: usize, len: usize) -> &[u8] {
-        &self.data[offset..offset + len]
+    pub fn peek(&self, offset: usize, len: usize) -> Cow<'_, [u8]> {
+        assert!(offset + len <= self.size, "peek past the end of DRAM");
+        if self.data.is_empty() {
+            Cow::Owned(vec![0; len])
+        } else {
+            Cow::Borrowed(&self.data[offset..offset + len])
+        }
     }
 
     fn check(&self, addr: u32, len: usize) -> Result<usize, BusError> {
         let offset = addr as usize;
-        if offset + len > self.data.len() {
+        if offset + len > self.size {
             return Err(BusError::OutOfRange {
                 addr,
                 len,
-                size: self.data.len(),
+                size: self.size,
             });
         }
         Ok(offset)
@@ -764,7 +796,7 @@ impl Target for Dram {
         match req.kind {
             AccessKind::Read => {
                 let mut v = [0u8; 8];
-                v[..n].copy_from_slice(&self.data[offset..offset + n]);
+                v[..n].copy_from_slice(&self.backed()[offset..offset + n]);
                 Ok(Response {
                     data: u64::from_le_bytes(v),
                     done_at,
@@ -772,7 +804,7 @@ impl Target for Dram {
             }
             AccessKind::Write(d) => {
                 let bytes = d.to_le_bytes();
-                self.data[offset..offset + n].copy_from_slice(&bytes[..n]);
+                self.backed()[offset..offset + n].copy_from_slice(&bytes[..n]);
                 self.note_write(offset, n, true);
                 Ok(Response::ack(done_at))
             }
@@ -803,11 +835,11 @@ impl Target for Dram {
         self.work.burst_steps += steps;
         match payload.data {
             Data::Read(buf) => {
-                buf.copy_from_slice(&self.data[offset..offset + len]);
+                buf.copy_from_slice(&self.backed()[offset..offset + len]);
                 self.work.bytes_copied += len as u64;
             }
             Data::Write(buf) => {
-                self.data[offset..offset + len].copy_from_slice(buf);
+                self.backed()[offset..offset + len].copy_from_slice(buf);
                 self.work.bytes_copied += len as u64;
                 self.note_write(offset, len, true);
             }
@@ -1012,8 +1044,8 @@ mod tests {
         // A run writes scratch data, then the fabric resets.
         d.write_block(0x2000, &[9; 64], 0).unwrap();
         d.reset();
-        assert_eq!(d.peek(0x100, 4), &[1, 2, 3, 4], "image 7 warm");
-        assert_eq!(d.peek(0x800, 4), &[5, 6, 7, 8], "image 8 warm");
+        assert_eq!(*d.peek(0x100, 4), [1, 2, 3, 4], "image 7 warm");
+        assert_eq!(*d.peek(0x800, 4), [5, 6, 7, 8], "image 8 warm");
         assert!(d.peek(0x2000, 64).iter().all(|&b| b == 0));
         assert_eq!(d.dirty_bytes(), 8, "only the two images stay dirty");
     }
@@ -1034,7 +1066,7 @@ mod tests {
             d.peek(0x100, 4).iter().all(|&b| b == 0),
             "dropped image fully zeroed"
         );
-        assert_eq!(d.peek(0x800, 4), &[5, 6, 7, 8]);
+        assert_eq!(*d.peek(0x800, 4), [5, 6, 7, 8]);
     }
 
     #[test]
@@ -1065,7 +1097,7 @@ mod tests {
         assert!(!d.is_image_resident(1));
         assert!(d.peek(0x100, 4).iter().all(|&b| b == 0), "evicted = zeroed");
         d.reset();
-        assert_eq!(d.peek(0x800, 4), &[5, 6, 7, 8], "other image still warm");
+        assert_eq!(*d.peek(0x800, 4), [5, 6, 7, 8], "other image still warm");
         d.remove_resident(99); // unknown id: no-op
         assert_eq!(d.resident_images(), 1);
     }
@@ -1081,7 +1113,7 @@ mod tests {
         d.add_resident(1, extents(&[(0x100, 0x104)])).unwrap();
         d.reset();
         assert!(d.is_image_resident(1));
-        assert_eq!(d.peek(0x100, 4), &[1, 2, 3, 4]);
+        assert_eq!(*d.peek(0x100, 4), [1, 2, 3, 4]);
         assert!(
             d.peek(0x900, 4).iter().all(|&b| b == 0),
             "pre-residency write must be zeroed by reset"
@@ -1094,7 +1126,7 @@ mod tests {
         d.add_resident(2, extents(&[(0x800, 0x804)])).unwrap();
         d.reset();
         assert!(d.is_image_resident(2));
-        assert_eq!(d.peek(0x800, 4), &[5, 6, 7, 8]);
+        assert_eq!(*d.peek(0x800, 4), [5, 6, 7, 8]);
         assert!(d.peek(0x2000, 8).iter().all(|&b| b == 0));
         assert_eq!(d.dirty_bytes(), 4);
     }
@@ -1111,7 +1143,7 @@ mod tests {
         d.reset();
         assert!(d.is_image_resident(1));
         assert!(d.is_image_resident(2), "own preload writes forgiven");
-        assert_eq!(d.peek(0x800, 4), &[2; 4]);
+        assert_eq!(*d.peek(0x800, 4), [2; 4]);
     }
 
     #[test]
@@ -1165,7 +1197,7 @@ mod tests {
             let work = d.work();
             d.reset();
             let zeroed = d.work().bytes_zeroed - work.bytes_zeroed;
-            assert_eq!(d.peek(0x100, 4), &[9, 8, 7, 6], "image 1 survives");
+            assert_eq!(*d.peek(0x100, 4), [9, 8, 7, 6], "image 1 survives");
             assert!(d.peek(0x104, d.size() - 0x104).iter().all(|&b| b == 0));
             let resident = (d.is_image_resident(1), d.is_image_resident(2));
             (books, resident, dirty, stored, work.bytes_copied, zeroed)
@@ -1202,7 +1234,7 @@ mod tests {
         d.write_block(0x3000, &[2; 32], 0).unwrap(); // "activations"
         d.reset();
         assert!(d.is_resident());
-        assert_eq!(d.peek(0x100, 4), &[9, 8, 7, 6], "weights survive");
+        assert_eq!(*d.peek(0x100, 4), [9, 8, 7, 6], "weights survive");
         assert!(d.peek(0x2000, 4).iter().all(|&b| b == 0));
         assert!(d.peek(0x3000, 32).iter().all(|&b| b == 0));
         assert_eq!(d.dirty_bytes(), 4, "only the resident extent is dirty");
@@ -1229,14 +1261,14 @@ mod tests {
         d.load(0x3000, &[2; 8]).unwrap(); // this frame's activations
         d.preserve_across_reset(extents(&[(0x2000, 0x2008)]));
         d.reset();
-        assert_eq!(d.peek(0x100, 4), &[9, 8, 7, 6], "weights warm");
-        assert_eq!(d.peek(0x2000, 8), &[1; 8], "staged input survives");
+        assert_eq!(*d.peek(0x100, 4), [9, 8, 7, 6], "weights warm");
+        assert_eq!(*d.peek(0x2000, 8), [1; 8], "staged input survives");
         assert!(d.peek(0x3000, 8).iter().all(|&b| b == 0), "scratch zeroed");
         assert_eq!(d.dirty_bytes(), 4 + 8, "image + preserved stay dirty");
         // One-shot: the next reset zeroes the previously preserved slot.
         d.reset();
         assert!(d.peek(0x2000, 8).iter().all(|&b| b == 0));
-        assert_eq!(d.peek(0x100, 4), &[9, 8, 7, 6]);
+        assert_eq!(*d.peek(0x100, 4), [9, 8, 7, 6]);
     }
 
     #[test]
@@ -1246,7 +1278,7 @@ mod tests {
         d.load(0x800, &[6; 4]).unwrap();
         d.preserve_across_reset(extents(&[(0x400, 0x404)]));
         d.reset();
-        assert_eq!(d.peek(0x400, 4), &[5; 4]);
+        assert_eq!(*d.peek(0x400, 4), [5; 4]);
         assert!(d.peek(0x800, 4).iter().all(|&b| b == 0));
         assert_eq!(d.dirty_bytes(), 4);
     }
@@ -1264,7 +1296,7 @@ mod tests {
         d.reset();
         assert!(!d.is_image_resident(1), "clobbered image still dropped");
         assert!(d.peek(0x100, 4).iter().all(|&b| b == 0));
-        assert_eq!(d.peek(0x2000, 4), &[7; 4]);
+        assert_eq!(*d.peek(0x2000, 4), [7; 4]);
     }
 
     /// The open-row model by hand, for a burst as the first post-reset
@@ -1431,6 +1463,99 @@ mod tests {
         assert_eq!((s.bursts, s.row_hits, s.row_misses), (5, 4, 3));
         assert_eq!(s.busy_cycles, done);
         assert_eq!(t.open_row, Some(2));
+    }
+
+    /// Length-only trains, resets, residency marks and peeks store
+    /// nothing, so they leave the device unbacked, every byte reading
+    /// zero and nothing copied or zeroed.
+    #[test]
+    fn a_device_that_stores_nothing_stays_unbacked() {
+        let mut d = small();
+        let read = Payload::length_only(4096, false).in_bursts(256);
+        d.burst(0x100, read, 0).unwrap();
+        d.burst(0x3000, Payload::length_only(64, true), 0).unwrap();
+        d.add_resident(1, extents(&[(0x100, 0x200)])).unwrap();
+        d.reset();
+        d.remove_resident(1);
+        d.reset();
+        assert!(d.peek(0, d.size()).iter().all(|&b| b == 0));
+        assert!(d.data.is_empty(), "nothing stored, nothing backed");
+        assert_eq!(
+            (d.size(), d.work().bytes_copied, d.work().bytes_zeroed),
+            (64 << 10, 0, 0)
+        );
+    }
+
+    /// The first data write, backdoor load or CPU beat — read or write
+    /// — backs the whole device, and every byte then reads back as it
+    /// was stored, with zeros everywhere else.
+    #[test]
+    fn the_first_byte_moved_backs_the_device() {
+        // Each first move, and how many sevens it stores at 0x10.
+        type Move = fn(&mut Dram);
+        let first: [(Move, usize); 4] = [
+            (
+                |d| {
+                    d.burst(0x10, Payload::write(&[7; 32]), 0).unwrap();
+                },
+                32,
+            ),
+            (|d| d.load(0x10, &[7; 32]).unwrap(), 32),
+            (
+                |d| {
+                    d.access(&Request::write32(0x10, 0x0707_0707), 0).unwrap();
+                },
+                4,
+            ),
+            (
+                |d| {
+                    d.access(&Request::read32(0x10), 0).unwrap();
+                },
+                0,
+            ),
+        ];
+        for (i, (moved, stored)) in first.into_iter().enumerate() {
+            let mut d = small();
+            moved(&mut d);
+            assert_eq!(d.data.len(), d.size(), "case {i} backs all of it");
+            let mut want = vec![0u8; d.size()];
+            want[0x10..0x10 + stored].fill(7);
+            d.load(0x8000, &[1, 2, 3]).unwrap();
+            want[0x8000..0x8003].copy_from_slice(&[1, 2, 3]);
+            assert!(*d.peek(0, d.size()) == want[..], "case {i}");
+            let mut buf = vec![0u8; d.size()];
+            d.read_block(0, &mut buf, 0).unwrap();
+            assert_eq!(buf, want, "case {i}");
+        }
+    }
+
+    /// Range checks do not depend on backing: every entry point fails
+    /// past the end with the same error, unbacked or backed, and the
+    /// failure backs nothing.
+    #[test]
+    fn out_of_range_is_the_same_unbacked_or_backed() {
+        let errors = |d: &mut Dram| {
+            let mut buf = [0u8; 8];
+            [
+                d.access(&Request::read32(4096), 0).map(|r| r.data),
+                d.access(&Request::write32(4096, 1), 0).map(|r| r.data),
+                d.read_block(4092, &mut buf, 0),
+                d.write_block(4092, &[1; 8], 0),
+                d.burst(4000, Payload::length_only(200, true).in_bursts(64), 0),
+                d.load(4090, &[1; 8]).map(|()| 0),
+                d.add_resident(1, extents(&[(4090, 4100)])).map(|()| 0),
+            ]
+        };
+        let mut unbacked = Dram::new(4096, DramTiming::mig_ddr4());
+        let got = errors(&mut unbacked);
+        assert!(unbacked.data.is_empty(), "a refused store backs nothing");
+        let mut backed = Dram::new(4096, DramTiming::mig_ddr4());
+        backed.load(0, &[1]).unwrap();
+        let want = errors(&mut backed);
+        assert_eq!(got, want);
+        assert!(got
+            .iter()
+            .all(|e| matches!(e, Err(BusError::OutOfRange { size: 4096, .. }))));
     }
 
     #[test]

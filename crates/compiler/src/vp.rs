@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 
 use rvnv_bus::dram::{Dram, DramTiming};
-use rvnv_bus::{BusError, Cycle, Data, Payload, Request, Target};
+use rvnv_bus::{BusError, Cycle, Data, Payload, Request, Reset, Target};
 use rvnv_nvdla::{HwConfig, Nvdla};
 
 use crate::compile::Artifacts;
@@ -54,6 +54,14 @@ impl<T: Target> DbbLogger<T> {
     /// The wrapped memory, borrowed (for its statistics).
     pub fn inner(&self) -> &T {
         &self.inner
+    }
+}
+
+impl<T: Reset> Reset for DbbLogger<T> {
+    /// Reset the wrapped memory and drop the log; logging stays as set.
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.log = VpLog::new();
     }
 }
 
@@ -140,6 +148,13 @@ pub enum VpError {
         /// Value observed.
         got: u32,
     },
+    /// The input is not the compiled model's input length.
+    InputLength {
+        /// `Artifacts::input_len`.
+        expected: usize,
+        /// Bytes given.
+        got: usize,
+    },
 }
 
 impl fmt::Display for VpError {
@@ -148,6 +163,9 @@ impl fmt::Display for VpError {
             VpError::Bus(e) => write!(f, "vp bus fault: {e}"),
             VpError::Mismatch { cmd, got } => {
                 write!(f, "vp expectation failed: `{cmd}` observed {got:#010x}")
+            }
+            VpError::InputLength { expected, got } => {
+                write!(f, "vp input is {got} bytes, the model takes {expected}")
             }
         }
     }
@@ -203,39 +221,49 @@ impl VirtualPlatform {
 
     /// Run a compiled model on `input` (raw quantized bytes).
     ///
-    /// The weight image is preloaded only when something can read it:
-    /// functional engines fetch real operands, and an enabled
-    /// [`DbbLogger`] upgrades length-only reads to real fetches for its
-    /// beat log. A timing-only, unlogged replay loads the input and
-    /// nothing else, so its host cost follows its bursts, not the
-    /// model's bytes; modeled cycles are the same either way.
+    /// Every run starts from power-on: the accelerator and its memory
+    /// are reset first, so a reused VP reports this run alone, and the
+    /// functional setting carries over.
+    ///
+    /// The weight image and the input are preloaded only when something
+    /// can read them: functional engines fetch real operands, and an
+    /// enabled [`DbbLogger`] upgrades length-only reads to real fetches
+    /// for its beat log. A timing-only, unlogged replay stores no byte,
+    /// so its host cost follows its bursts, not the model's bytes, and
+    /// its output reads back as zeros; modeled cycles are the same
+    /// either way.
     ///
     /// # Errors
     ///
-    /// Returns [`VpError`] on register faults or failed expectations,
-    /// and [`VpError::Bus`] with [`BusError::OutOfRange`] when the model
-    /// does not fit in VP memory (from the preload, or from the first
-    /// burst past the end when nothing is preloaded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not `artifacts.input_len` bytes long.
+    /// Returns [`VpError::InputLength`] if `input` is not
+    /// `artifacts.input_len` bytes long, [`VpError`] on register faults
+    /// or failed expectations, and [`VpError::Bus`] with
+    /// [`BusError::OutOfRange`] when the model does not fit in VP memory
+    /// (from the preload, or from the first burst past the end when
+    /// nothing is preloaded).
     pub fn run(
         &mut self,
         artifacts: &Artifacts,
         input: &[u8],
         log_transactions: bool,
     ) -> Result<VpRun, VpError> {
-        assert_eq!(input.len(), artifacts.input_len, "input byte length");
+        if input.len() != artifacts.input_len {
+            return Err(VpError::InputLength {
+                expected: artifacts.input_len,
+                got: input.len(),
+            });
+        }
+        let functional = self.nvdla.functional();
+        self.nvdla.reset();
+        self.nvdla.set_functional(functional);
         // Preload weights and input (backdoor: not part of inference).
-        let reads_weights = self.nvdla.functional() || log_transactions;
-        let dram = self.nvdla.dbb_mut().inner_mut();
-        if reads_weights {
+        if functional || log_transactions {
+            let dram = self.nvdla.dbb_mut().inner_mut();
+            dram.load(artifacts.input_addr as usize, input)?;
             for seg in artifacts.weights.segments() {
                 dram.load(seg.addr as usize, &seg.bytes)?;
             }
         }
-        dram.load(artifacts.input_addr as usize, input)?;
         self.nvdla.dbb_mut().set_enabled(log_transactions);
 
         let mut t: u64 = 0;
@@ -288,7 +316,7 @@ impl VirtualPlatform {
             .dbb_mut()
             .inner_mut()
             .peek(artifacts.output_addr as usize, artifacts.output_len)
-            .to_vec();
+            .into_owned();
         Ok(VpRun {
             cycles,
             output,
@@ -451,29 +479,94 @@ mod tests {
         vp.set_functional(true);
         let got = vp.run(&artifacts, &bytes, false).unwrap();
         assert_eq!(got.output, want.output);
+        assert_eq!(got.cycles, want.cycles);
         assert_eq!(timing.cycles, want.cycles);
+    }
+
+    /// Each run starts from power-on: a second replay on the same VP
+    /// reports what a fresh VP does — cycles, accelerator statistics
+    /// and output — functional and timing-only alike, and a timing-only
+    /// run after a functional one returns zeros, not the previous
+    /// run's output.
+    #[test]
+    fn a_reused_vp_reports_each_run_alone() {
+        let net = zoo::lenet5(2);
+        let artifacts = compile(&net, &CompileOptions::int8()).unwrap();
+        let bytes = artifacts.quantize_input(&Tensor::random(net.input_shape(), 1));
+        let replay = |vp: &mut VirtualPlatform| {
+            let run = vp.run(&artifacts, &bytes, false).unwrap();
+            (run.cycles, vp.nvdla().stats().clone(), run.output)
+        };
+        for functional in [true, false] {
+            let mut fresh = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+            fresh.set_functional(functional);
+            let want = replay(&mut fresh);
+            let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+            vp.set_functional(functional);
+            assert_eq!(replay(&mut vp), want, "first run, functional={functional}");
+            assert_eq!(replay(&mut vp), want, "second run, functional={functional}");
+        }
+
+        let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+        assert!(replay(&mut vp).2.iter().any(|&b| b != 0));
+        vp.set_functional(false);
+        assert!(
+            replay(&mut vp).2.iter().all(|&b| b == 0),
+            "nothing computed"
+        );
+    }
+
+    /// A wrong-length input is refused before anything runs, whether or
+    /// not the run would have loaded it.
+    #[test]
+    fn a_wrong_length_input_is_a_typed_error_in_every_mode() {
+        let artifacts = compile(&zoo::lenet5(1), &CompileOptions::int8()).unwrap();
+        let input = vec![0u8; artifacts.input_len + 1];
+        for (functional, logged) in [(true, false), (false, false), (false, true)] {
+            let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 16 << 20);
+            vp.set_functional(functional);
+            let e = vp.run(&artifacts, &input, logged).unwrap_err();
+            assert!(
+                matches!(e, VpError::InputLength { expected, got }
+                    if expected == artifacts.input_len && got == expected + 1),
+                "functional={functional}, logged={logged}: {e}"
+            );
+        }
     }
 
     /// A model that does not fit is a typed error on both paths: from
     /// the preload when functional, from the first burst past the end
-    /// when nothing is preloaded.
+    /// when nothing is preloaded — whether the weights or the input
+    /// run past it.
     #[test]
     fn oversized_model_is_out_of_range_not_a_panic() {
         // Based so that the input still fits under 1 MB and nothing
         // after it does.
         let opt = CompileOptions::int8().at_dram_base((1 << 20) - 1024);
         let artifacts = compile(&zoo::lenet5(1), &opt).unwrap();
-        assert!(artifacts.input_addr as usize + artifacts.input_len <= 1 << 20);
+        let (at, len) = (artifacts.input_addr as usize, artifacts.input_len);
+        assert!(at + len <= 1 << 20);
         assert!(artifacts.weights.segments()[0].addr as usize + 500 > 1 << 20);
-        let input = vec![0u8; artifacts.input_len];
-        for functional in [true, false] {
-            let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 1 << 20);
-            vp.set_functional(functional);
-            let e = vp.run(&artifacts, &input, false).unwrap_err();
-            assert!(
-                matches!(e, VpError::Bus(BusError::OutOfRange { size, .. }) if size == 1 << 20),
-                "functional={functional}: {e}"
-            );
+        let input = vec![0u8; len];
+        // 1 MB cuts the weights; half the input cuts the input, which
+        // both the preload and the first DMA read reach before anything
+        // of the weights.
+        for (mem, faults_in_input) in [(1 << 20, false), (at + len / 2, true)] {
+            for functional in [true, false] {
+                let mut vp = VirtualPlatform::new(HwConfig::nv_small(), mem);
+                vp.set_functional(functional);
+                let e = vp.run(&artifacts, &input, false).unwrap_err();
+                let case = format!("{mem} B, functional={functional}: {e}");
+                let VpError::Bus(BusError::OutOfRange { addr, size, .. }) = e else {
+                    panic!("{case}");
+                };
+                assert_eq!(size, mem, "{case}");
+                assert_eq!(
+                    (at..at + len).contains(&(addr as usize)),
+                    faults_in_input,
+                    "{case}"
+                );
+            }
         }
     }
 }

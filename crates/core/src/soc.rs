@@ -692,14 +692,15 @@ impl Soc {
     }
 
     /// Backdoor read from DRAM without copying: `f` borrows the bytes in
-    /// place. Use this to compare or decode output regions without the
+    /// place (zeros, if nothing was ever stored to the DRAM). Use this
+    /// to compare or decode output regions without the
     /// per-call allocation of [`Soc::dram_peek`].
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn with_dram_peek<R>(&self, addr: u32, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.with_dram(|d| f(d.peek(addr as usize, len)))
+        self.with_dram(|d| f(&d.peek(addr as usize, len)))
     }
 
     /// Point the SmartConnect at a side (Fig. 4 control-plane action).

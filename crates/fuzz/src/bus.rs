@@ -12,7 +12,9 @@
 //! images survive a reset exactly when the mirror saw no write land in
 //! them, completion times never run backwards, the arbiter/DRAM
 //! counters conserve burst by burst, and a second execution of the same
-//! program produces a bit-identical event fingerprint.
+//! program produces a bit-identical event fingerprint. A quarter of the
+//! programs preload no images, so the DRAM starts unbacked and the
+//! shadow holds it to losing no byte when it backs itself.
 //!
 //! **Length-only differential.** Every program also runs with each
 //! transfer's `len_only` flag flipped — data transfers become
@@ -73,9 +75,11 @@ type DramPath = Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>;
 /// The path as the DBB sees it: behind the 64→32 width converter.
 type Fabric = WidthConverter<DramPath>;
 
-/// Two resident images `(id, offset, len)` preloaded under every
-/// program — a sixteenth of the DRAM each, so random writes clobber
-/// one often enough for the survival bookkeeping to matter.
+/// Two resident images `(id, offset, len)` preloaded under most
+/// programs ([`BusProgram::images`]) — a sixteenth of the DRAM each, so
+/// random writes clobber one often enough for the survival bookkeeping
+/// to matter. The other programs start on an unbacked DRAM, which the
+/// first byte stored or copied out must back without losing it.
 const IMAGES: [(u64, usize, usize); 2] = [(1, 0x2_0000, 0x1_0000), (2, 0x8_0000, 0x1_0000)];
 
 fn image_bytes(id: u64, len: usize) -> Vec<u8> {
@@ -84,12 +88,14 @@ fn image_bytes(id: u64, len: usize) -> Vec<u8> {
 
 fn build_fabric(prog: &BusProgram) -> Fabric {
     let mut dram = Dram::new(BUS_DRAM_BYTES, DramTiming::mig_ddr4());
-    for (id, offset, len) in IMAGES {
-        dram.load(offset, &image_bytes(id, len))
-            .expect("image fits");
-        let mut extents = RangeSet::new();
-        extents.insert(offset, offset + len);
-        dram.add_resident(id, extents).expect("images are disjoint");
+    if prog.images {
+        for (id, offset, len) in IMAGES {
+            dram.load(offset, &image_bytes(id, len))
+                .expect("image fits");
+            let mut extents = RangeSet::new();
+            extents.insert(offset, offset + len);
+            dram.add_resident(id, extents).expect("images are disjoint");
+        }
     }
     let mut shim = FaultInjector::new(dram);
     if prog.armed {
@@ -412,7 +418,7 @@ impl BusTarget {
         let mut owner = Side::Soc;
         let mut shadow = vec![0u8; BUS_DRAM_BYTES];
         let mut residency = Residency {
-            alive: [true; 2],
+            alive: [prog.images; 2],
             clobbered: [false; 2],
             written: RangeSet::new(),
         };

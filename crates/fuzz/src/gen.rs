@@ -177,14 +177,18 @@ pub enum BusOp {
 pub const BUS_DRAM_BYTES: usize = 1 << 20;
 
 /// A random bus program and the fabric it runs on: the SoC clock
-/// against the fixed 100 MHz DDR, and whether a fault plan is armed.
-/// Only the steps shrink.
+/// against the fixed 100 MHz DDR, whether a fault plan is armed, and
+/// whether the DRAM starts with its two resident images. Only the steps
+/// shrink.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BusProgram {
     /// Master-side clock of the clock crossing, MHz.
     pub soc_mhz: u16,
     /// Arm the fault shim with a latency-spike plan.
     pub armed: bool,
+    /// Preload the two resident images; without them the DRAM starts
+    /// unbacked, as a timing-only VP's does.
+    pub images: bool,
     /// The steps.
     pub ops: Vec<BusOp>,
 }
@@ -202,7 +206,9 @@ const MULTIPLE_MHZ: [u16; 4] = [100, 200, 300, 400];
 /// running off the end of DRAM, some starting in the row the previous
 /// access left open), occasional ownership flips, resets, idle gaps
 /// and lagging masters — at a multiple of the DDR clock, a sweep clock
-/// or a random one, with faults armed two times in three.
+/// or a random one, with faults armed two times in three and the
+/// resident images preloaded three times in four. The images are drawn
+/// last, so a seed's clock and steps do not depend on them.
 #[must_use]
 pub fn bus_program(seed: u64) -> BusProgram {
     let mut rng = SplitMix64::new(seed);
@@ -276,6 +282,7 @@ pub fn bus_program(seed: u64) -> BusProgram {
     BusProgram {
         soc_mhz,
         armed,
+        images: rng.chance(3, 4),
         ops,
     }
 }
