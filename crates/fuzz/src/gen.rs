@@ -23,7 +23,7 @@ fn reg(rng: &mut SplitMix64) -> Reg {
 
 /// A random *valid* instruction, biased toward control flow and memory
 /// so streams actually loop, fault and hammer the decoded-block cache.
-/// Mirrors the distribution the ISS fuzz suite has used since PR 6.
+/// The distribution is fixed: a seed keeps deriving the same stream.
 pub fn valid_inst(rng: &mut SplitMix64) -> Inst {
     match rng.below(12) {
         0 => Inst::Lui {

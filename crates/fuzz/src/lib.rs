@@ -230,7 +230,7 @@ mod tests {
     /// honest without dominating it.
     #[test]
     fn riscv_oracle_holds() {
-        let r = drive(&riscv::RiscvTarget, 0xF0, 40, true);
+        let r = drive(&riscv::RiscvTarget, 0xF0, 144, true);
         assert!(r.passed(), "{:#?}", r.counterexample);
     }
 

@@ -4,15 +4,19 @@
 //! assembly code … compiled into machine code using the RISC-V core SDK".
 //! This module is that SDK step: it assembles the generated bare-metal
 //! programs (RV32IM + Zicsr plus the usual pseudo-instructions) into a
-//! flat binary [`Image`] for the program memory.
+//! flat binary [`Image`] for the program memory. A mnemonic assembles
+//! exactly when it names a row of the instruction table (`table.rs`),
+//! whose format says how its operands read, or a pseudo-instruction.
 //!
 //! Supported directives: `.text`, `.org`, `.align`, `.word`, `.half`,
 //! `.byte`, `.space`, `.equ`, `.global` (accepted and ignored).
 //!
 //! Supported pseudo-instructions: `nop`, `li`, `la`, `mv`, `not`, `neg`,
-//! `seqz`, `snez`, `j`, `jr`, `ret`, `call`, `beqz`, `bnez`, `bgt`,
-//! `ble`, `bgtu`, `bleu`, `csrr`, `csrw`.
+//! `seqz`, `snez`, `j`, `jal` (one operand), `jr`, `jalr` (one or three
+//! operands), `ret`, `call`, `beqz`, `bnez`, `bltz`, `bgez`, `bgt`, `ble`,
+//! `bgtu`, `bleu`, `csrr`, `csrw`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -20,9 +24,58 @@ use std::fmt;
 use rvnv_util::Fnv;
 
 use crate::csr;
-use crate::encode::encode;
-use crate::inst::{AluOp, BranchOp, CsrOp, Inst, MemWidth, MulOp};
-use crate::reg::{Reg, RA, ZERO};
+use crate::reg::{Reg, ZERO};
+use crate::table::{self, Fields, Operand};
+
+/// Pseudo-instructions by mnemonic and operand count, each rewritten
+/// onto one real row; `{k}` stands for the k-th operand. `li` and `la`
+/// are not here: their expansion depends on the value.
+const PSEUDOS: [(&str, usize, &str); 23] = [
+    ("nop", 0, "addi zero, zero, 0"),
+    ("mv", 2, "addi {0}, {1}, 0"),
+    ("not", 2, "xori {0}, {1}, -1"),
+    ("neg", 2, "sub {0}, zero, {1}"),
+    ("seqz", 2, "sltiu {0}, {1}, 1"),
+    ("snez", 2, "sltu {0}, zero, {1}"),
+    ("j", 1, "jal zero, {0}"),
+    ("jal", 1, "jal ra, {0}"),
+    ("jr", 1, "jalr zero, 0({0})"),
+    ("jalr", 1, "jalr ra, 0({0})"),
+    ("jalr", 3, "jalr {0}, {2}({1})"),
+    ("ret", 0, "jalr zero, 0(ra)"),
+    ("call", 1, "jal ra, {0}"),
+    ("beqz", 2, "beq {0}, zero, {1}"),
+    ("bnez", 2, "bne {0}, zero, {1}"),
+    ("bltz", 2, "blt {0}, zero, {1}"),
+    ("bgez", 2, "bge {0}, zero, {1}"),
+    ("bgt", 3, "blt {1}, {0}, {2}"),
+    ("ble", 3, "bge {1}, {0}, {2}"),
+    ("bgtu", 3, "bltu {1}, {0}, {2}"),
+    ("bleu", 3, "bgeu {1}, {0}, {2}"),
+    ("csrr", 2, "csrrs {0}, {1}, zero"),
+    ("csrw", 2, "csrrw zero, {0}, {1}"),
+];
+
+/// An operand template with each `{k}` replaced by `ops[k]`, borrowed
+/// unless the operand is composed (`0({0})`).
+fn rewrite<'a>(template: &'a str, ops: &'a [impl AsRef<str>]) -> Cow<'a, str> {
+    let arg = |k: u8| ops[usize::from(k - b'0')].as_ref();
+    match template.as_bytes() {
+        [b'{', k, b'}'] => Cow::Borrowed(arg(*k)),
+        _ if !template.contains('{') => Cow::Borrowed(template),
+        _ => {
+            let mut out = String::new();
+            let mut rest = template;
+            while let Some(open) = rest.find('{') {
+                out.push_str(&rest[..open]);
+                out.push_str(arg(rest.as_bytes()[open + 1]));
+                rest = &rest[open + 3..];
+            }
+            out.push_str(rest);
+            Cow::Owned(out)
+        }
+    }
+}
 
 /// Assembly failure with source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,20 +271,21 @@ fn parse_int(s: &str) -> Option<i64> {
     Some(if neg { -v } else { v })
 }
 
-fn parse_csr_name(s: &str) -> Option<u16> {
-    match s {
-        "mstatus" => Some(csr::MSTATUS),
-        "mtvec" => Some(csr::MTVEC),
-        "mscratch" => Some(csr::MSCRATCH),
-        "mepc" => Some(csr::MEPC),
-        "mcause" => Some(csr::MCAUSE),
-        "mcycle" => Some(csr::MCYCLE),
-        "minstret" => Some(csr::MINSTRET),
-        "mcycleh" => Some(csr::MCYCLEH),
-        "minstreth" => Some(csr::MINSTRETH),
-        "mhartid" => Some(csr::MHARTID),
-        _ => parse_int(s).and_then(|v| u16::try_from(v).ok()),
-    }
+fn parse_csr_name(s: &str) -> Option<i64> {
+    let csr = match s {
+        "mstatus" => csr::MSTATUS,
+        "mtvec" => csr::MTVEC,
+        "mscratch" => csr::MSCRATCH,
+        "mepc" => csr::MEPC,
+        "mcause" => csr::MCAUSE,
+        "mcycle" => csr::MCYCLE,
+        "minstret" => csr::MINSTRET,
+        "mcycleh" => csr::MCYCLEH,
+        "minstreth" => csr::MINSTRETH,
+        "mhartid" => csr::MHARTID,
+        _ => return parse_int(s),
+    };
+    Some(csr.into())
 }
 
 /// Split `li`-style immediates into a LUI part and a sign-adjusted
@@ -365,7 +419,7 @@ impl<'a> Assembler<'a> {
     }
 
     /// Parse `offset(reg)` memory operands.
-    fn mem_operand(&self, s: &str, line: usize) -> Result<(i32, Reg), AsmError> {
+    fn mem_operand(&self, s: &str, line: usize) -> Result<(i64, Reg), AsmError> {
         let s = s.trim();
         let open = s.rfind('(').ok_or_else(|| AsmError {
             line,
@@ -381,399 +435,129 @@ impl<'a> Assembler<'a> {
         } else {
             self.resolve(off_str, line)?
         };
-        if !fits12(offset) {
-            return err(line, format!("offset {offset} out of 12-bit range"));
-        }
-        let reg = self.reg(&s[open + 1..close], line)?;
-        Ok((offset as i32, reg))
+        Ok((offset, self.reg(&s[open + 1..close], line)?))
     }
 
-    fn branch_target(&self, s: &str, pc: u32, line: usize) -> Result<i32, AsmError> {
-        let target = self.resolve(s, line)? as u32;
-        let offset = target.wrapping_sub(pc) as i32;
-        if !(-4096..=4094).contains(&offset) {
-            return err(line, format!("branch target {offset} out of range"));
+    /// Read one operand of a real instruction into `f`.
+    fn operand(
+        &self,
+        operand: Operand,
+        s: &str,
+        f: &mut Fields,
+        pc: u32,
+        line: usize,
+    ) -> Result<(), AsmError> {
+        let value = match operand {
+            Operand::Rd | Operand::Rs1 | Operand::Rs2 => self.reg(s, line)?.index().into(),
+            Operand::Mem => {
+                let (offset, rs1) = self.mem_operand(s, line)?;
+                f.rs1 = rs1;
+                offset
+            }
+            Operand::Branch | Operand::Jump => {
+                let target = self.resolve(s, line)? as u32;
+                i64::from(target.wrapping_sub(pc) as i32)
+            }
+            Operand::Csr => parse_csr_name(s).ok_or_else(|| AsmError {
+                line,
+                message: format!("unknown CSR `{s}`"),
+            })?,
+            _ => self.resolve(s, line)?,
+        };
+        let (lo, hi) = operand.range();
+        if !(lo..=hi).contains(&value) {
+            return err(line, format!("`{s}` is {value}, out of range {lo}..={hi}"));
         }
-        Ok(offset)
+        match operand {
+            Operand::Rd => f.rd = Reg::new(value as u8),
+            Operand::Rs1 => f.rs1 = Reg::new(value as u8),
+            Operand::Rs2 => f.rs2 = Reg::new(value as u8),
+            Operand::Csr => f.csr = value as u16,
+            Operand::Upper => f.imm = (value << 12) as i32,
+            _ => f.imm = value as i32,
+        }
+        Ok(())
     }
 
-    fn jump_target(&self, s: &str, pc: u32, line: usize) -> Result<i32, AsmError> {
-        let target = self.resolve(s, line)? as u32;
-        let offset = target.wrapping_sub(pc) as i32;
-        if !(-(1 << 20)..(1 << 20)).contains(&offset) {
-            return err(line, format!("jump target {offset} out of range"));
-        }
-        Ok(offset)
-    }
-
-    #[allow(clippy::too_many_lines)]
+    /// The words of one instruction statement: `li`/`la` by their value,
+    /// a pseudo-instruction by its rewrite, a real one by its row.
     fn encode_inst(
         &self,
         mnemonic: &str,
-        ops: &[String],
+        ops: &[impl AsRef<str>],
         pc: u32,
         line: usize,
-    ) -> Result<Vec<Inst>, AsmError> {
+    ) -> Result<Vec<u32>, AsmError> {
         let n = ops.len();
-        let want = |k: usize| -> Result<(), AsmError> {
-            if n == k {
-                Ok(())
-            } else {
-                err(line, format!("`{mnemonic}` expects {k} operands, got {n}"))
-            }
-        };
-        let alu_ops = |op: AluOp| -> Result<Vec<Inst>, AsmError> {
-            want(3)?;
-            Ok(vec![Inst::Alu {
-                op,
-                rd: self.reg(&ops[0], line)?,
-                rs1: self.reg(&ops[1], line)?,
-                rs2: self.reg(&ops[2], line)?,
-            }])
-        };
-        let alu_imm = |op: AluOp, shift: bool| -> Result<Vec<Inst>, AsmError> {
-            want(3)?;
-            let imm = self.resolve(&ops[2], line)?;
-            if shift {
-                if !(0..=31).contains(&imm) {
-                    return err(line, format!("shift amount {imm} out of range"));
-                }
-            } else if !fits12(imm) {
-                return err(line, format!("immediate {imm} out of 12-bit range"));
-            }
-            Ok(vec![Inst::AluImm {
-                op,
-                rd: self.reg(&ops[0], line)?,
-                rs1: self.reg(&ops[1], line)?,
-                imm: imm as i32,
-            }])
-        };
-        let mul_ops = |op: MulOp| -> Result<Vec<Inst>, AsmError> {
-            want(3)?;
-            Ok(vec![Inst::Mul {
-                op,
-                rd: self.reg(&ops[0], line)?,
-                rs1: self.reg(&ops[1], line)?,
-                rs2: self.reg(&ops[2], line)?,
-            }])
-        };
-        let branch = |op: BranchOp, swap: bool| -> Result<Vec<Inst>, AsmError> {
-            want(3)?;
-            let (a, b) = if swap { (1, 0) } else { (0, 1) };
-            Ok(vec![Inst::Branch {
-                op,
-                rs1: self.reg(&ops[a], line)?,
-                rs2: self.reg(&ops[b], line)?,
-                offset: self.branch_target(&ops[2], pc, line)?,
-            }])
-        };
-        let branch_zero = |op: BranchOp| -> Result<Vec<Inst>, AsmError> {
-            want(2)?;
-            Ok(vec![Inst::Branch {
-                op,
-                rs1: self.reg(&ops[0], line)?,
-                rs2: ZERO,
-                offset: self.branch_target(&ops[1], pc, line)?,
-            }])
-        };
-        let load = |width: MemWidth| -> Result<Vec<Inst>, AsmError> {
-            want(2)?;
-            let (offset, rs1) = self.mem_operand(&ops[1], line)?;
-            Ok(vec![Inst::Load {
-                width,
-                rd: self.reg(&ops[0], line)?,
-                rs1,
-                offset,
-            }])
-        };
-        let store = |width: MemWidth| -> Result<Vec<Inst>, AsmError> {
-            want(2)?;
-            let (offset, rs1) = self.mem_operand(&ops[1], line)?;
-            Ok(vec![Inst::Store {
-                width,
-                rs1,
-                rs2: self.reg(&ops[0], line)?,
-                offset,
-            }])
-        };
-
-        match mnemonic {
-            // --- U / J types -------------------------------------------------
-            "lui" => {
-                want(2)?;
-                let imm = self.resolve(&ops[1], line)?;
-                if !(0..=0xF_FFFF).contains(&imm) {
-                    return err(line, format!("lui immediate {imm} out of 20-bit range"));
-                }
-                Ok(vec![Inst::Lui {
-                    rd: self.reg(&ops[0], line)?,
-                    imm: (imm as u32) << 12,
-                }])
-            }
-            "auipc" => {
-                want(2)?;
-                let imm = self.resolve(&ops[1], line)?;
-                Ok(vec![Inst::Auipc {
-                    rd: self.reg(&ops[0], line)?,
-                    imm: (imm as u32) << 12,
-                }])
-            }
-            "jal" => match n {
-                1 => Ok(vec![Inst::Jal {
-                    rd: RA,
-                    offset: self.jump_target(&ops[0], pc, line)?,
-                }]),
-                2 => Ok(vec![Inst::Jal {
-                    rd: self.reg(&ops[0], line)?,
-                    offset: self.jump_target(&ops[1], pc, line)?,
-                }]),
-                _ => err(line, "`jal` expects 1 or 2 operands"),
-            },
-            "jalr" => match n {
-                1 => Ok(vec![Inst::Jalr {
-                    rd: RA,
-                    rs1: self.reg(&ops[0], line)?,
-                    offset: 0,
-                }]),
-                3 => {
-                    let off = self.resolve(&ops[2], line)?;
-                    if !fits12(off) {
-                        return err(line, "jalr offset out of range");
-                    }
-                    Ok(vec![Inst::Jalr {
-                        rd: self.reg(&ops[0], line)?,
-                        rs1: self.reg(&ops[1], line)?,
-                        offset: off as i32,
-                    }])
-                }
-                _ => err(line, "`jalr` expects 1 or 3 operands"),
-            },
-            // --- branches ----------------------------------------------------
-            "beq" => branch(BranchOp::Eq, false),
-            "bne" => branch(BranchOp::Ne, false),
-            "blt" => branch(BranchOp::Lt, false),
-            "bge" => branch(BranchOp::Ge, false),
-            "bltu" => branch(BranchOp::Ltu, false),
-            "bgeu" => branch(BranchOp::Geu, false),
-            "bgt" => branch(BranchOp::Lt, true),
-            "ble" => branch(BranchOp::Ge, true),
-            "bgtu" => branch(BranchOp::Ltu, true),
-            "bleu" => branch(BranchOp::Geu, true),
-            "beqz" => branch_zero(BranchOp::Eq),
-            "bnez" => branch_zero(BranchOp::Ne),
-            "bltz" => branch_zero(BranchOp::Lt),
-            "bgez" => branch_zero(BranchOp::Ge),
-            // --- loads/stores ------------------------------------------------
-            "lb" => load(MemWidth::Byte),
-            "lbu" => load(MemWidth::ByteU),
-            "lh" => load(MemWidth::Half),
-            "lhu" => load(MemWidth::HalfU),
-            "lw" => load(MemWidth::Word),
-            "sb" => store(MemWidth::Byte),
-            "sh" => store(MemWidth::Half),
-            "sw" => store(MemWidth::Word),
-            // --- ALU ---------------------------------------------------------
-            "add" => alu_ops(AluOp::Add),
-            "sub" => alu_ops(AluOp::Sub),
-            "sll" => alu_ops(AluOp::Sll),
-            "slt" => alu_ops(AluOp::Slt),
-            "sltu" => alu_ops(AluOp::Sltu),
-            "xor" => alu_ops(AluOp::Xor),
-            "srl" => alu_ops(AluOp::Srl),
-            "sra" => alu_ops(AluOp::Sra),
-            "or" => alu_ops(AluOp::Or),
-            "and" => alu_ops(AluOp::And),
-            "addi" => alu_imm(AluOp::Add, false),
-            "slti" => alu_imm(AluOp::Slt, false),
-            "sltiu" => alu_imm(AluOp::Sltu, false),
-            "xori" => alu_imm(AluOp::Xor, false),
-            "ori" => alu_imm(AluOp::Or, false),
-            "andi" => alu_imm(AluOp::And, false),
-            "slli" => alu_imm(AluOp::Sll, true),
-            "srli" => alu_imm(AluOp::Srl, true),
-            "srai" => alu_imm(AluOp::Sra, true),
-            // --- RV32M ---------------------------------------------------------
-            "mul" => mul_ops(MulOp::Mul),
-            "mulh" => mul_ops(MulOp::Mulh),
-            "mulhsu" => mul_ops(MulOp::Mulhsu),
-            "mulhu" => mul_ops(MulOp::Mulhu),
-            "div" => mul_ops(MulOp::Div),
-            "divu" => mul_ops(MulOp::Divu),
-            "rem" => mul_ops(MulOp::Rem),
-            "remu" => mul_ops(MulOp::Remu),
-            // --- system --------------------------------------------------------
-            "fence" => Ok(vec![Inst::Fence]),
-            "ecall" => Ok(vec![Inst::Ecall]),
-            "ebreak" => Ok(vec![Inst::Ebreak]),
-            "mret" => Ok(vec![Inst::Mret]),
-            "wfi" => Ok(vec![Inst::Wfi]),
-            "csrrw" | "csrrs" | "csrrc" => {
-                want(3)?;
-                let op = match mnemonic {
-                    "csrrw" => CsrOp::Rw,
-                    "csrrs" => CsrOp::Rs,
-                    _ => CsrOp::Rc,
-                };
-                let csr = parse_csr_name(&ops[1]).ok_or_else(|| AsmError {
-                    line,
-                    message: format!("unknown CSR `{}`", ops[1]),
-                })?;
-                Ok(vec![Inst::Csr {
-                    op,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: self.reg(&ops[2], line)?,
-                    csr,
-                }])
-            }
-            "csrr" => {
-                want(2)?;
-                let csr = parse_csr_name(&ops[1]).ok_or_else(|| AsmError {
-                    line,
-                    message: format!("unknown CSR `{}`", ops[1]),
-                })?;
-                Ok(vec![Inst::Csr {
-                    op: CsrOp::Rs,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: ZERO,
-                    csr,
-                }])
-            }
-            "csrw" => {
-                want(2)?;
-                let csr = parse_csr_name(&ops[0]).ok_or_else(|| AsmError {
-                    line,
-                    message: format!("unknown CSR `{}`", ops[0]),
-                })?;
-                Ok(vec![Inst::Csr {
-                    op: CsrOp::Rw,
-                    rd: ZERO,
-                    rs1: self.reg(&ops[1], line)?,
-                    csr,
-                }])
-            }
-            // --- pseudo-instructions -------------------------------------------
-            "nop" => Ok(vec![Inst::AluImm {
-                op: AluOp::Add,
-                rd: ZERO,
-                rs1: ZERO,
-                imm: 0,
-            }]),
-            "mv" => {
-                want(2)?;
-                Ok(vec![Inst::AluImm {
-                    op: AluOp::Add,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: self.reg(&ops[1], line)?,
-                    imm: 0,
-                }])
-            }
-            "not" => {
-                want(2)?;
-                Ok(vec![Inst::AluImm {
-                    op: AluOp::Xor,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: self.reg(&ops[1], line)?,
-                    imm: -1,
-                }])
-            }
-            "neg" => {
-                want(2)?;
-                Ok(vec![Inst::Alu {
-                    op: AluOp::Sub,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: ZERO,
-                    rs2: self.reg(&ops[1], line)?,
-                }])
-            }
-            "seqz" => {
-                want(2)?;
-                Ok(vec![Inst::AluImm {
-                    op: AluOp::Sltu,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: self.reg(&ops[1], line)?,
-                    imm: 1,
-                }])
-            }
-            "snez" => {
-                want(2)?;
-                Ok(vec![Inst::Alu {
-                    op: AluOp::Sltu,
-                    rd: self.reg(&ops[0], line)?,
-                    rs1: ZERO,
-                    rs2: self.reg(&ops[1], line)?,
-                }])
-            }
-            "li" => {
-                want(2)?;
-                let rd = self.reg(&ops[0], line)?;
-                let val = self.resolve(&ops[1], line)?;
-                if !(-(1i64 << 31)..(1i64 << 32)).contains(&val) {
-                    return err(line, format!("li immediate {val} out of 32-bit range"));
-                }
-                if fits12(val) {
-                    Ok(vec![Inst::AluImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: ZERO,
-                        imm: val as i32,
-                    }])
-                } else {
-                    let (hi, lo) = hi_lo(val as u32);
-                    Ok(vec![
-                        Inst::Lui { rd, imm: hi },
-                        Inst::AluImm {
-                            op: AluOp::Add,
-                            rd,
-                            rs1: rd,
-                            imm: lo,
-                        },
-                    ])
-                }
-            }
-            "la" => {
-                want(2)?;
-                let rd = self.reg(&ops[0], line)?;
-                let val = self.resolve(&ops[1], line)? as u32;
-                let (hi, lo) = hi_lo(val);
-                Ok(vec![
-                    Inst::Lui { rd, imm: hi },
-                    Inst::AluImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: rd,
-                        imm: lo,
-                    },
-                ])
-            }
-            "j" => {
-                want(1)?;
-                Ok(vec![Inst::Jal {
-                    rd: ZERO,
-                    offset: self.jump_target(&ops[0], pc, line)?,
-                }])
-            }
-            "jr" => {
-                want(1)?;
-                Ok(vec![Inst::Jalr {
-                    rd: ZERO,
-                    rs1: self.reg(&ops[0], line)?,
-                    offset: 0,
-                }])
-            }
-            "ret" => Ok(vec![Inst::Jalr {
-                rd: ZERO,
-                rs1: RA,
-                offset: 0,
-            }]),
-            "call" => {
-                want(1)?;
-                Ok(vec![Inst::Jal {
-                    rd: RA,
-                    offset: self.jump_target(&ops[0], pc, line)?,
-                }])
-            }
-            _ => err(line, format!("unknown mnemonic `{mnemonic}`")),
+        if mnemonic == "li" || mnemonic == "la" {
+            return self.load_immediate(mnemonic, ops, line);
         }
+        if let Some((_, _, template)) = PSEUDOS.iter().find(|p| p.0 == mnemonic && p.1 == n) {
+            let (real, templates) = template.split_once(' ').unwrap_or((template, ""));
+            let mut operands: [Cow<str>; 3] = Default::default();
+            let mut k = 0;
+            for t in templates.split(", ") {
+                operands[k] = rewrite(t, ops);
+                k += 1;
+            }
+            return self.encode_inst(real, &operands[..k], pc, line);
+        }
+        let row = table::named(mnemonic).ok_or_else(|| AsmError {
+            line,
+            message: format!("unknown mnemonic `{mnemonic}`"),
+        })?;
+        let operands = row.format.operands();
+        if n != operands.len() {
+            let k = operands.len();
+            return err(line, format!("`{mnemonic}` expects {k} operands, got {n}"));
+        }
+        let mut f = Fields::default();
+        for (&operand, s) in operands.iter().zip(ops) {
+            self.operand(operand, s.as_ref(), &mut f, pc, line)?;
+        }
+        Ok(vec![row.encode(&f)])
+    }
+
+    /// `li`/`la`: `lui` + `addi`, or one `addi` for a `li` that fits 12
+    /// bits.
+    fn load_immediate(
+        &self,
+        mnemonic: &str,
+        ops: &[impl AsRef<str>],
+        line: usize,
+    ) -> Result<Vec<u32>, AsmError> {
+        if ops.len() != 2 {
+            return err(
+                line,
+                format!("`{mnemonic}` expects 2 operands, got {}", ops.len()),
+            );
+        }
+        let rd = self.reg(ops[0].as_ref(), line)?;
+        let val = self.resolve(ops[1].as_ref(), line)?;
+        let row = |name| table::named(name).expect("lui and addi are rows");
+        let addi = |rs1, imm| {
+            row("addi").encode(&Fields {
+                rd,
+                rs1,
+                imm,
+                ..Fields::default()
+            })
+        };
+        if mnemonic == "li" {
+            if !(-(1i64 << 31)..(1i64 << 32)).contains(&val) {
+                return err(line, format!("li immediate {val} out of 32-bit range"));
+            }
+            if fits12(val) {
+                return Ok(vec![addi(ZERO, val as i32)]);
+            }
+        }
+        let (hi, lo) = hi_lo(val as u32);
+        let lui = Fields {
+            rd,
+            imm: hi as i32,
+            ..Fields::default()
+        };
+        Ok(vec![row("lui").encode(&lui), addi(rd, lo)])
     }
 
     fn pass1(&mut self) -> Result<(), AsmError> {
@@ -870,20 +654,20 @@ impl<'a> Assembler<'a> {
                     other => return err(line.number, format!("unknown directive `{other}`")),
                 },
                 Stmt::Inst { mnemonic, operands } => {
-                    let insts = self.encode_inst(mnemonic, operands, pc, line.number)?;
+                    let words = self.encode_inst(mnemonic, operands, pc, line.number)?;
                     // Pseudo-expansion size must match pass 1.
                     let expect = self.stmt_size(line, pc)?;
-                    if insts.len() as u32 * 4 != expect {
+                    if words.len() as u32 * 4 != expect {
                         return err(
                             line.number,
                             format!(
                                 "internal: pass1 sized `{mnemonic}` at {expect} bytes, pass2 at {}",
-                                insts.len() * 4
+                                words.len() * 4
                             ),
                         );
                     }
-                    for inst in insts {
-                        data.extend_from_slice(&encode(&inst).to_le_bytes());
+                    for word in words {
+                        data.extend_from_slice(&word.to_le_bytes());
                         pc += 4;
                     }
                 }
@@ -933,7 +717,6 @@ pub fn assemble(source: &str) -> Result<Image, AsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::decode;
 
     fn words(src: &str) -> Vec<u32> {
         assemble(src).unwrap().words()
@@ -965,58 +748,19 @@ mod tests {
     }
 
     #[test]
-    fn basic_instructions_round_trip_through_decoder() {
-        let ws = words(
-            "   addi a0, zero, 5
-                slli a0, a0, 3
-                sw   a0, 8(sp)
-                lw   a1, 8(sp)
-                ebreak",
-        );
-        assert_eq!(ws.len(), 5);
-        for (i, w) in ws.iter().enumerate() {
-            decode(*w, (i * 4) as u32).unwrap();
-        }
-    }
-
-    #[test]
     fn li_small_is_one_instruction() {
         assert_eq!(words("li a0, 100").len(), 1);
         assert_eq!(words("li a0, -2048").len(), 1);
     }
 
+    /// A `li` that does not fit 12 bits is `lui` + `addi`, with the
+    /// `lui` rounded up when the low half is negative.
     #[test]
     fn li_large_is_lui_addi_pair() {
-        let ws = words("li a0, 0x12345678");
-        assert_eq!(ws.len(), 2);
-        // Execute mentally: lui 0x12345 + 0x1000 adjust? check via decode.
-        let lui = decode(ws[0], 0).unwrap();
-        let addi = decode(ws[1], 4).unwrap();
-        let (hi, lo) = match (lui, addi) {
-            (
-                Inst::Lui { imm, .. },
-                Inst::AluImm {
-                    op: AluOp::Add,
-                    imm: lo,
-                    ..
-                },
-            ) => (imm, lo),
-            other => panic!("unexpected expansion {other:?}"),
-        };
-        assert_eq!(hi.wrapping_add(lo as u32), 0x1234_5678);
-    }
-
-    #[test]
-    fn li_with_high_low_half_adjustment() {
-        // 0xFFF in the low bits forces the +1 carry into LUI.
-        let ws = words("li t0, 0x00100FFF");
-        let lui = decode(ws[0], 0).unwrap();
-        let addi = decode(ws[1], 4).unwrap();
-        if let (Inst::Lui { imm, .. }, Inst::AluImm { imm: lo, .. }) = (lui, addi) {
-            assert_eq!(imm.wrapping_add(lo as u32), 0x0010_0FFF);
-        } else {
-            panic!("bad expansion");
-        }
+        let pair = "lui a0, 0x12345\naddi a0, a0, 0x678";
+        assert_eq!(words("li a0, 0x12345678"), words(pair));
+        let carried = "lui t0, 0x101\naddi t0, t0, -1";
+        assert_eq!(words("li t0, 0x00100FFF"), words(carried));
     }
 
     #[test]
@@ -1037,20 +781,8 @@ mod tests {
 
     #[test]
     fn forward_references_resolve() {
-        let img = assemble(
-            "        j    end
-                     nop
-             end:    ebreak",
-        )
-        .unwrap();
-        let ws = img.words();
-        assert_eq!(
-            decode(ws[0], 0).unwrap(),
-            Inst::Jal {
-                rd: ZERO,
-                offset: 8
-            }
-        );
+        let ws = words("j end\nnop\nend: ebreak");
+        assert_eq!(ws[0], words("jal zero, 8")[0]);
     }
 
     #[test]
@@ -1071,17 +803,8 @@ mod tests {
 
     #[test]
     fn hi_lo_operators() {
-        let ws = words(
-            "   lui a0, %hi(0x12345FFF)
-                addi a0, a0, %lo(0x12345FFF)",
-        );
-        let lui = decode(ws[0], 0).unwrap();
-        let addi = decode(ws[1], 4).unwrap();
-        if let (Inst::Lui { imm, .. }, Inst::AluImm { imm: lo, .. }) = (lui, addi) {
-            assert_eq!(imm.wrapping_add(lo as u32), 0x1234_5FFF);
-        } else {
-            panic!("bad %hi/%lo");
-        }
+        let split = "lui a0, %hi(0x12345FFF)\naddi a0, a0, %lo(0x12345FFF)";
+        assert_eq!(words(split), words("lui a0, 0x12346\naddi a0, a0, -1"));
     }
 
     #[test]
@@ -1117,24 +840,9 @@ mod tests {
 
     #[test]
     fn csr_aliases() {
-        let ws = words(
-            "   csrr t0, mcycle
-                csrw mscratch, t0
-                csrrs t1, 0xB02, zero",
-        );
-        assert_eq!(ws.len(), 3);
-        assert!(matches!(
-            decode(ws[0], 0).unwrap(),
-            Inst::Csr {
-                op: CsrOp::Rs,
-                csr: 0xB00,
-                ..
-            }
-        ));
-        assert!(matches!(
-            decode(ws[2], 8).unwrap(),
-            Inst::Csr { csr: 0xB02, .. }
-        ));
+        let aliases = "csrr t0, mcycle\ncsrw mscratch, t0";
+        let rows = "csrrs t0, 0xb00, zero\ncsrrw zero, 0x340, t0";
+        assert_eq!(words(aliases), words(rows));
     }
 
     #[test]
@@ -1143,11 +851,43 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("frobnicate"));
         let e = assemble("addi a0, zero, 5000").unwrap_err();
-        assert!(e.message.contains("12-bit"));
+        assert!(e.message.contains("out of range -2048..=2047"), "{e}");
         let e = assemble("bne t0, t1, nowhere").unwrap_err();
         assert!(e.message.contains("undefined symbol"));
         let e = assemble("lw t0, 4[a0]").unwrap_err();
         assert!(e.message.contains("offset(reg)"));
+    }
+
+    /// The forms the disassembler prints for `jalr` and the CSR
+    /// immediates are rows like any other, so they assemble.
+    #[test]
+    fn disassembler_forms_of_jalr_and_csr_immediates_assemble() {
+        assert_eq!(words("jalr ra, 8(a0)"), [0x0085_00E7]);
+        assert_eq!(words("jalr ra, a0, 8"), [0x0085_00E7]);
+        assert_eq!(words("jalr a0"), [0x0005_00E7]);
+        assert_eq!(words("csrrwi zero, 0x300, 5"), [0x3002_D073]);
+        assert_eq!(words("csrrsi t0, mstatus, 31"), [0x300F_E2F3]);
+        assert_eq!(words("csrrci a0, 0x7c0, 1"), [0x7C00_F573]);
+        let e = assemble("csrrwi zero, 0x300, 32").unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
+        let e = assemble("csrrw zero, 0x1000, t0").unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
+    }
+
+    /// The module doc lists exactly the pseudo-instructions there are.
+    #[test]
+    fn documented_pseudo_instructions_are_the_rewrite_list() {
+        let src = include_str!("asm.rs");
+        let doc = src
+            .split("//! Supported pseudo-instructions:")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("the module doc lists the pseudo-instructions");
+        let documented: std::collections::BTreeSet<&str> =
+            doc.split('`').skip(1).step_by(2).collect();
+        let mut listed: std::collections::BTreeSet<&str> = PSEUDOS.iter().map(|p| p.0).collect();
+        listed.extend(["li", "la"]);
+        assert_eq!(documented, listed);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! RV32IM + Zicsr instruction decoder.
+//! RV32IM + Zicsr instruction decoder over the instruction table.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::inst::{AluOp, BranchOp, CsrOp, Inst, MemWidth, MulOp};
-use crate::reg::Reg;
+use crate::inst::Inst;
+use crate::table;
 
 /// Decoding failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,63 +27,6 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-#[inline]
-fn rd(word: u32) -> Reg {
-    Reg::new(((word >> 7) & 0x1F) as u8)
-}
-#[inline]
-fn rs1(word: u32) -> Reg {
-    Reg::new(((word >> 15) & 0x1F) as u8)
-}
-#[inline]
-fn rs2(word: u32) -> Reg {
-    Reg::new(((word >> 20) & 0x1F) as u8)
-}
-#[inline]
-fn funct3(word: u32) -> u32 {
-    (word >> 12) & 0x7
-}
-#[inline]
-fn funct7(word: u32) -> u32 {
-    word >> 25
-}
-
-/// Sign-extended I-type immediate.
-#[inline]
-fn imm_i(word: u32) -> i32 {
-    (word as i32) >> 20
-}
-
-/// Sign-extended S-type immediate.
-#[inline]
-fn imm_s(word: u32) -> i32 {
-    (((word & 0xFE00_0000) as i32) >> 20) | (((word >> 7) & 0x1F) as i32)
-}
-
-/// Sign-extended B-type immediate.
-#[inline]
-fn imm_b(word: u32) -> i32 {
-    (((word & 0x8000_0000) as i32) >> 19)
-        | (((word >> 7) & 0x1) << 11) as i32
-        | (((word >> 25) & 0x3F) << 5) as i32
-        | (((word >> 8) & 0xF) << 1) as i32
-}
-
-/// U-type immediate (already shifted).
-#[inline]
-fn imm_u(word: u32) -> u32 {
-    word & 0xFFFF_F000
-}
-
-/// Sign-extended J-type immediate.
-#[inline]
-fn imm_j(word: u32) -> i32 {
-    (((word & 0x8000_0000) as i32) >> 11)
-        | ((word & 0x000F_F000) as i32)
-        | (((word >> 20) & 0x1) << 11) as i32
-        | (((word >> 21) & 0x3FF) << 1) as i32
-}
-
 /// Decode one 32-bit instruction word.
 ///
 /// `pc` is used only for error reporting.
@@ -93,201 +36,14 @@ fn imm_j(word: u32) -> i32 {
 /// Returns [`DecodeError`] for any encoding outside RV32IM + Zicsr +
 /// `mret`/`wfi`.
 pub fn decode(word: u32, pc: u32) -> Result<Inst, DecodeError> {
-    let err = Err(DecodeError { word, pc });
-    let opcode = word & 0x7F;
-    match opcode {
-        0b011_0111 => Ok(Inst::Lui {
-            rd: rd(word),
-            imm: imm_u(word),
-        }),
-        0b001_0111 => Ok(Inst::Auipc {
-            rd: rd(word),
-            imm: imm_u(word),
-        }),
-        0b110_1111 => Ok(Inst::Jal {
-            rd: rd(word),
-            offset: imm_j(word),
-        }),
-        0b110_0111 => {
-            if funct3(word) != 0 {
-                return err;
-            }
-            Ok(Inst::Jalr {
-                rd: rd(word),
-                rs1: rs1(word),
-                offset: imm_i(word),
-            })
-        }
-        0b110_0011 => {
-            let op = match funct3(word) {
-                0b000 => BranchOp::Eq,
-                0b001 => BranchOp::Ne,
-                0b100 => BranchOp::Lt,
-                0b101 => BranchOp::Ge,
-                0b110 => BranchOp::Ltu,
-                0b111 => BranchOp::Geu,
-                _ => return err,
-            };
-            Ok(Inst::Branch {
-                op,
-                rs1: rs1(word),
-                rs2: rs2(word),
-                offset: imm_b(word),
-            })
-        }
-        0b000_0011 => {
-            let width = match funct3(word) {
-                0b000 => MemWidth::Byte,
-                0b001 => MemWidth::Half,
-                0b010 => MemWidth::Word,
-                0b100 => MemWidth::ByteU,
-                0b101 => MemWidth::HalfU,
-                _ => return err,
-            };
-            Ok(Inst::Load {
-                width,
-                rd: rd(word),
-                rs1: rs1(word),
-                offset: imm_i(word),
-            })
-        }
-        0b010_0011 => {
-            let width = match funct3(word) {
-                0b000 => MemWidth::Byte,
-                0b001 => MemWidth::Half,
-                0b010 => MemWidth::Word,
-                _ => return err,
-            };
-            Ok(Inst::Store {
-                width,
-                rs1: rs1(word),
-                rs2: rs2(word),
-                offset: imm_s(word),
-            })
-        }
-        0b001_0011 => {
-            let f3 = funct3(word);
-            let op = match f3 {
-                0b000 => AluOp::Add,
-                0b010 => AluOp::Slt,
-                0b011 => AluOp::Sltu,
-                0b100 => AluOp::Xor,
-                0b110 => AluOp::Or,
-                0b111 => AluOp::And,
-                0b001 => {
-                    if funct7(word) != 0 {
-                        return err;
-                    }
-                    AluOp::Sll
-                }
-                0b101 => match funct7(word) {
-                    0b000_0000 => AluOp::Srl,
-                    0b010_0000 => AluOp::Sra,
-                    _ => return err,
-                },
-                _ => return err,
-            };
-            let imm = if matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
-                ((word >> 20) & 0x1F) as i32
-            } else {
-                imm_i(word)
-            };
-            Ok(Inst::AluImm {
-                op,
-                rd: rd(word),
-                rs1: rs1(word),
-                imm,
-            })
-        }
-        0b011_0011 => {
-            let f3 = funct3(word);
-            let f7 = funct7(word);
-            if f7 == 0b000_0001 {
-                let op = match f3 {
-                    0b000 => MulOp::Mul,
-                    0b001 => MulOp::Mulh,
-                    0b010 => MulOp::Mulhsu,
-                    0b011 => MulOp::Mulhu,
-                    0b100 => MulOp::Div,
-                    0b101 => MulOp::Divu,
-                    0b110 => MulOp::Rem,
-                    0b111 => MulOp::Remu,
-                    _ => return err,
-                };
-                return Ok(Inst::Mul {
-                    op,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                });
-            }
-            let op = match (f3, f7) {
-                (0b000, 0b000_0000) => AluOp::Add,
-                (0b000, 0b010_0000) => AluOp::Sub,
-                (0b001, 0b000_0000) => AluOp::Sll,
-                (0b010, 0b000_0000) => AluOp::Slt,
-                (0b011, 0b000_0000) => AluOp::Sltu,
-                (0b100, 0b000_0000) => AluOp::Xor,
-                (0b101, 0b000_0000) => AluOp::Srl,
-                (0b101, 0b010_0000) => AluOp::Sra,
-                (0b110, 0b000_0000) => AluOp::Or,
-                (0b111, 0b000_0000) => AluOp::And,
-                _ => return err,
-            };
-            Ok(Inst::Alu {
-                op,
-                rd: rd(word),
-                rs1: rs1(word),
-                rs2: rs2(word),
-            })
-        }
-        0b000_1111 => Ok(Inst::Fence),
-        0b111_0011 => {
-            let f3 = funct3(word);
-            match f3 {
-                0b000 => match word {
-                    0x0000_0073 => Ok(Inst::Ecall),
-                    0x0010_0073 => Ok(Inst::Ebreak),
-                    0x3020_0073 => Ok(Inst::Mret),
-                    0x1050_0073 => Ok(Inst::Wfi),
-                    _ => err,
-                },
-                0b001..=0b011 => {
-                    let op = match f3 {
-                        0b001 => CsrOp::Rw,
-                        0b010 => CsrOp::Rs,
-                        _ => CsrOp::Rc,
-                    };
-                    Ok(Inst::Csr {
-                        op,
-                        rd: rd(word),
-                        rs1: rs1(word),
-                        csr: (word >> 20) as u16,
-                    })
-                }
-                0b101..=0b111 => {
-                    let op = match f3 {
-                        0b101 => CsrOp::Rw,
-                        0b110 => CsrOp::Rs,
-                        _ => CsrOp::Rc,
-                    };
-                    Ok(Inst::CsrImm {
-                        op,
-                        rd: rd(word),
-                        imm: ((word >> 15) & 0x1F) as u8,
-                        csr: (word >> 20) as u16,
-                    })
-                }
-                _ => err,
-            }
-        }
-        _ => err,
-    }
+    let row = table::find(word).ok_or(DecodeError { word, pc })?;
+    Ok(row.op.inst(row.format.unpack(word)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::{AluOp, BranchOp, CsrOp, MemWidth, MulOp};
     use crate::reg::{A0, RA, SP, T0, ZERO};
 
     #[test]

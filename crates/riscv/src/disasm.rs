@@ -1,185 +1,45 @@
-//! Disassembler — the inverse of the assembler, used for firmware
-//! debugging and for human-readable trace dumps.
+//! Disassembler — the inverse of the assembler over the same
+//! instruction table: what it prints assembles back to the same word.
 
-use crate::inst::{AluOp, BranchOp, CsrOp, Inst, MemWidth, MulOp};
-
-fn alu_name(op: AluOp, imm: bool) -> &'static str {
-    match (op, imm) {
-        (AluOp::Add, false) => "add",
-        (AluOp::Add, true) => "addi",
-        (AluOp::Sub, _) => "sub",
-        (AluOp::Sll, false) => "sll",
-        (AluOp::Sll, true) => "slli",
-        (AluOp::Slt, false) => "slt",
-        (AluOp::Slt, true) => "slti",
-        (AluOp::Sltu, false) => "sltu",
-        (AluOp::Sltu, true) => "sltiu",
-        (AluOp::Xor, false) => "xor",
-        (AluOp::Xor, true) => "xori",
-        (AluOp::Srl, false) => "srl",
-        (AluOp::Srl, true) => "srli",
-        (AluOp::Sra, false) => "sra",
-        (AluOp::Sra, true) => "srai",
-        (AluOp::Or, false) => "or",
-        (AluOp::Or, true) => "ori",
-        (AluOp::And, false) => "and",
-        (AluOp::And, true) => "andi",
-    }
-}
-
-fn load_name(w: MemWidth) -> &'static str {
-    match w {
-        MemWidth::Byte => "lb",
-        MemWidth::ByteU => "lbu",
-        MemWidth::Half => "lh",
-        MemWidth::HalfU => "lhu",
-        MemWidth::Word => "lw",
-    }
-}
-
-fn store_name(w: MemWidth) -> &'static str {
-    match w {
-        MemWidth::Byte | MemWidth::ByteU => "sb",
-        MemWidth::Half | MemWidth::HalfU => "sh",
-        MemWidth::Word => "sw",
-    }
-}
+use crate::inst::Inst;
+use crate::table::{self, Operand};
 
 /// Render a decoded instruction as assembly text.
 ///
 /// `pc` resolves PC-relative targets to absolute addresses.
+///
+/// # Panics
+///
+/// Panics for `AluImm { op: Sub }`, which no instruction encodes.
 #[must_use]
 pub fn disassemble(inst: &Inst, pc: u32) -> String {
-    match *inst {
-        Inst::Lui { rd, imm } => format!("lui {rd}, {:#x}", imm >> 12),
-        Inst::Auipc { rd, imm } => format!("auipc {rd}, {:#x}", imm >> 12),
-        Inst::Jal { rd, offset } => {
-            let target = pc.wrapping_add(offset as u32);
-            format!("jal {rd}, {target:#x}")
-        }
-        Inst::Jalr { rd, rs1, offset } => format!("jalr {rd}, {offset}({rs1})"),
-        Inst::Branch {
-            op,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            let name = match op {
-                BranchOp::Eq => "beq",
-                BranchOp::Ne => "bne",
-                BranchOp::Lt => "blt",
-                BranchOp::Ge => "bge",
-                BranchOp::Ltu => "bltu",
-                BranchOp::Geu => "bgeu",
-            };
-            let target = pc.wrapping_add(offset as u32);
-            format!("{name} {rs1}, {rs2}, {target:#x}")
-        }
-        Inst::Load {
-            width,
-            rd,
-            rs1,
-            offset,
-        } => format!("{} {rd}, {offset}({rs1})", load_name(width)),
-        Inst::Store {
-            width,
-            rs1,
-            rs2,
-            offset,
-        } => format!("{} {rs2}, {offset}({rs1})", store_name(width)),
-        Inst::AluImm { op, rd, rs1, imm } => {
-            format!("{} {rd}, {rs1}, {imm}", alu_name(op, true))
-        }
-        Inst::Alu { op, rd, rs1, rs2 } => {
-            format!("{} {rd}, {rs1}, {rs2}", alu_name(op, false))
-        }
-        Inst::Mul { op, rd, rs1, rs2 } => {
-            let name = match op {
-                MulOp::Mul => "mul",
-                MulOp::Mulh => "mulh",
-                MulOp::Mulhsu => "mulhsu",
-                MulOp::Mulhu => "mulhu",
-                MulOp::Div => "div",
-                MulOp::Divu => "divu",
-                MulOp::Rem => "rem",
-                MulOp::Remu => "remu",
-            };
-            format!("{name} {rd}, {rs1}, {rs2}")
-        }
-        Inst::Fence => "fence".to_string(),
-        Inst::Ecall => "ecall".to_string(),
-        Inst::Ebreak => "ebreak".to_string(),
-        Inst::Mret => "mret".to_string(),
-        Inst::Wfi => "wfi".to_string(),
-        Inst::Csr { op, rd, rs1, csr } => {
-            let name = match op {
-                CsrOp::Rw => "csrrw",
-                CsrOp::Rs => "csrrs",
-                CsrOp::Rc => "csrrc",
-            };
-            format!("{name} {rd}, {csr:#x}, {rs1}")
-        }
-        Inst::CsrImm { op, rd, imm, csr } => {
-            let name = match op {
-                CsrOp::Rw => "csrrwi",
-                CsrOp::Rs => "csrrsi",
-                CsrOp::Rc => "csrrci",
-            };
-            format!("{name} {rd}, {csr:#x}, {imm}")
-        }
-    }
-}
-
-/// Disassemble a flat binary into `(address, word, text)` rows.
-/// Words that fail to decode are rendered as `.word`.
-#[must_use]
-pub fn disassemble_image(bytes: &[u8], base: u32) -> Vec<(u32, u32, String)> {
-    bytes
-        .chunks(4)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let mut w = [0u8; 4];
-            w[..chunk.len()].copy_from_slice(chunk);
-            let word = u32::from_le_bytes(w);
-            let addr = base + (i * 4) as u32;
-            let text = match crate::decode::decode(word, addr) {
-                Ok(inst) => disassemble(&inst, addr),
-                Err(_) => format!(".word {word:#010x}"),
-            };
-            (addr, word, text)
+    let (row, f) = table::of(inst);
+    let operands: Vec<String> = row
+        .format
+        .operands()
+        .iter()
+        .map(|operand| match operand {
+            Operand::Rd => f.rd.to_string(),
+            Operand::Rs1 => f.rs1.to_string(),
+            Operand::Rs2 => f.rs2.to_string(),
+            Operand::Imm | Operand::Shamt | Operand::Uimm => f.imm.to_string(),
+            Operand::Mem => format!("{}({})", f.imm, f.rs1),
+            Operand::Branch | Operand::Jump => format!("{:#x}", pc.wrapping_add(f.imm as u32)),
+            Operand::Upper => format!("{:#x}", f.imm as u32 >> 12),
+            Operand::Csr => format!("{:#x}", f.csr),
         })
-        .collect()
+        .collect();
+    if operands.is_empty() {
+        row.name.to_string()
+    } else {
+        format!("{} {}", row.name, operands.join(", "))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::assemble;
     use crate::decode::decode;
-
-    #[test]
-    fn disassembly_reassembles_to_same_words() {
-        let src = "
-            li   a0, 0x12345678
-            lw   t0, 8(a0)
-            sw   t0, -4(sp)
-            add  t1, t0, a0
-            mul  t1, t1, t0
-            beq  t1, zero, 0x20
-            jal  ra, 0x40
-            csrrs t0, 0xb00, zero
-            ebreak
-        ";
-        let img = assemble(src).unwrap();
-        for (addr, word, text) in disassemble_image(&img.bytes(), 0) {
-            let img2 = assemble(&format!(".org {addr:#x}\n{text}")).unwrap();
-            assert_eq!(
-                img2.words()[0],
-                word,
-                "at {addr:#x}: `{text}` reassembled differently"
-            );
-        }
-    }
 
     #[test]
     fn pc_relative_targets_are_absolute() {
@@ -187,9 +47,23 @@ mod tests {
         assert_eq!(disassemble(&inst, 0x100), "jal ra, 0x108");
     }
 
+    /// The forms the table prints, one per format.
     #[test]
-    fn bad_words_render_as_data() {
-        let rows = disassemble_image(&[0, 0, 0, 0], 0);
-        assert_eq!(rows[0].2, ".word 0x00000000");
+    fn every_format_prints_like_the_assembler_reads() {
+        for (word, text) in [
+            (0x0000_0533, "add a0, zero, zero"),
+            (0xFF01_0113, "addi sp, sp, -16"),
+            (0x0085_2283, "lw t0, 8(a0)"),
+            (0x0005_00E7, "jalr ra, 0(a0)"),
+            (0x4035_5513, "srai a0, a0, 3"),
+            (0x0055_2623, "sw t0, 12(a0)"),
+            (0xFE05_0EE3, "beq a0, zero, 0xfc"),
+            (0x1234_5537, "lui a0, 0x12345"),
+            (0xB000_22F3, "csrrs t0, 0xb00, zero"),
+            (0x3002_D073, "csrrwi zero, 0x300, 5"),
+            (0x0010_0073, "ebreak"),
+        ] {
+            assert_eq!(disassemble(&decode(word, 0x100).unwrap(), 0x100), text);
+        }
     }
 }

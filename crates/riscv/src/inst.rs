@@ -90,6 +90,17 @@ impl MemWidth {
             MemWidth::Word => 4,
         }
     }
+
+    /// The width a store of this width writes: a store does not extend,
+    /// so `ByteU` and `HalfU` store as `Byte` and `Half`.
+    #[must_use]
+    pub fn stored(self) -> MemWidth {
+        match self {
+            MemWidth::ByteU => MemWidth::Byte,
+            MemWidth::HalfU => MemWidth::Half,
+            width => width,
+        }
+    }
 }
 
 /// CSR access operation.

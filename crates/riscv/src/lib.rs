@@ -4,7 +4,9 @@
 //! from Codasip called µRISC-V" that programs the accelerator with plain
 //! load/store instructions over AHB-Lite. This crate provides:
 //!
-//! * [`decode()`]/[`encode()`] — RV32IM + Zicsr instruction codecs,
+//! * `table` (crate-private) — the RV32IM + Zicsr instruction table,
+//!   one row per instruction, from which [`decode()`]/[`encode()`], the
+//!   assembler and the disassembler all derive,
 //! * [`cpu`] — the core itself, with a 4-stage pipeline timing model
 //!   ([`pipeline`]) and an AHB-Lite data port into the system bus,
 //! * [`csr`] — the machine counters (`mcycle`, `minstret`) bare-metal
@@ -45,6 +47,7 @@ pub mod encode;
 pub mod inst;
 pub mod pipeline;
 pub mod reg;
+pub(crate) mod table;
 
 pub use asm::{assemble, AsmError, Image};
 pub use block_cache::{BlockCache, BlockCacheStats};

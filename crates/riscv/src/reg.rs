@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// One of the 32 integer registers, `x0`–`x31`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// One of the 32 integer registers, `x0`–`x31`; `x0` by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(u8);
 
 impl Reg {

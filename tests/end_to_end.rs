@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the complete bare-metal flow from a
 //! layer graph to verified SoC output.
 
-use rvnv_compiler::codegen::{generate_machine_code, CodegenOptions};
+use rvnv_compiler::codegen::{generate_machine_code, CodegenOptions, WaitMode};
 use rvnv_compiler::trace::{parse_config_file, write_config_file};
 use rvnv_compiler::{compile, CompileOptions};
 use rvnv_nn::exec::Executor;
@@ -231,6 +231,43 @@ fn table2_layers_are_unfused_hardware_ops() {
         let cycles = paper::vp_cycles(&mut paper::table3_vp(), &fp16).expect("vp run");
         assert_eq!(cycles, ours(Table::III, model, Unit::SocCycles), "{name}");
     }
+}
+
+/// The firmware images of the small networks, pinned by content: the
+/// assembler must turn the same generated source into the same bytes.
+/// Rows: LeNet-5 then ResNet-18, each INT8 (Table II) then FP16 (Table
+/// III), each poll then `wfi`.
+#[test]
+fn firmware_images_are_pinned() {
+    const PINS: [u64; 8] = [
+        0x58ed_ca5d_e51a_5fe4,
+        0xbcf5_6d35_5735_6efc,
+        0x044c_a4c3_a82e_9fa8,
+        0xd09b_f3fd_1593_d943,
+        0x366d_a110_f16a_481a,
+        0xe1b5_0925_5297_fa5c,
+        0xf6c9_6ae4_1428_9629,
+        0xac4e_f4f7_55c6_4258,
+    ];
+    let mut got = Vec::new();
+    for model in [zoo::Model::LeNet5, zoo::Model::ResNet18] {
+        let net = model.build(1);
+        for options in [
+            paper::table2_compile_options(),
+            paper::table3_compile_options(),
+        ] {
+            let artifacts = compile(&net, &options).expect("compile");
+            for wait_mode in [WaitMode::Poll, WaitMode::Wfi] {
+                let codegen = CodegenOptions {
+                    wait_mode,
+                    ..CodegenOptions::default()
+                };
+                let fw = Firmware::build_with(&artifacts, codegen).expect("firmware assembles");
+                got.push(fw.image.fingerprint());
+            }
+        }
+    }
+    assert_eq!(got, PINS, "{got:#x?}");
 }
 
 #[test]

@@ -10,141 +10,8 @@ use rvnv_compiler::trace::{parse_config_file, write_config_file, ConfigCmd};
 use rvnv_nn::quant::QuantScale;
 use rvnv_nn::tensor::{Shape, Tensor};
 use rvnv_nn::F16;
-use rvnv_riscv::inst::{AluOp, BranchOp, CsrOp, Inst, MemWidth, MulOp};
-use rvnv_riscv::reg::Reg;
-use rvnv_riscv::{decode, encode};
-
-fn reg_strategy() -> impl Strategy<Value = Reg> {
-    (0u8..32).prop_map(Reg::new)
-}
-
-fn inst_strategy() -> impl Strategy<Value = Inst> {
-    let alu_op = prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sll),
-        Just(AluOp::Slt),
-        Just(AluOp::Sltu),
-        Just(AluOp::Xor),
-        Just(AluOp::Srl),
-        Just(AluOp::Sra),
-        Just(AluOp::Or),
-        Just(AluOp::And),
-    ];
-    let alu_rr = prop_oneof![alu_op.clone(), Just(AluOp::Sub)];
-    let mul_op = prop_oneof![
-        Just(MulOp::Mul),
-        Just(MulOp::Mulh),
-        Just(MulOp::Mulhsu),
-        Just(MulOp::Mulhu),
-        Just(MulOp::Div),
-        Just(MulOp::Divu),
-        Just(MulOp::Rem),
-        Just(MulOp::Remu),
-    ];
-    let branch_op = prop_oneof![
-        Just(BranchOp::Eq),
-        Just(BranchOp::Ne),
-        Just(BranchOp::Lt),
-        Just(BranchOp::Ge),
-        Just(BranchOp::Ltu),
-        Just(BranchOp::Geu),
-    ];
-    let width = prop_oneof![
-        Just(MemWidth::Byte),
-        Just(MemWidth::ByteU),
-        Just(MemWidth::Half),
-        Just(MemWidth::HalfU),
-        Just(MemWidth::Word),
-    ];
-    let store_width = prop_oneof![
-        Just(MemWidth::Byte),
-        Just(MemWidth::Half),
-        Just(MemWidth::Word),
-    ];
-    let csr_op = prop_oneof![Just(CsrOp::Rw), Just(CsrOp::Rs), Just(CsrOp::Rc)];
-    prop_oneof![
-        (reg_strategy(), any::<u32>()).prop_map(|(rd, v)| Inst::Lui {
-            rd,
-            imm: v & 0xFFFF_F000
-        }),
-        (reg_strategy(), any::<u32>()).prop_map(|(rd, v)| Inst::Auipc {
-            rd,
-            imm: v & 0xFFFF_F000
-        }),
-        (reg_strategy(), (-(1i32 << 20)..(1i32 << 20)))
-            .prop_map(|(rd, o)| Inst::Jal { rd, offset: o & !1 }),
-        (reg_strategy(), reg_strategy(), -2048i32..2048).prop_map(|(rd, rs1, offset)| Inst::Jalr {
-            rd,
-            rs1,
-            offset
-        }),
-        (branch_op, reg_strategy(), reg_strategy(), -4096i32..4096).prop_map(
-            |(op, rs1, rs2, o)| Inst::Branch {
-                op,
-                rs1,
-                rs2,
-                offset: o & !1
-            }
-        ),
-        (width, reg_strategy(), reg_strategy(), -2048i32..2048).prop_map(
-            |(width, rd, rs1, offset)| Inst::Load {
-                width,
-                rd,
-                rs1,
-                offset
-            }
-        ),
-        (store_width, reg_strategy(), reg_strategy(), -2048i32..2048).prop_map(
-            |(width, rs1, rs2, offset)| Inst::Store {
-                width,
-                rs1,
-                rs2,
-                offset
-            }
-        ),
-        (
-            alu_op.clone(),
-            reg_strategy(),
-            reg_strategy(),
-            -2048i32..2048
-        )
-            .prop_map(|(op, rd, rs1, imm)| {
-                let imm = if matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
-                    imm & 0x1F
-                } else {
-                    imm
-                };
-                Inst::AluImm { op, rd, rs1, imm }
-            }),
-        (alu_rr, reg_strategy(), reg_strategy(), reg_strategy())
-            .prop_map(|(op, rd, rs1, rs2)| Inst::Alu { op, rd, rs1, rs2 }),
-        (mul_op, reg_strategy(), reg_strategy(), reg_strategy())
-            .prop_map(|(op, rd, rs1, rs2)| Inst::Mul { op, rd, rs1, rs2 }),
-        (csr_op, reg_strategy(), reg_strategy(), any::<u16>()).prop_map(|(op, rd, rs1, c)| {
-            Inst::Csr {
-                op,
-                rd,
-                rs1,
-                csr: c & 0xFFF,
-            }
-        }),
-        Just(Inst::Ecall),
-        Just(Inst::Ebreak),
-        Just(Inst::Fence),
-        Just(Inst::Mret),
-        Just(Inst::Wfi),
-    ]
-}
 
 proptest! {
-    /// Every encodable instruction decodes back to itself.
-    #[test]
-    fn riscv_encode_decode_round_trip(inst in inst_strategy()) {
-        let word = encode(&inst);
-        let back = decode(word, 0).expect("canonical encodings decode");
-        prop_assert_eq!(back, inst);
-    }
-
     /// `li` materializes any 32-bit constant exactly.
     #[test]
     fn assembler_li_materializes_any_value(value in any::<u32>()) {
