@@ -52,7 +52,6 @@ pub mod error;
 pub mod fault;
 pub mod smartconnect;
 pub mod sram;
-pub mod stats;
 pub mod width;
 
 pub(crate) use access::Hop;

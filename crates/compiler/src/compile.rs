@@ -27,11 +27,14 @@ use rvnv_nn::graph::{ConvParams, Network, Op, PoolKind};
 use rvnv_nn::quant::{CalibrationTable, QuantTensor};
 use rvnv_nn::tensor::{Shape, Tensor, WeightTensor};
 use rvnv_nvdla::config::{HwConfig, Precision};
+use rvnv_nvdla::descriptor::{
+    CdpDesc, ConvDesc, CopyDesc, Descriptor, PdpDesc, PoolKind as HwPool, SdpDesc, SdpSrc,
+};
 use rvnv_nvdla::engines;
-use rvnv_nvdla::regs::{self, Block};
+use rvnv_nvdla::regs;
 
 use crate::layout::{Allocator, OutOfMemory, WeightImage};
-use crate::trace::ConfigCmd;
+use crate::trace::{self, ConfigCmd};
 
 /// Compiler options.
 #[derive(Debug, Clone)]
@@ -162,6 +165,19 @@ pub struct OpInfo {
     pub reg_writes: usize,
     /// Names of graph nodes fused into this op.
     pub fused: Vec<String>,
+}
+
+impl OpInfo {
+    /// An unfused op with no MACs; [`Lowering::emit`] counts its writes.
+    fn new(name: String, engine: &'static str) -> Self {
+        OpInfo {
+            name,
+            engine,
+            macs: 0,
+            reg_writes: 0,
+            fused: Vec::new(),
+        }
+    }
 }
 
 /// Everything the bare-metal flow needs to run one model.
@@ -355,27 +371,37 @@ impl<'a> Lowering<'a> {
         Ok(addr)
     }
 
-    fn w(&mut self, block: Block, offset: u32, value: u32) {
-        self.commands.push(ConfigCmd::WriteReg {
-            addr: block.base() + offset,
-            value,
-        });
+    /// Place a per-channel `(scale, shift)` table in the weight file
+    /// (8 bytes per channel, as the SDP reads it); its address.
+    fn push_table(&mut self, table: &[(f32, f32)]) -> Result<u32, CompileError> {
+        let bytes: Vec<u8> = table
+            .iter()
+            .flat_map(|(s, sh)| [s.to_le_bytes(), sh.to_le_bytes()])
+            .flatten()
+            .collect();
+        let addr = self.alloc.alloc(bytes.len() as u32)?;
+        self.weights.push(addr, bytes);
+        Ok(addr)
     }
 
-    /// Launch + interrupt poll + clear for the given engine bits.
-    fn launch(&mut self, enable_blocks: &[Block], wait_bits: u32) {
-        for b in enable_blocks {
-            self.w(*b, regs::REG_OP_ENABLE, 1);
+    /// Program `desc` (after its flying SDP, for a convolution), launch
+    /// its engines, wait for them, and record the op.
+    fn emit<D: Descriptor>(
+        &mut self,
+        desc: &D,
+        flying: Option<&SdpDesc>,
+        mut info: OpInfo,
+    ) -> Result<(), CompileError> {
+        let unsupported = |e| CompileError::Unsupported(format!("`{}`: {e}", info.name));
+        let mut writes = desc.encode().map_err(unsupported)?;
+        if let Some(sdp) = flying {
+            writes.extend(sdp.encode().map_err(unsupported)?);
         }
-        self.commands.push(ConfigCmd::ReadReg {
-            addr: regs::GLB_INTR_STATUS,
-            mask: wait_bits,
-            expect: wait_bits,
-        });
-        self.commands.push(ConfigCmd::WriteReg {
-            addr: regs::GLB_INTR_STATUS,
-            value: wait_bits,
-        });
+        let before = self.commands.len();
+        trace::push_launch(&mut self.commands, writes, D::LAUNCH);
+        info.reg_writes = self.commands.len() - before;
+        self.ops.push(info);
+        Ok(())
     }
 
     fn run(mut self) -> Result<Artifacts, CompileError> {
@@ -606,13 +632,7 @@ impl<'a> Lowering<'a> {
                 None => (1.0, p.bias[c]),
             })
             .collect();
-        let mut bs_bytes = Vec::with_capacity(table.len() * 8);
-        for (s, sh) in &table {
-            bs_bytes.extend_from_slice(&s.to_le_bytes());
-            bs_bytes.extend_from_slice(&sh.to_le_bytes());
-        }
-        let bs_addr = self.alloc.alloc(bs_bytes.len() as u32)?;
-        self.weights.push(bs_addr, bs_bytes);
+        let bs_addr = self.push_table(&table)?;
 
         let in_buf = self.buffer_of(input_node)?;
         let in_scale = self.scale_of(input_node);
@@ -631,67 +651,46 @@ impl<'a> Lowering<'a> {
             (0, 1.0)
         };
 
-        let writes_before = self.commands.len();
-        let prec_bit = u32::from(prec == Precision::Fp16);
-        // CDMA.
-        self.w(Block::Cdma, regs::CDMA_DATAIN_ADDR, in_buf);
-        self.w(
-            Block::Cdma,
-            regs::CDMA_DATAIN_SIZE0,
-            in_shape.w as u32 | ((in_shape.h as u32) << 16),
-        );
-        self.w(Block::Cdma, regs::CDMA_DATAIN_SIZE1, in_shape.c as u32);
-        self.w(Block::Cdma, regs::CDMA_WEIGHT_ADDR, wt_addr);
-        self.w(Block::Cdma, regs::CDMA_WEIGHT_BYTES, wt_len);
-        self.w(Block::Cdma, regs::CDMA_CONV_STRIDE, p.stride as u32);
-        self.w(Block::Cdma, regs::CDMA_ZERO_PADDING, p.pad as u32);
-        self.w(Block::Cdma, regs::CDMA_IN_SCALE, in_scale.to_bits());
-        self.w(Block::Cdma, regs::CDMA_WT_SCALE, wt_scale.to_bits());
-        // CSC.
-        self.w(
-            Block::Csc,
-            regs::CSC_DATAOUT_SIZE0,
-            out_shape.w as u32 | ((out_shape.h as u32) << 16),
-        );
-        self.w(Block::Csc, regs::CSC_DATAOUT_SIZE1, p.weights.out_c as u32);
-        self.w(
-            Block::Csc,
-            regs::CSC_WEIGHT_SIZE0,
-            p.weights.kw as u32 | ((p.weights.kh as u32) << 16),
-        );
-        self.w(Block::Csc, regs::CSC_GROUPS, p.groups as u32);
-        // CMAC.
-        self.w(Block::Cmac, regs::CMAC_MISC, prec_bit);
-        // SDP (flying).
-        self.w(Block::Sdp, regs::SDP_SRC, 0);
-        self.w(Block::Sdp, regs::SDP_SRC2_ADDR, src2);
-        self.w(Block::Sdp, regs::SDP_DST_ADDR, out_buf);
-        self.w(
-            Block::Sdp,
-            regs::SDP_SIZE0,
-            out_shape.w as u32 | ((out_shape.h as u32) << 16),
-        );
-        self.w(Block::Sdp, regs::SDP_SIZE1, out_shape.c as u32);
-        self.w(Block::Sdp, regs::SDP_BS_ADDR, bs_addr);
-        self.w(Block::Sdp, regs::SDP_FLAGS, flags);
-        self.w(Block::Sdp, regs::SDP_OUT_SCALE, out_scale.to_bits());
-        self.w(Block::Sdp, regs::SDP_IN2_SCALE, in2_scale.to_bits());
-        self.w(Block::Sdp, regs::SDP_PRECISION, prec_bit);
-        let bits = (1 << Block::Cacc.intr_bit().expect("cacc bit"))
-            | (1 << Block::Sdp.intr_bit().expect("sdp bit"));
-        self.launch(&[Block::Sdp, Block::Cacc], bits);
-
-        let macs =
-            (p.weights.in_c * p.weights.kh * p.weights.kw) as u64 * out_shape.elements() as u64;
-        let fused = self.fused_names(root, end);
-        self.ops.push(OpInfo {
-            name: node_name,
-            engine: "conv",
-            macs,
-            reg_writes: self.commands.len() - writes_before,
-            fused,
-        });
-        Ok(())
+        let conv = ConvDesc {
+            src: in_buf,
+            in_w: in_shape.w as u32,
+            in_h: in_shape.h as u32,
+            in_c: in_shape.c as u32,
+            wt_addr,
+            wt_bytes: wt_len,
+            stride: p.stride as u32,
+            pad: p.pad as u32,
+            in_scale,
+            wt_scale,
+            out_w: out_shape.w as u32,
+            out_h: out_shape.h as u32,
+            out_c: p.weights.out_c as u32,
+            kw: p.weights.kw as u32,
+            kh: p.weights.kh as u32,
+            groups: p.groups as u32,
+            precision: prec,
+        };
+        let sdp = SdpDesc {
+            src_mode: SdpSrc::Flying,
+            src: 0,
+            src2,
+            dst: out_buf,
+            w: out_shape.w as u32,
+            h: out_shape.h as u32,
+            c: out_shape.c as u32,
+            bs_addr,
+            flags,
+            out_scale,
+            in_scale: 1.0,
+            in2_scale,
+            precision: prec,
+        };
+        let info = OpInfo {
+            macs: (p.weights.in_c * p.weights.kh * p.weights.kw * out_shape.elements()) as u64,
+            fused: self.fused_names(root, end),
+            ..OpInfo::new(node_name, "conv")
+        };
+        self.emit(&conv, Some(&sdp), info)
     }
 
     fn fused_names(&self, root: usize, end: usize) -> Vec<String> {
@@ -736,17 +735,9 @@ impl<'a> Lowering<'a> {
             }
         }
 
-        let bs_addr = if let Some(table) = &bn_table {
-            let mut bytes = Vec::with_capacity(table.len() * 8);
-            for (s, sh) in table {
-                bytes.extend_from_slice(&s.to_le_bytes());
-                bytes.extend_from_slice(&sh.to_le_bytes());
-            }
-            let addr = self.alloc.alloc(bytes.len() as u32)?;
-            self.weights.push(addr, bytes);
-            addr
-        } else {
-            0
+        let bs_addr = match &bn_table {
+            Some(table) => self.push_table(table)?,
+            None => 0,
         };
 
         let src = self.buffer_of(inputs[0])?;
@@ -760,35 +751,26 @@ impl<'a> Lowering<'a> {
         let out_buf = self.materialize(end, out_bytes)?;
         let out_scale = self.scale_of(end);
 
-        let writes_before = self.commands.len();
-        let prec_bit = u32::from(prec == Precision::Fp16);
-        self.w(Block::Sdp, regs::SDP_SRC, 1);
-        self.w(Block::Sdp, regs::SDP_SRC_ADDR, src);
-        self.w(Block::Sdp, regs::SDP_SRC2_ADDR, src2);
-        self.w(Block::Sdp, regs::SDP_DST_ADDR, out_buf);
-        self.w(
-            Block::Sdp,
-            regs::SDP_SIZE0,
-            shape.w as u32 | ((shape.h as u32) << 16),
-        );
-        self.w(Block::Sdp, regs::SDP_SIZE1, shape.c as u32);
-        self.w(Block::Sdp, regs::SDP_BS_ADDR, bs_addr);
-        self.w(Block::Sdp, regs::SDP_FLAGS, flags);
-        self.w(Block::Sdp, regs::SDP_OUT_SCALE, out_scale.to_bits());
-        self.w(Block::Sdp, regs::SDP_IN_SCALE, in_scale.to_bits());
-        self.w(Block::Sdp, regs::SDP_IN2_SCALE, in2_scale.to_bits());
-        self.w(Block::Sdp, regs::SDP_PRECISION, prec_bit);
-        let bits = 1 << Block::Sdp.intr_bit().expect("sdp bit");
-        self.launch(&[Block::Sdp], bits);
-        let fused = self.fused_names(node, end);
-        self.ops.push(OpInfo {
-            name,
-            engine: "sdp",
-            macs: 0,
-            reg_writes: self.commands.len() - writes_before,
-            fused,
-        });
-        Ok(())
+        let sdp = SdpDesc {
+            src_mode: SdpSrc::Memory,
+            src,
+            src2,
+            dst: out_buf,
+            w: shape.w as u32,
+            h: shape.h as u32,
+            c: shape.c as u32,
+            bs_addr,
+            flags,
+            out_scale,
+            in_scale,
+            in2_scale,
+            precision: prec,
+        };
+        let info = OpInfo {
+            fused: self.fused_names(node, end),
+            ..OpInfo::new(name, "sdp")
+        };
+        self.emit(&sdp, None, info)
     }
 
     fn emit_pdp(
@@ -804,51 +786,29 @@ impl<'a> Lowering<'a> {
         let in_shape = self.shapes[input];
         let out_shape = self.shapes[node];
         let prec = self.opt.precision;
-        if k > 255 || stride > 255 || pad > 255 {
-            return Err(CompileError::Unsupported(format!(
-                "pooling parameters k={k}/stride={stride}/pad={pad} exceed the register fields"
-            )));
-        }
         // Pooling preserves representation: output scale == input scale.
         self.scale[node] = self.scale_of(input);
         let src = self.buffer_of(input)?;
         let out_bytes = (out_shape.elements() as u32) * prec.bytes();
         let dst = self.materialize(node, out_bytes)?;
-        let writes_before = self.commands.len();
-        let kind_bit = u32::from(kind == PoolKind::Avg);
-        self.w(Block::Pdp, regs::PDP_SRC_ADDR, src);
-        self.w(Block::Pdp, regs::PDP_DST_ADDR, dst);
-        self.w(
-            Block::Pdp,
-            regs::PDP_SIZE_IN,
-            in_shape.w as u32 | ((in_shape.h as u32) << 16),
-        );
-        self.w(Block::Pdp, regs::PDP_CHANNELS, in_shape.c as u32);
-        self.w(
-            Block::Pdp,
-            regs::PDP_POOLING,
-            kind_bit | ((k as u32) << 8) | ((stride as u32) << 16) | ((pad as u32) << 24),
-        );
-        self.w(
-            Block::Pdp,
-            regs::PDP_SIZE_OUT,
-            out_shape.w as u32 | ((out_shape.h as u32) << 16),
-        );
-        self.w(
-            Block::Pdp,
-            regs::PDP_PRECISION,
-            u32::from(prec == Precision::Fp16),
-        );
-        let bits = 1 << Block::Pdp.intr_bit().expect("pdp bit");
-        self.launch(&[Block::Pdp], bits);
-        self.ops.push(OpInfo {
-            name,
-            engine: "pdp",
-            macs: 0,
-            reg_writes: self.commands.len() - writes_before,
-            fused: Vec::new(),
-        });
-        Ok(())
+        let pdp = PdpDesc {
+            src,
+            dst,
+            in_w: in_shape.w as u32,
+            in_h: in_shape.h as u32,
+            c: in_shape.c as u32,
+            kind: match kind {
+                PoolKind::Max => HwPool::Max,
+                PoolKind::Avg => HwPool::Avg,
+            },
+            k: k as u32,
+            stride: stride as u32,
+            pad: pad as u32,
+            out_w: out_shape.w as u32,
+            out_h: out_shape.h as u32,
+            precision: prec,
+        };
+        self.emit(&pdp, None, OpInfo::new(name, "pdp"))
     }
 
     fn emit_cdp(
@@ -868,36 +828,21 @@ impl<'a> Lowering<'a> {
         let out_bytes = (shape.elements() as u32) * prec.bytes();
         let dst = self.materialize(node, out_bytes)?;
         let out_scale = self.scale_of(node);
-        let writes_before = self.commands.len();
-        self.w(Block::Cdp, regs::CDP_SRC_ADDR, src);
-        self.w(Block::Cdp, regs::CDP_DST_ADDR, dst);
-        self.w(
-            Block::Cdp,
-            regs::CDP_SIZE,
-            shape.w as u32 | ((shape.h as u32) << 16),
-        );
-        self.w(Block::Cdp, regs::CDP_CHANNELS, shape.c as u32);
-        self.w(Block::Cdp, regs::CDP_LRN_SIZE, local_size as u32);
-        self.w(Block::Cdp, regs::CDP_ALPHA, alpha.to_bits());
-        self.w(Block::Cdp, regs::CDP_BETA, beta.to_bits());
-        self.w(Block::Cdp, regs::CDP_K, k.to_bits());
-        self.w(
-            Block::Cdp,
-            regs::CDP_PRECISION,
-            u32::from(prec == Precision::Fp16),
-        );
-        self.w(Block::Cdp, regs::CDP_IN_SCALE, in_scale.to_bits());
-        self.w(Block::Cdp, regs::CDP_OUT_SCALE, out_scale.to_bits());
-        let bits = 1 << Block::Cdp.intr_bit().expect("cdp bit");
-        self.launch(&[Block::Cdp], bits);
-        self.ops.push(OpInfo {
-            name,
-            engine: "cdp",
-            macs: 0,
-            reg_writes: self.commands.len() - writes_before,
-            fused: Vec::new(),
-        });
-        Ok(())
+        let cdp = CdpDesc {
+            src,
+            dst,
+            w: shape.w as u32,
+            h: shape.h as u32,
+            c: shape.c as u32,
+            local_size: local_size as u32,
+            alpha,
+            beta,
+            k,
+            precision: prec,
+            in_scale,
+            out_scale,
+        };
+        self.emit(&cdp, None, OpInfo::new(name, "cdp"))
     }
 
     /// Emit RUBIK copies for concat inputs that could not be redirected.
@@ -911,19 +856,8 @@ impl<'a> Lowering<'a> {
         for (src_node, dst, len) in pending {
             let name = format!("{}_copy_{}", self.net.nodes()[node].name, src_node);
             let src = self.buffer_of(src_node)?;
-            let writes_before = self.commands.len();
-            self.w(Block::Rubik, regs::COPY_SRC_ADDR, src);
-            self.w(Block::Rubik, regs::COPY_DST_ADDR, dst);
-            self.w(Block::Rubik, regs::COPY_LEN, len);
-            let bits = 1 << Block::Rubik.intr_bit().expect("rubik bit");
-            self.launch(&[Block::Rubik], bits);
-            self.ops.push(OpInfo {
-                name,
-                engine: "rubik",
-                macs: 0,
-                reg_writes: self.commands.len() - writes_before,
-                fused: Vec::new(),
-            });
+            let copy = CopyDesc { src, dst, len };
+            self.emit(&copy, None, OpInfo::new(name, "rubik"))?;
         }
         Ok(())
     }

@@ -10,6 +10,8 @@
 use std::error::Error;
 use std::fmt;
 
+use rvnv_nvdla::regs::{self, Block};
+
 /// One command of a configuration file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigCmd {
@@ -62,6 +64,29 @@ impl fmt::Display for ParseError {
 }
 
 impl Error for ParseError {}
+
+/// Append the commands that run one operation: its register `writes`,
+/// the `OP_ENABLE` of each engine in `launch`, the poll of their
+/// interrupt bits and its write-1-to-clear.
+pub fn push_launch(cmds: &mut Vec<ConfigCmd>, writes: Vec<(u32, u32)>, launch: &[Block]) {
+    let writes = writes
+        .into_iter()
+        .chain(launch.iter().map(|b| (b.base() + regs::REG_OP_ENABLE, 1)));
+    cmds.extend(writes.map(|(addr, value)| ConfigCmd::WriteReg { addr, value }));
+    let bits = launch
+        .iter()
+        .filter_map(|b| b.intr_bit())
+        .fold(0, |bits, bit| bits | 1 << bit);
+    cmds.push(ConfigCmd::ReadReg {
+        addr: regs::GLB_INTR_STATUS,
+        mask: bits,
+        expect: bits,
+    });
+    cmds.push(ConfigCmd::WriteReg {
+        addr: regs::GLB_INTR_STATUS,
+        value: bits,
+    });
+}
 
 /// Serialize a command stream into the textual configuration-file
 /// format (one command per line, `#` comments allowed).

@@ -9,10 +9,14 @@
 //! preload it needs, and the DRAM contents it must produce — so it can
 //! be replayed on the VP or compiled to bare-metal firmware for the SoC.
 
-use rvnv_nvdla::regs::{self, Block};
+use rvnv_nn::Shape;
+use rvnv_nvdla::descriptor::{ConvDesc, CopyDesc, Descriptor, SdpDesc};
+use rvnv_nvdla::regs::{self, Block, SDP_FLAG_BIAS};
+use rvnv_nvdla::Precision;
 
 use crate::layout::WeightImage;
-use crate::trace::ConfigCmd;
+use crate::trace::{push_launch, ConfigCmd};
+use crate::Artifacts;
 
 /// A self-checking register trace.
 #[derive(Debug, Clone)]
@@ -27,38 +31,48 @@ pub struct TestTrace {
     pub expect: Vec<(u32, Vec<u8>)>,
 }
 
-fn w(cmds: &mut Vec<ConfigCmd>, block: Block, offset: u32, value: u32) {
-    cmds.push(ConfigCmd::WriteReg {
-        addr: block.base() + offset,
-        value,
-    });
-}
-
-fn wait_and_clear(cmds: &mut Vec<ConfigCmd>, bits: u32) {
-    cmds.push(ConfigCmd::ReadReg {
-        addr: regs::GLB_INTR_STATUS,
-        mask: bits,
-        expect: bits,
-    });
-    cmds.push(ConfigCmd::WriteReg {
-        addr: regs::GLB_INTR_STATUS,
-        value: bits,
-    });
+impl TestTrace {
+    /// The trace as artifacts to run on the VP or the SoC: its commands
+    /// and preload, with no input and no output.
+    #[must_use]
+    pub fn artifacts(&self) -> Artifacts {
+        let ends = self
+            .preload
+            .segments()
+            .iter()
+            .map(|s| (s.addr, s.bytes.len()));
+        let ends = ends.chain(self.expect.iter().map(|(a, b)| (*a, b.len())));
+        Artifacts {
+            model: self.name.to_string(),
+            precision: Precision::Int8,
+            commands: self.commands.clone(),
+            weights: self.preload.clone(),
+            input_addr: 0,
+            input_len: 0,
+            input_scale: 1.0,
+            output_addr: 0,
+            output_len: 0,
+            output_scale: 1.0,
+            output_shape: Shape::new(0, 0, 0),
+            ops: Vec::new(),
+            dram_base: 0,
+            dram_used: ends.map(|(a, len)| a + len as u32).max().unwrap_or(0),
+            cpu_layers: Vec::new(),
+        }
+    }
 }
 
 /// The sanity trace: version register, scratch write/read-back on every
-/// engine block, interrupt set/clear round trip.
+/// engine block, interrupt set/clear round trip. It writes raw
+/// registers, since the registers themselves are under test.
 #[must_use]
 pub fn sanity() -> TestTrace {
-    let mut cmds = Vec::new();
+    let read = |addr, mask, expect| ConfigCmd::ReadReg { addr, mask, expect };
+    let write = |addr, value| ConfigCmd::WriteReg { addr, value };
     // HW version must read back the expected ID.
-    cmds.push(ConfigCmd::ReadReg {
-        addr: regs::GLB_HW_VERSION,
-        mask: u32::MAX,
-        expect: regs::HW_VERSION_VALUE,
-    });
-    // Scratch write/read-verify across engine config registers.
-    for (i, block) in [
+    let mut cmds = vec![read(regs::GLB_HW_VERSION, u32::MAX, regs::HW_VERSION_VALUE)];
+    // Scratch write/read-verify on each engine's first `D_*` register.
+    let engines = [
         Block::Cdma,
         Block::Csc,
         Block::Cmac,
@@ -67,29 +81,19 @@ pub fn sanity() -> TestTrace {
         Block::Cdp,
         Block::Rubik,
         Block::Bdma,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ];
+    for (i, block) in engines.into_iter().enumerate() {
         let pattern = 0xA5A5_0000 | (i as u32);
-        w(&mut cmds, block, regs::COPY_SRC_ADDR, pattern);
-        cmds.push(ConfigCmd::ReadReg {
-            addr: block.base() + regs::COPY_SRC_ADDR,
-            mask: u32::MAX,
-            expect: pattern,
-        });
+        cmds.push(write(block.base() + 0x14, pattern));
+        cmds.push(read(block.base() + 0x14, u32::MAX, pattern));
     }
-    // Interrupt set (test hook) then write-1-to-clear.
-    cmds.push(ConfigCmd::WriteReg {
-        addr: regs::GLB_INTR_SET,
-        value: 0b10_0000,
-    });
-    wait_and_clear(&mut cmds, 0b10_0000);
-    cmds.push(ConfigCmd::ReadReg {
-        addr: regs::GLB_INTR_STATUS,
-        mask: u32::MAX,
-        expect: 0,
-    });
+    // Interrupt set (test hook), then poll, write-1-to-clear, and check.
+    cmds.extend([
+        write(regs::GLB_INTR_SET, 0b10_0000),
+        read(regs::GLB_INTR_STATUS, 0b10_0000, 0b10_0000),
+        write(regs::GLB_INTR_STATUS, 0b10_0000),
+        read(regs::GLB_INTR_STATUS, u32::MAX, 0),
+    ]);
     TestTrace {
         name: "sanity",
         commands: cmds,
@@ -109,14 +113,16 @@ pub fn memory() -> TestTrace {
         .collect();
     let mut preload = WeightImage::new();
     preload.push(src, pattern.clone());
+    let copy = CopyDesc {
+        src,
+        dst,
+        len: pattern.len() as u32,
+    };
     let mut cmds = Vec::new();
-    w(&mut cmds, Block::Bdma, regs::COPY_SRC_ADDR, src);
-    w(&mut cmds, Block::Bdma, regs::COPY_DST_ADDR, dst);
-    w(&mut cmds, Block::Bdma, regs::COPY_LEN, pattern.len() as u32);
-    w(&mut cmds, Block::Bdma, regs::REG_OP_ENABLE, 1);
-    wait_and_clear(
+    push_launch(
         &mut cmds,
-        1 << Block::Bdma.intr_bit().expect("bdma interrupt bit"),
+        copy.encode_on(Block::Bdma).expect("copy fits its fields"),
+        &[Block::Bdma],
     );
     TestTrace {
         name: "memory",
@@ -162,45 +168,39 @@ pub fn convolution() -> TestTrace {
     bs.extend_from_slice(&0.0f32.to_le_bytes());
     preload.push(bs_addr, bs);
 
-    let one = 1.0f32.to_bits();
+    let conv = ConvDesc {
+        src: feat_addr,
+        in_w: 4,
+        in_h: 4,
+        in_c: 1,
+        wt_addr,
+        wt_bytes: 9,
+        stride: 1,
+        pad: 1,
+        in_scale: 1.0,
+        wt_scale: 1.0,
+        out_w: 4,
+        out_h: 4,
+        out_c: 1,
+        kw: 3,
+        kh: 3,
+        groups: 1,
+        ..ConvDesc::default()
+    };
+    let sdp = SdpDesc {
+        dst: out_addr,
+        w: 4,
+        h: 4,
+        c: 1,
+        bs_addr,
+        flags: SDP_FLAG_BIAS,
+        out_scale: 1.0,
+        ..SdpDesc::default()
+    };
+    let mut writes = conv.encode().expect("conv fits its fields");
+    writes.extend(sdp.encode().expect("sdp fits its fields"));
     let mut cmds = Vec::new();
-    w(&mut cmds, Block::Cdma, regs::CDMA_DATAIN_ADDR, feat_addr);
-    w(
-        &mut cmds,
-        Block::Cdma,
-        regs::CDMA_DATAIN_SIZE0,
-        4 | (4 << 16),
-    );
-    w(&mut cmds, Block::Cdma, regs::CDMA_DATAIN_SIZE1, 1);
-    w(&mut cmds, Block::Cdma, regs::CDMA_WEIGHT_ADDR, wt_addr);
-    w(&mut cmds, Block::Cdma, regs::CDMA_WEIGHT_BYTES, 9);
-    w(&mut cmds, Block::Cdma, regs::CDMA_CONV_STRIDE, 1);
-    w(&mut cmds, Block::Cdma, regs::CDMA_ZERO_PADDING, 1);
-    w(&mut cmds, Block::Cdma, regs::CDMA_IN_SCALE, one);
-    w(&mut cmds, Block::Cdma, regs::CDMA_WT_SCALE, one);
-    w(
-        &mut cmds,
-        Block::Csc,
-        regs::CSC_DATAOUT_SIZE0,
-        4 | (4 << 16),
-    );
-    w(&mut cmds, Block::Csc, regs::CSC_DATAOUT_SIZE1, 1);
-    w(&mut cmds, Block::Csc, regs::CSC_WEIGHT_SIZE0, 3 | (3 << 16));
-    w(&mut cmds, Block::Csc, regs::CSC_GROUPS, 1);
-    w(&mut cmds, Block::Cmac, regs::CMAC_MISC, 0);
-    w(&mut cmds, Block::Sdp, regs::SDP_SRC, 0);
-    w(&mut cmds, Block::Sdp, regs::SDP_DST_ADDR, out_addr);
-    w(&mut cmds, Block::Sdp, regs::SDP_SIZE0, 4 | (4 << 16));
-    w(&mut cmds, Block::Sdp, regs::SDP_SIZE1, 1);
-    w(&mut cmds, Block::Sdp, regs::SDP_BS_ADDR, bs_addr);
-    w(&mut cmds, Block::Sdp, regs::SDP_FLAGS, regs::SDP_FLAG_BIAS);
-    w(&mut cmds, Block::Sdp, regs::SDP_OUT_SCALE, one);
-    w(&mut cmds, Block::Sdp, regs::SDP_PRECISION, 0);
-    w(&mut cmds, Block::Sdp, regs::REG_OP_ENABLE, 1);
-    w(&mut cmds, Block::Cacc, regs::REG_OP_ENABLE, 1);
-    let bits = (1 << Block::Cacc.intr_bit().expect("cacc bit"))
-        | (1 << Block::Sdp.intr_bit().expect("sdp bit"));
-    wait_and_clear(&mut cmds, bits);
+    push_launch(&mut cmds, writes, ConvDesc::LAUNCH);
     TestTrace {
         name: "convolution",
         commands: cmds,
@@ -218,38 +218,16 @@ pub fn all() -> Vec<TestTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvnv_bus::dram::Dram;
-    use rvnv_bus::{Request, Target};
-    use rvnv_nvdla::{HwConfig, Nvdla};
+    use crate::VirtualPlatform;
+    use rvnv_nvdla::HwConfig;
 
-    /// Replay a trace directly against the NVDLA model (VP-style).
+    /// Replay a trace on the VP and check the DRAM it leaves.
     fn replay(trace: &TestTrace) {
-        let mut dla = Nvdla::new(HwConfig::nv_small(), Dram::new(1 << 20, Default::default()));
-        for seg in trace.preload.segments() {
-            dla.dbb_mut().load(seg.addr as usize, &seg.bytes).unwrap();
-        }
-        let mut t = 0u64;
-        for cmd in &trace.commands {
-            match *cmd {
-                ConfigCmd::WriteReg { addr, value } => {
-                    t = dla
-                        .access(&Request::write32(addr, value), t)
-                        .unwrap_or_else(|e| panic!("{}: {e}", trace.name))
-                        .done_at;
-                }
-                ConfigCmd::ReadReg { addr, mask, expect } => {
-                    let mut got = dla.access(&Request::read32(addr), t).unwrap().data32();
-                    t = dla.idle_at(t) + 1;
-                    if got & mask != expect {
-                        got = dla.access(&Request::read32(addr), t).unwrap().data32();
-                    }
-                    assert_eq!(got & mask, expect, "{}: read {addr:#x}", trace.name);
-                    t += 1;
-                }
-            }
-        }
+        let mut vp = VirtualPlatform::new(HwConfig::nv_small(), 1 << 20);
+        let run = vp.run(&trace.artifacts(), &[], false);
+        run.unwrap_or_else(|e| panic!("{}: {e}", trace.name));
         for (addr, bytes) in &trace.expect {
-            let got = dla.dbb_mut().peek(*addr as usize, bytes.len());
+            let got = vp.nvdla().dbb().inner().peek(*addr as usize, bytes.len());
             assert_eq!(got, &bytes[..], "{}: dram at {addr:#x}", trace.name);
         }
     }

@@ -307,10 +307,12 @@ pub enum LayerPlan {
     Relu,
     /// Folded batch-norm with seeded per-channel scale/shift.
     BatchNorm,
-    /// 2×2 pooling.
+    /// k×k pooling at stride 2.
     Pool {
         /// Max (true) or average pooling.
         max: bool,
+        /// Window: 2 or 3.
+        k: u8,
     },
     /// Global average pooling down to 1×1.
     GlobalAvgPool,
@@ -404,17 +406,20 @@ impl NetPlan {
                         .collect();
                     net.add(format!("bn{i}"), Op::BatchNorm { scale, shift }, &[prev])
                 }
-                LayerPlan::Pool { max } => {
-                    if hw < 2 {
-                        return Err(format!("pooling a {hw}×{hw} activation at layer {i}"));
+                LayerPlan::Pool { max, k } => {
+                    let k = k as usize;
+                    if hw < k || k == 0 {
+                        return Err(format!(
+                            "{k}×{k} pooling of a {hw}×{hw} activation at layer {i}"
+                        ));
                     }
                     // Pool output uses Caffe ceil semantics, unlike conv.
-                    hw = (hw - 2).div_ceil(2) + 1;
+                    hw = (hw - k).div_ceil(2) + 1;
                     net.add(
                         format!("pool{i}"),
                         Op::Pool {
                             kind: if max { PoolKind::Max } else { PoolKind::Avg },
-                            k: 2,
+                            k,
                             stride: 2,
                             pad: 0,
                         },
@@ -496,11 +501,13 @@ pub fn net_plan(seed: u64) -> NetPlan {
             2 => layers.push(LayerPlan::Relu),
             3 => layers.push(LayerPlan::BatchNorm),
             _ => {
-                if hw >= 2 {
+                let k = rng.range(2, 3) as usize;
+                if hw >= k {
                     layers.push(LayerPlan::Pool {
                         max: rng.chance(1, 2),
+                        k: k as u8,
                     });
-                    hw = (hw - 2).div_ceil(2) + 1;
+                    hw = (hw - k).div_ceil(2) + 1;
                 }
             }
         }
@@ -556,11 +563,9 @@ impl ConvCase {
             Precision::Int8
         };
         Some(ConvDesc {
-            src: 0,
             in_w,
             in_h,
             in_c: groups * in_per_group,
-            wt_addr: 0,
             wt_bytes: groups * out_per_group * in_per_group * kh * kw * precision.bytes(),
             stride,
             pad,
@@ -573,6 +578,7 @@ impl ConvCase {
             in_scale: 0.031,
             wt_scale: 0.27,
             precision,
+            ..ConvDesc::default()
         })
     }
 }
@@ -687,7 +693,10 @@ mod tests {
             in_c: 2,
             in_hw: 7,
             weight_seed: 1,
-            layers: vec![LayerPlan::Pool { max: true }, LayerPlan::Fc { out: 3 }],
+            layers: vec![
+                LayerPlan::Pool { max: true, k: 2 },
+                LayerPlan::Fc { out: 3 },
+            ],
         };
         let net = plan.build().expect("a pooled 7×7 plan is consistent");
         // If the tracker drifts from the graph again, the FC head is

@@ -5,16 +5,25 @@
 //! identical cycles, retired instructions, pipeline and engine
 //! accounting, and op schedule length — the output alone is never
 //! computed. Here the same equality must hold for networks nobody
-//! hand-tuned the compiler for.
+//! hand-tuned the compiler for. Before the runs, the compiled command
+//! stream is replayed into a register file and every `OP_ENABLE` must
+//! latch descriptors the hardware accepts ([`Launch::decode`]) whose
+//! output sizes follow the layer shape rules: the compiler never emits
+//! an operation the accelerator rejects, and no register field lands
+//! in the wrong bits.
 //!
 //! A plan that fails to build or compile is a passing case, not a
 //! counterexample — the generator only emits buildable plans, but the
 //! shrinker explores arbitrary layer subsets and must be free to cross
 //! inconsistent intermediates.
 
+use std::collections::HashMap;
+
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
-use rvnv_compiler::{compile, CompileOptions};
+use rvnv_compiler::{compile, CompileOptions, ConfigCmd};
 use rvnv_nn::tensor::Tensor;
+use rvnv_nvdla::descriptor::Launch;
+use rvnv_nvdla::regs::{self, Block};
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{Soc, SocConfig};
 use rvnv_util::mix64;
@@ -42,8 +51,9 @@ impl FuzzTarget for NetTarget {
         let Ok(artifacts) = compile(&net, &opt) else {
             return Ok(());
         };
-        // A compiled artifact must always yield firmware and run; from
-        // here on every failure is a finding.
+        // A compiled artifact must always decode, yield firmware and
+        // run; from here on every failure is a finding.
+        descriptors_decode(&artifacts.commands)?;
         let wfi = plan.weight_seed & 1 == 0;
         let codegen = CodegenOptions {
             wait_mode: if wfi { WaitMode::Wfi } else { WaitMode::Poll },
@@ -114,4 +124,45 @@ impl FuzzTarget for NetTarget {
     fn size(input: &NetPlan) -> usize {
         input.layers.len()
     }
+}
+
+/// Replay `cmds` into a register file, decoding what every `OP_ENABLE`
+/// write launches and checking its geometry.
+fn descriptors_decode(cmds: &[ConfigCmd]) -> Result<(), String> {
+    // Output sizes follow the layer rules: conv rounds down, pooling
+    // (Caffe) rounds up.
+    let fits = |len: u32, pad: u32, k, stride: u32, out, ceil: bool| {
+        let span = (len + 2 * pad).checked_sub(k);
+        span.map(|n| if ceil { n.div_ceil(stride) } else { n / stride } + 1) == Some(out)
+    };
+    let mut file = HashMap::new();
+    for (i, cmd) in cmds.iter().enumerate() {
+        let ConfigCmd::WriteReg { addr, value } = *cmd else {
+            continue;
+        };
+        file.insert(addr, value);
+        let enable = addr & 0xFFF == regs::REG_OP_ENABLE && value & 1 == 1;
+        let Some(block) = Block::of_addr(addr).filter(|_| enable) else {
+            continue;
+        };
+        let launch = Launch::decode(block, |a| file.get(&a).copied().unwrap_or(0))
+            .map_err(|e| format!("command {i} launches a rejected descriptor: {e}"))?;
+        let shaped = match &launch {
+            Some(Launch::Conv(c, _)) => {
+                fits(c.in_w, c.pad, c.kw, c.stride, c.out_w, false)
+                    && fits(c.in_h, c.pad, c.kh, c.stride, c.out_h, false)
+            }
+            Some(Launch::Pdp(p)) => {
+                fits(p.in_w, p.pad, p.k, p.stride, p.out_w, true)
+                    && fits(p.in_h, p.pad, p.k, p.stride, p.out_h, true)
+            }
+            _ => true,
+        };
+        if !shaped {
+            return Err(format!(
+                "command {i} launches {launch:?}: off its shape rule"
+            ));
+        }
+    }
+    Ok(())
 }

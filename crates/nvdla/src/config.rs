@@ -11,9 +11,10 @@
 use std::fmt;
 
 /// Numeric precision of an NVDLA operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 8-bit integer (supported by every configuration).
+    #[default]
     Int8,
     /// 16-bit float (`nv_full` only).
     Fp16,

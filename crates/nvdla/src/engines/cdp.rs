@@ -45,8 +45,6 @@ mod tests {
 
     fn desc(c: u32, hw: u32, precision: Precision) -> CdpDesc {
         CdpDesc {
-            src: 0,
-            dst: 0,
             w: hw,
             h: hw,
             c,
@@ -57,6 +55,7 @@ mod tests {
             precision,
             in_scale: 1.0,
             out_scale: 1.0,
+            ..CdpDesc::default()
         }
     }
 

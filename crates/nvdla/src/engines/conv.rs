@@ -222,11 +222,9 @@ mod tests {
     ) -> ConvDesc {
         let out_hw = (in_hw + 2 * pad - k) / stride + 1;
         ConvDesc {
-            src: 0,
             in_w: in_hw,
             in_h: in_hw,
             in_c,
-            wt_addr: 0,
             wt_bytes: out_c * (in_c / groups) * k * k * precision.bytes(),
             stride,
             pad,
@@ -239,6 +237,7 @@ mod tests {
             in_scale: 1.0,
             wt_scale: 1.0,
             precision,
+            ..ConvDesc::default()
         }
     }
 

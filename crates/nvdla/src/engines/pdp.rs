@@ -125,8 +125,6 @@ mod tests {
     fn desc(c: u32, in_hw: u32, k: u32, stride: u32, pad: u32, kind: PoolKind) -> PdpDesc {
         let out_hw = ((in_hw + 2 * pad - k) as usize).div_ceil(stride as usize) as u32 + 1;
         PdpDesc {
-            src: 0,
-            dst: 0,
             in_w: in_hw,
             in_h: in_hw,
             c,
@@ -136,7 +134,7 @@ mod tests {
             pad,
             out_w: out_hw,
             out_h: out_hw,
-            precision: Precision::Int8,
+            ..PdpDesc::default()
         }
     }
 

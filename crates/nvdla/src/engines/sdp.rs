@@ -91,23 +91,15 @@ pub fn apply(
 mod tests {
     use super::*;
     use crate::config::Precision;
-    use crate::descriptor::SdpSrc;
-
     fn desc(c: u32, hw: u32, flags: u32, precision: Precision, out_scale: f32) -> SdpDesc {
         SdpDesc {
-            src_mode: SdpSrc::Flying,
-            src: 0,
-            src2: 0,
-            dst: 0,
             w: hw,
             h: hw,
             c,
-            bs_addr: 0,
             flags,
             out_scale,
-            in_scale: 1.0,
-            in2_scale: 1.0,
             precision,
+            ..SdpDesc::default()
         }
     }
 

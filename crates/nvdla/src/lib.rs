@@ -7,7 +7,9 @@
 //! the same boundary the paper's bare-metal software sees:
 //!
 //! * a CSB register window ([`regs`]) with per-engine `D_*` config
-//!   registers, `OP_ENABLE` launches and `GLB_INTR_STATUS` polling,
+//!   registers laid out by each operation's field table
+//!   ([`descriptor`]), `OP_ENABLE` launches and `GLB_INTR_STATUS`
+//!   polling,
 //! * functional engines ([`engines`]): the convolution pipeline
 //!   (CDMA/CSC/CMAC/CACC), SDP (bias/BN/ReLU/eltwise), PDP (pooling),
 //!   CDP (LRN) and RUBIK/BDMA copies,
@@ -19,28 +21,36 @@
 //! # Example
 //!
 //! Programming a pooling operation exactly as the bare-metal firmware
-//! does — register writes, then polling the interrupt status:
+//! does — the descriptor's register writes, the `OP_ENABLE` launch,
+//! then polling the interrupt status:
 //!
 //! ```
 //! use rvnv_bus::{Request, Target};
 //! use rvnv_bus::sram::Sram;
-//! use rvnv_nvdla::{config::HwConfig, regs, regs::Block, Nvdla};
+//! use rvnv_nvdla::descriptor::{Descriptor, PdpDesc, PoolKind};
+//! use rvnv_nvdla::{config::HwConfig, regs, regs::Block, Nvdla, Precision};
 //!
-//! # fn main() -> Result<(), rvnv_bus::BusError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut dla = Nvdla::new(HwConfig::nv_small(), Sram::new(4096));
 //! dla.dbb_mut().load(0x100, &[1, 5, 2, 3]).unwrap(); // 2x2 int8 plane
-//! let base = Block::Pdp.base();
+//! let pool = PdpDesc {
+//!     src: 0x100,
+//!     dst: 0x200,
+//!     in_w: 2,
+//!     in_h: 2,
+//!     c: 1,
+//!     kind: PoolKind::Max,
+//!     k: 2,
+//!     stride: 2,
+//!     pad: 0,
+//!     out_w: 1,
+//!     out_h: 1,
+//!     precision: Precision::Int8,
+//! };
+//! let launch = (Block::Pdp.base() + regs::REG_OP_ENABLE, 1);
 //! let mut t = 0;
-//! for (off, val) in [
-//!     (regs::PDP_SRC_ADDR, 0x100),
-//!     (regs::PDP_DST_ADDR, 0x200),
-//!     (regs::PDP_SIZE_IN, 2 | (2 << 16)),
-//!     (regs::PDP_CHANNELS, 1),
-//!     (regs::PDP_POOLING, 2 << 8 | 2 << 16), // max, k=2, stride=2
-//!     (regs::PDP_SIZE_OUT, 1 | (1 << 16)),
-//!     (regs::REG_OP_ENABLE, 1),
-//! ] {
-//!     t = dla.access(&Request::write32(base + off, val), t)?.done_at;
+//! for (addr, val) in pool.encode()?.into_iter().chain([launch]) {
+//!     t = dla.access(&Request::write32(addr, val), t)?.done_at;
 //! }
 //! // Poll until the PDP interrupt bit rises.
 //! let mut status = 0;

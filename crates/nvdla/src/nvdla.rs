@@ -15,7 +15,7 @@ use rvnv_bus::{
 };
 
 use crate::config::HwConfig;
-use crate::descriptor::{CdpDesc, ConvDesc, CopyDesc, PdpDesc, SdpDesc, SdpSrc};
+use crate::descriptor::{CdpDesc, ConvDesc, CopyDesc, Launch, PdpDesc, SdpDesc, SdpSrc};
 use crate::engines::{self, cdp, conv, pdp, sdp};
 use crate::regs::{self, Block};
 use crate::timing;
@@ -229,13 +229,6 @@ impl<D: Target> Nvdla<D> {
         self.intr_status = status;
     }
 
-    fn reg(&self, block: Block, offset: u32) -> u32 {
-        self.regs
-            .get(&(block.base() + offset))
-            .copied()
-            .unwrap_or(0)
-    }
-
     fn engine_busy_until(&self, block: Block) -> Cycle {
         self.busy_until.get(&block).copied().unwrap_or(0)
     }
@@ -303,6 +296,35 @@ impl<D: Target> Nvdla<D> {
 
     // --- Launches ----------------------------------------------------------
 
+    /// Count one operation of `block` and its compute cycles.
+    fn count(&mut self, block: Block, compute: u64) -> &mut EngineStats {
+        let st = self.engine_stats_mut(block);
+        st.ops += 1;
+        st.compute_cycles += compute;
+        st
+    }
+
+    /// Book an operation on `blocks` from `start` to `done`: the engines
+    /// are busy until `done`, their interrupt bits rise then, and the
+    /// timeline records it under the first block. Returns `done`.
+    fn complete(&mut self, blocks: &[Block], start: Cycle, done: Cycle) -> Cycle {
+        let mut bits = 0;
+        for &block in blocks {
+            self.busy_until.insert(block, done);
+            bits |= 1
+                << block
+                    .intr_bit()
+                    .expect("a launching engine has an interrupt bit");
+        }
+        self.events.push(Event {
+            done_at: done,
+            bits,
+        });
+        let block = blocks[0];
+        self.timeline.push(OpTrace { block, start, done });
+        done
+    }
+
     /// Read SDP operands (bias table / eltwise source) and apply the SDP
     /// pipeline to `acc_real` (ignored when timing-only), writing the
     /// result. Returns the write-done cycle.
@@ -327,31 +349,23 @@ impl<D: Target> Nvdla<D> {
             .functional
             .then(|| sdp::apply(sd, acc_real, input2, bs.as_ref()));
         let compute = timing::sdp_cycles(&self.cfg, sd);
-        let st = self.engine_stats_mut(Block::Sdp);
-        st.ops += 1;
-        st.compute_cycles += compute;
+        self.count(Block::Sdp, compute);
         let bytes = sd.elems() * sd.precision.bytes() as usize;
         self.dma_write(Block::Sdp, sd.dst, bytes, out.as_deref(), t + compute)
     }
 
-    fn launch_conv(&mut self, addr: u32, now: Cycle) -> Result<Cycle, BusError> {
-        let regread = |b: Block, off: u32| self.reg(b, off);
-        let cd = ConvDesc::decode(&regread);
-        let sd = SdpDesc::decode(&regread);
-        if !self.cfg.supports(cd.precision) {
-            return Err(Self::slave_err(
-                addr,
-                "precision not implemented in this config",
-            ));
-        }
+    fn launch_conv(
+        &mut self,
+        cd: &ConvDesc,
+        sd: &SdpDesc,
+        addr: u32,
+        now: Cycle,
+    ) -> Result<Cycle, BusError> {
         if !self.sdp_armed || sd.src_mode != SdpSrc::Flying {
             return Err(Self::slave_err(
                 addr,
                 "conv launched without armed flying SDP",
             ));
-        }
-        if cd.in_c == 0 || cd.out_c == 0 || cd.kw == 0 || cd.kh == 0 {
-            return Err(Self::slave_err(addr, "conv descriptor has zero dimension"));
         }
         if sd.elems() != cd.out_elems() {
             return Err(Self::slave_err(
@@ -375,148 +389,56 @@ impl<D: Target> Nvdla<D> {
         }
 
         let acc = if self.functional {
-            conv::compute(&cd, &feature, &weights)
+            conv::compute(cd, &feature, &weights)
         } else {
             Vec::new()
         };
-        let compute = timing::conv_cycles(&self.cfg, &cd);
-        {
-            let st = self.engine_stats_mut(Block::Cacc);
-            st.ops += 1;
-            st.compute_cycles += compute;
-            st.macs += cd.macs();
-        }
-        let done = self.sdp_emit(&sd, acc, t + compute)?;
-        self.busy_until.insert(Block::Cacc, done);
-        self.busy_until.insert(Block::Sdp, done);
-        self.events.push(Event {
-            done_at: done,
-            bits: (1 << Block::Cacc.intr_bit().unwrap()) | (1 << Block::Sdp.intr_bit().unwrap()),
-        });
-        self.timeline.push(OpTrace {
-            block: Block::Cacc,
-            start,
-            done,
-        });
-        Ok(done)
+        let compute = timing::conv_cycles(&self.cfg, cd);
+        self.count(Block::Cacc, compute).macs += cd.macs();
+        let done = self.sdp_emit(sd, acc, t + compute)?;
+        Ok(self.complete(&[Block::Cacc, Block::Sdp], start, done))
     }
 
-    fn launch_sdp_standalone(
-        &mut self,
-        sd: &SdpDesc,
-        addr: u32,
-        now: Cycle,
-    ) -> Result<Cycle, BusError> {
-        if !self.cfg.supports(sd.precision) {
-            return Err(Self::slave_err(
-                addr,
-                "precision not implemented in this config",
-            ));
-        }
+    fn launch_sdp_standalone(&mut self, sd: &SdpDesc, now: Cycle) -> Result<Cycle, BusError> {
         let start = now.max(self.engine_busy_until(Block::Sdp));
         let bytes = sd.elems() * sd.precision.bytes() as usize;
         let (raw, t) = self.dma_read(Block::Sdp, sd.src, bytes, start)?;
         let input = engines::to_real(&raw, sd.precision, sd.in_scale);
         let done = self.sdp_emit(sd, input, t)?;
-        self.busy_until.insert(Block::Sdp, done);
-        self.events.push(Event {
-            done_at: done,
-            bits: 1 << Block::Sdp.intr_bit().unwrap(),
-        });
-        self.timeline.push(OpTrace {
-            block: Block::Sdp,
-            start,
-            done,
-        });
-        Ok(done)
+        Ok(self.complete(&[Block::Sdp], start, done))
     }
 
-    fn launch_pdp(&mut self, addr: u32, now: Cycle) -> Result<Cycle, BusError> {
-        let regread = |b: Block, off: u32| self.reg(b, off);
-        let d = PdpDesc::decode(&regread);
-        if !self.cfg.supports(d.precision) {
-            return Err(Self::slave_err(
-                addr,
-                "precision not implemented in this config",
-            ));
-        }
-        if d.k == 0 || d.c == 0 {
-            return Err(Self::slave_err(addr, "pdp descriptor has zero dimension"));
-        }
+    fn launch_pdp(&mut self, d: &PdpDesc, now: Cycle) -> Result<Cycle, BusError> {
         let start = now.max(self.engine_busy_until(Block::Pdp));
         let in_bytes = (d.c * d.in_h * d.in_w * d.precision.bytes()) as usize;
         let (raw, t) = self.dma_read(Block::Pdp, d.src, in_bytes, start)?;
-        let out = self.functional.then(|| pdp::compute(&d, &raw));
+        let out = self.functional.then(|| pdp::compute(d, &raw));
         let out_bytes = d.out_elems() * d.precision.bytes() as usize;
-        let compute = timing::pdp_cycles(&self.cfg, &d);
-        {
-            let st = self.engine_stats_mut(Block::Pdp);
-            st.ops += 1;
-            st.compute_cycles += compute;
-        }
+        let compute = timing::pdp_cycles(&self.cfg, d);
+        self.count(Block::Pdp, compute);
         let done = self.dma_write(Block::Pdp, d.dst, out_bytes, out.as_deref(), t + compute)?;
-        self.busy_until.insert(Block::Pdp, done);
-        self.events.push(Event {
-            done_at: done,
-            bits: 1 << Block::Pdp.intr_bit().unwrap(),
-        });
-        self.timeline.push(OpTrace {
-            block: Block::Pdp,
-            start,
-            done,
-        });
-        Ok(done)
+        Ok(self.complete(&[Block::Pdp], start, done))
     }
 
-    fn launch_cdp(&mut self, addr: u32, now: Cycle) -> Result<Cycle, BusError> {
-        let regread = |b: Block, off: u32| self.reg(b, off);
-        let d = CdpDesc::decode(&regread);
-        if !self.cfg.supports(d.precision) {
-            return Err(Self::slave_err(
-                addr,
-                "precision not implemented in this config",
-            ));
-        }
+    fn launch_cdp(&mut self, d: &CdpDesc, now: Cycle) -> Result<Cycle, BusError> {
         let start = now.max(self.engine_busy_until(Block::Cdp));
         let bytes = d.elems() * d.precision.bytes() as usize;
         let (raw, t) = self.dma_read(Block::Cdp, d.src, bytes, start)?;
-        let out = self.functional.then(|| cdp::compute(&d, &raw));
-        let compute = timing::cdp_cycles(&self.cfg, &d);
-        {
-            let st = self.engine_stats_mut(Block::Cdp);
-            st.ops += 1;
-            st.compute_cycles += compute;
-        }
+        let out = self.functional.then(|| cdp::compute(d, &raw));
+        let compute = timing::cdp_cycles(&self.cfg, d);
+        self.count(Block::Cdp, compute);
         let done = self.dma_write(Block::Cdp, d.dst, bytes, out.as_deref(), t + compute)?;
-        self.busy_until.insert(Block::Cdp, done);
-        self.events.push(Event {
-            done_at: done,
-            bits: 1 << Block::Cdp.intr_bit().unwrap(),
-        });
-        self.timeline.push(OpTrace {
-            block: Block::Cdp,
-            start,
-            done,
-        });
-        Ok(done)
+        Ok(self.complete(&[Block::Cdp], start, done))
     }
 
-    fn launch_copy(&mut self, block: Block, now: Cycle) -> Result<Cycle, BusError> {
-        let regread = |b: Block, off: u32| self.reg(b, off);
-        let d = CopyDesc::decode(block, &regread);
+    fn launch_copy(&mut self, block: Block, d: CopyDesc, now: Cycle) -> Result<Cycle, BusError> {
         let start = now.max(self.engine_busy_until(block));
         let len = d.len as usize;
         let (raw, t) = self.dma_read(block, d.src, len, start)?;
         let data = self.functional.then_some(&raw[..]);
         let done = self.dma_write(block, d.dst, len, data, t + self.cfg.op_latency)?;
-        self.engine_stats_mut(block).ops += 1;
-        self.busy_until.insert(block, done);
-        self.events.push(Event {
-            done_at: done,
-            bits: 1 << block.intr_bit().unwrap(),
-        });
-        self.timeline.push(OpTrace { block, start, done });
-        Ok(done)
+        self.count(block, 0);
+        Ok(self.complete(&[block], start, done))
     }
 
     fn handle_op_enable(
@@ -529,33 +451,36 @@ impl<D: Target> Nvdla<D> {
         if value & 1 == 0 {
             return Ok(());
         }
-        match block {
-            Block::Cacc => {
-                self.launch_conv(addr, now)?;
+        let launch = Launch::decode(block, |a| self.regs.get(&a).copied().unwrap_or(0))
+            .map_err(|e| Self::slave_err(addr, e.reason()))?;
+        let precision = match &launch {
+            Some(Launch::Conv(d, _)) => Some(d.precision),
+            Some(Launch::Sdp(d)) if d.src_mode == SdpSrc::Memory => Some(d.precision),
+            Some(Launch::Pdp(d)) => Some(d.precision),
+            Some(Launch::Cdp(d)) => Some(d.precision),
+            _ => None,
+        };
+        if precision.is_some_and(|p| !self.cfg.supports(p)) {
+            return Err(Self::slave_err(
+                addr,
+                "precision not implemented in this config",
+            ));
+        }
+        match launch {
+            Some(Launch::Conv(cd, sd)) => self.launch_conv(&cd, &sd, addr, now),
+            Some(Launch::Sdp(sd)) if sd.src_mode == SdpSrc::Flying => {
+                self.sdp_armed = true;
+                Ok(now)
             }
-            Block::Sdp => {
-                let regread = |b: Block, off: u32| self.reg(b, off);
-                let sd = SdpDesc::decode(&regread);
-                if sd.src_mode == SdpSrc::Flying {
-                    self.sdp_armed = true;
-                } else {
-                    self.launch_sdp_standalone(&sd, addr, now)?;
-                }
-            }
-            Block::Pdp => {
-                self.launch_pdp(addr, now)?;
-            }
-            Block::Cdp => {
-                self.launch_cdp(addr, now)?;
-            }
-            Block::Rubik | Block::Bdma => {
-                self.launch_copy(block, now)?;
-            }
+            Some(Launch::Sdp(sd)) => self.launch_sdp_standalone(&sd, now),
+            Some(Launch::Pdp(d)) => self.launch_pdp(&d, now),
+            Some(Launch::Cdp(d)) => self.launch_cdp(&d, now),
+            Some(Launch::Copy(block, d)) => self.launch_copy(block, d, now),
             // CDMA/CSC/CMAC enables are accepted (parts of the conv
             // pipeline); the pipeline launches on the CACC enable.
-            Block::Cdma | Block::Csc | Block::Cmac | Block::Glb => {}
+            None => Ok(now),
         }
-        Ok(())
+        .map(drop)
     }
 }
 
@@ -657,6 +582,8 @@ impl<D: Target> Target for Nvdla<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Precision;
+    use crate::descriptor::Descriptor;
     use rvnv_bus::dram::Dram;
     use rvnv_bus::sram::Sram;
 
@@ -753,8 +680,8 @@ mod tests {
     #[test]
     fn plain_registers_store_and_load() {
         let mut n = small();
-        w(&mut n, Block::Cdma, regs::CDMA_DATAIN_ADDR, 0x1234, 0);
-        assert_eq!(r(&mut n, Block::Cdma, regs::CDMA_DATAIN_ADDR, 1), 0x1234);
+        w(&mut n, Block::Cdma, 0x14, 0x1234, 0);
+        assert_eq!(r(&mut n, Block::Cdma, 0x14, 1), 0x1234);
     }
 
     #[test]
@@ -775,42 +702,83 @@ mod tests {
         assert!(matches!(e, BusError::SlaveError { .. }));
     }
 
-    /// Program a 1x1 conv: 2 channels in, 2 out (identity-ish weights),
-    /// with bias and relu through the flying SDP.
-    fn program_simple_conv(n: &mut TestNvdla) {
-        // Data at 0x100: 2 channels of 2x2 int8.
-        let feature: &[i8] = &[1, 2, 3, 4, -1, -2, -3, -4];
-        let fbytes: Vec<u8> = feature.iter().map(|&v| v as u8).collect();
-        n.dbb_mut().load(0x100, &fbytes).unwrap();
-        // Weights at 0x200: OIHW 2x2x1x1: out0 = ch0 + ch1, out1 = ch0 - ch1.
-        let wts: &[i8] = &[1, 1, 1, -1];
-        let wb: Vec<u8> = wts.iter().map(|&v| v as u8).collect();
-        n.dbb_mut().load(0x200, &wb).unwrap();
+    /// Write `writes`, then enable each block of `launch`, from cycle
+    /// `t`; the launch's slave error, if any.
+    fn program<D: Target>(
+        n: &mut Nvdla<D>,
+        writes: Vec<(u32, u32)>,
+        launch: &[Block],
+        mut t: Cycle,
+    ) -> Result<Cycle, BusError> {
+        let enables = launch.iter().map(|b| (b.base() + regs::REG_OP_ENABLE, 1));
+        for (addr, value) in writes.into_iter().chain(enables) {
+            t = n.access(&Request::write32(addr, value), t)?.done_at;
+        }
+        Ok(t)
+    }
 
-        let mut t = 0;
-        t = w(n, Block::Cdma, regs::CDMA_DATAIN_ADDR, 0x100, t);
-        t = w(n, Block::Cdma, regs::CDMA_DATAIN_SIZE0, 2 | (2 << 16), t);
-        t = w(n, Block::Cdma, regs::CDMA_DATAIN_SIZE1, 2, t);
-        t = w(n, Block::Cdma, regs::CDMA_WEIGHT_ADDR, 0x200, t);
-        t = w(n, Block::Cdma, regs::CDMA_WEIGHT_BYTES, 4, t);
-        t = w(n, Block::Cdma, regs::CDMA_CONV_STRIDE, 1, t);
-        t = w(n, Block::Cdma, regs::CDMA_IN_SCALE, 1.0f32.to_bits(), t);
-        t = w(n, Block::Cdma, regs::CDMA_WT_SCALE, 1.0f32.to_bits(), t);
-        t = w(n, Block::Csc, regs::CSC_DATAOUT_SIZE0, 2 | (2 << 16), t);
-        t = w(n, Block::Csc, regs::CSC_DATAOUT_SIZE1, 2, t);
-        t = w(n, Block::Csc, regs::CSC_WEIGHT_SIZE0, 1 | (1 << 16), t);
-        t = w(n, Block::Csc, regs::CSC_GROUPS, 1, t);
-        t = w(n, Block::Cmac, regs::CMAC_MISC, 0, t);
-        // SDP flying, relu, out to 0x300, out_scale 1.0.
-        t = w(n, Block::Sdp, regs::SDP_SRC, 0, t);
-        t = w(n, Block::Sdp, regs::SDP_DST_ADDR, 0x300, t);
-        t = w(n, Block::Sdp, regs::SDP_SIZE0, 2 | (2 << 16), t);
-        t = w(n, Block::Sdp, regs::SDP_SIZE1, 2, t);
-        t = w(n, Block::Sdp, regs::SDP_FLAGS, regs::SDP_FLAG_RELU, t);
-        t = w(n, Block::Sdp, regs::SDP_OUT_SCALE, 1.0f32.to_bits(), t);
-        t = w(n, Block::Sdp, regs::SDP_PRECISION, 0, t);
-        t = w(n, Block::Sdp, regs::REG_OP_ENABLE, 1, t);
-        w(n, Block::Cacc, regs::REG_OP_ENABLE, 1, t);
+    /// A 1x1 conv, 2 channels in, 2 out, with relu through the flying
+    /// SDP: feature at 0x100, weights at 0x200, output at 0x300.
+    fn simple_conv(precision: Precision) -> (ConvDesc, SdpDesc) {
+        let conv = ConvDesc {
+            src: 0x100,
+            in_w: 2,
+            in_h: 2,
+            in_c: 2,
+            wt_addr: 0x200,
+            wt_bytes: 4 * precision.bytes(),
+            stride: 1,
+            in_scale: 1.0,
+            wt_scale: 1.0,
+            out_w: 2,
+            out_h: 2,
+            out_c: 2,
+            kw: 1,
+            kh: 1,
+            groups: 1,
+            precision,
+            ..ConvDesc::default()
+        };
+        let sdp = SdpDesc {
+            dst: 0x300,
+            w: 2,
+            h: 2,
+            c: 2,
+            flags: regs::SDP_FLAG_RELU,
+            out_scale: 1.0,
+            in_scale: 1.0,
+            in2_scale: 1.0,
+            precision,
+            ..SdpDesc::default()
+        };
+        (conv, sdp)
+    }
+
+    /// The register writes of a conv and its flying SDP.
+    fn writes((conv, sdp): &(ConvDesc, SdpDesc)) -> Vec<(u32, u32)> {
+        let mut writes = conv.encode().unwrap();
+        writes.extend(sdp.encode().unwrap());
+        writes
+    }
+
+    /// Launch a conv with its flying SDP from cycle `t`.
+    fn launch_conv(
+        n: &mut TestNvdla,
+        op: &(ConvDesc, SdpDesc),
+        t: Cycle,
+    ) -> Result<Cycle, BusError> {
+        program(n, writes(op), ConvDesc::LAUNCH, t)
+    }
+
+    /// Program the INT8 [`simple_conv`] with identity-ish weights:
+    /// out0 = ch0 + ch1, out1 = ch0 - ch1.
+    fn program_simple_conv(n: &mut TestNvdla) {
+        let feature = [1i8, 2, 3, 4, -1, -2, -3, -4].map(|v| v as u8);
+        n.dbb_mut().load(0x100, &feature).unwrap();
+        n.dbb_mut()
+            .load(0x200, &[1i8, 1, 1, -1].map(|v| v as u8))
+            .unwrap();
+        launch_conv(n, &simple_conv(Precision::Int8), 0).unwrap();
     }
 
     #[test]
@@ -833,53 +801,90 @@ mod tests {
 
     #[test]
     fn conv_without_armed_sdp_is_error() {
-        let mut n = small();
-        let e = n
-            .access(
-                &Request::write32(Block::Cacc.base() + regs::REG_OP_ENABLE, 1),
-                0,
-            )
-            .unwrap_err();
-        assert!(matches!(e, BusError::SlaveError { .. }));
+        let op = simple_conv(Precision::Int8);
+        let e = program(&mut small(), writes(&op), &[Block::Cacc], 0);
+        assert_eq!(reason(e), "conv launched without armed flying SDP");
     }
 
     #[test]
     fn fp16_rejected_on_nv_small() {
+        let e = launch_conv(&mut small(), &simple_conv(Precision::Fp16), 0);
+        assert_eq!(reason(e), "precision not implemented in this config");
+    }
+
+    /// The reason of the slave error a launch returned.
+    fn reason(e: Result<Cycle, BusError>) -> &'static str {
+        match e {
+            Err(BusError::SlaveError { reason, .. }) => reason,
+            other => panic!("not a slave error: {other:?}"),
+        }
+    }
+
+    /// A conv whose weight bytes fall short of its geometry is a slave
+    /// error, not a kernel reading past its buffer.
+    #[test]
+    fn short_weight_conv_is_a_slave_error() {
         let mut n = small();
-        program_simple_conv(&mut n); // consumes the armed SDP
-        let _ = r(&mut n, Block::Glb, regs::GLB_INTR_STATUS, 1_000_000);
-        w(&mut n, Block::Glb, regs::GLB_INTR_STATUS, 0b11, 1_000_001);
-        // Re-arm with fp16: launch must fail.
-        let t = 1_000_002;
-        w(&mut n, Block::Cmac, regs::CMAC_MISC, 1, t);
-        w(&mut n, Block::Sdp, regs::REG_OP_ENABLE, 1, t + 1);
-        let e = n
-            .access(
-                &Request::write32(Block::Cacc.base() + regs::REG_OP_ENABLE, 1),
-                t + 2,
-            )
-            .unwrap_err();
-        assert!(matches!(e, BusError::SlaveError { .. }));
+        let (mut conv, sdp) = simple_conv(Precision::Int8);
+        conv.wt_bytes = 1;
+        let e = launch_conv(&mut n, &(conv, sdp), 0);
+        assert_eq!(reason(e), "ConvDesc.wt_bytes below its minimum");
+        assert_eq!(n.stats().total_ops(), 0);
+    }
+
+    /// A zero conv stride or group count, pool stride or LRN size is
+    /// rejected, never read as 1.
+    #[test]
+    fn zero_strides_groups_and_windows_are_slave_errors() {
+        let (conv, sdp) = simple_conv(Precision::Int8);
+        let mut n = small();
+        let zero_stride = (
+            ConvDesc {
+                stride: 0,
+                ..conv.clone()
+            },
+            sdp.clone(),
+        );
+        let e = launch_conv(&mut n, &zero_stride, 0);
+        assert_eq!(reason(e), "ConvDesc.stride below its minimum");
+        let e = launch_conv(&mut n, &(ConvDesc { groups: 0, ..conv }, sdp), 0);
+        assert_eq!(reason(e), "ConvDesc.groups below its minimum");
+        let pool = PdpDesc {
+            stride: 0,
+            ..pool_desc()
+        };
+        let e = program(&mut n, pool.encode().unwrap(), PdpDesc::LAUNCH, 0);
+        assert_eq!(reason(e), "PdpDesc.stride below its minimum");
+        let lrn = CdpDesc {
+            w: 4,
+            h: 4,
+            c: 1,
+            local_size: 0,
+            ..CdpDesc::default()
+        };
+        let e = program(&mut n, lrn.encode().unwrap(), CdpDesc::LAUNCH, 0);
+        assert_eq!(reason(e), "CdpDesc.local_size below its minimum");
+        assert_eq!(n.stats().total_ops(), 0);
     }
 
     /// Program a standalone SDP eltwise add of 0x400 + 0x500 → 0x600,
     /// starting at cycle `t`.
-    fn program_eltwise(n: &mut TestNvdla, mut t: Cycle) {
-        let a: Vec<u8> = [10i8, 20, 30, 40].iter().map(|&v| v as u8).collect();
-        let b: Vec<u8> = [1i8, 2, 3, 4].iter().map(|&v| v as u8).collect();
-        n.dbb_mut().load(0x400, &a).unwrap();
-        n.dbb_mut().load(0x500, &b).unwrap();
-        t = w(n, Block::Sdp, regs::SDP_SRC, 1, t);
-        t = w(n, Block::Sdp, regs::SDP_SRC_ADDR, 0x400, t);
-        t = w(n, Block::Sdp, regs::SDP_SRC2_ADDR, 0x500, t);
-        t = w(n, Block::Sdp, regs::SDP_DST_ADDR, 0x600, t);
-        t = w(n, Block::Sdp, regs::SDP_SIZE0, 2 | (2 << 16), t);
-        t = w(n, Block::Sdp, regs::SDP_SIZE1, 1, t);
-        t = w(n, Block::Sdp, regs::SDP_FLAGS, regs::SDP_FLAG_ELTWISE, t);
-        t = w(n, Block::Sdp, regs::SDP_IN_SCALE, 1.0f32.to_bits(), t);
-        t = w(n, Block::Sdp, regs::SDP_IN2_SCALE, 1.0f32.to_bits(), t);
-        t = w(n, Block::Sdp, regs::SDP_OUT_SCALE, 1.0f32.to_bits(), t);
-        w(n, Block::Sdp, regs::REG_OP_ENABLE, 1, t);
+    fn program_eltwise(n: &mut TestNvdla, t: Cycle) {
+        n.dbb_mut().load(0x400, &[10, 20, 30, 40]).unwrap();
+        n.dbb_mut().load(0x500, &[1, 2, 3, 4]).unwrap();
+        let (src_mode, flags) = (SdpSrc::Memory, regs::SDP_FLAG_ELTWISE);
+        let (src, src2, dst, c) = (0x400, 0x500, 0x600, 1);
+        let (_, flying) = simple_conv(Precision::Int8);
+        let sdp = SdpDesc {
+            src_mode,
+            src,
+            src2,
+            dst,
+            c,
+            flags,
+            ..flying
+        };
+        program(n, sdp.encode().unwrap(), SdpDesc::LAUNCH, t).unwrap();
     }
 
     #[test]
@@ -897,16 +902,26 @@ mod tests {
 
     /// Program a 2×2 max pool of the 4×4 surface at 0x700 → 0x800,
     /// starting at cycle `t`.
-    fn program_pool(n: &mut TestNvdla, mut t: Cycle) {
+    fn program_pool(n: &mut TestNvdla, t: Cycle) {
         let src: Vec<u8> = vec![1, 5, 2, 3, 4, 2, 1, 8, 0, 1, 2, 3, 4, 5, 6, 7];
         n.dbb_mut().load(0x700, &src).unwrap();
-        t = w(n, Block::Pdp, regs::PDP_SRC_ADDR, 0x700, t);
-        t = w(n, Block::Pdp, regs::PDP_DST_ADDR, 0x800, t);
-        t = w(n, Block::Pdp, regs::PDP_SIZE_IN, 4 | (4 << 16), t);
-        t = w(n, Block::Pdp, regs::PDP_CHANNELS, 1, t);
-        t = w(n, Block::Pdp, regs::PDP_POOLING, (2 << 8) | (2 << 16), t);
-        t = w(n, Block::Pdp, regs::PDP_SIZE_OUT, 2 | (2 << 16), t);
-        w(n, Block::Pdp, regs::REG_OP_ENABLE, 1, t);
+        program(n, pool_desc().encode().unwrap(), PdpDesc::LAUNCH, t).unwrap();
+    }
+
+    /// A 2×2 max pool of a 4×4 plane at 0x700 → 0x800.
+    fn pool_desc() -> PdpDesc {
+        PdpDesc {
+            src: 0x700,
+            dst: 0x800,
+            in_w: 4,
+            in_h: 4,
+            c: 1,
+            k: 2,
+            stride: 2,
+            out_w: 2,
+            out_h: 2,
+            ..PdpDesc::default()
+        }
     }
 
     #[test]
@@ -922,11 +937,18 @@ mod tests {
     fn bdma_copies_bytes() {
         let mut n = small();
         n.dbb_mut().load(0x10, &[9, 8, 7, 6]).unwrap();
-        let mut t = 0;
-        t = w(&mut n, Block::Bdma, regs::COPY_SRC_ADDR, 0x10, t);
-        t = w(&mut n, Block::Bdma, regs::COPY_DST_ADDR, 0x20, t);
-        t = w(&mut n, Block::Bdma, regs::COPY_LEN, 4, t);
-        w(&mut n, Block::Bdma, regs::REG_OP_ENABLE, 1, t);
+        let copy = CopyDesc {
+            src: 0x10,
+            dst: 0x20,
+            len: 4,
+        };
+        program(
+            &mut n,
+            copy.encode_on(Block::Bdma).unwrap(),
+            &[Block::Bdma],
+            0,
+        )
+        .unwrap();
         let status = r(&mut n, Block::Glb, regs::GLB_INTR_STATUS, 100_000);
         assert!(status & (1 << 5) != 0);
         assert_eq!(&n.dbb_mut().bytes()[0x20..0x24], &[9, 8, 7, 6]);
@@ -1016,32 +1038,10 @@ mod tests {
         let fb: Vec<u8> = (0..8).collect();
         slow.dbb_mut().load(0x100, &fb).unwrap();
         slow.dbb_mut().load(0x200, &[1, 1, 1, 0xFF]).unwrap();
-        // Reuse the same register program via raw writes.
+        let op = simple_conv(Precision::Int8);
+        program(&mut slow, writes(&op), ConvDesc::LAUNCH, 0).unwrap();
         let mut fast = small();
         program_simple_conv(&mut fast);
-        // Program the slow one identically.
-        let prog: Vec<(u32, u32)> = fast
-            .regs
-            .iter()
-            .map(|(&a, &v)| (a, v))
-            .filter(|&(a, _)| a & 0xFFF != regs::REG_OP_ENABLE)
-            .collect();
-        let mut t = 0;
-        for (a, v) in prog {
-            t = slow.access(&Request::write32(a, v), t).unwrap().done_at;
-        }
-        t = slow
-            .access(
-                &Request::write32(Block::Sdp.base() + regs::REG_OP_ENABLE, 1),
-                t,
-            )
-            .unwrap()
-            .done_at;
-        slow.access(
-            &Request::write32(Block::Cacc.base() + regs::REG_OP_ENABLE, 1),
-            t,
-        )
-        .unwrap();
         assert!(slow.idle_at(0) > fast.idle_at(0));
     }
 }

@@ -1,17 +1,19 @@
-//! CSB register address map.
+//! CSB register address map: blocks, the GLB registers and the
+//! registers every engine block shares.
 //!
 //! Follows the block layout of the official NVDLA address space (4 KB
 //! per sub-unit, GLB first). Register offsets within blocks are this
 //! model's own, documented layout: the paper's flow never hand-writes
 //! addresses — they are produced by the compiler and consumed by the
 //! trace player, so consistency (not bit-exactness with the RTL) is
-//! what matters. All addresses are byte addresses within the NVDLA CSB
-//! window (`0x0 .. 0xFFFFF` in the SoC map).
+//! what matters. The per-operation registers are the field tables in
+//! [`crate::descriptor`]. All addresses are byte addresses within the
+//! NVDLA CSB window (`0x0 .. 0xFFFFF` in the SoC map).
 
 /// One functional sub-unit (register block) of the accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Block {
-    /// Global: version, interrupt mask/status.
+    /// Global: version, interrupt status.
     Glb,
     /// Convolution DMA (feature/weight fetch).
     Cdma,
@@ -48,29 +50,17 @@ impl Block {
         Block::Bdma,
     ];
 
-    /// Base byte address of the block in the CSB window.
+    /// Base byte address of the block in the CSB window: 4 KB per
+    /// block, in [`Block::ALL`] order.
     #[must_use]
     pub fn base(self) -> u32 {
-        match self {
-            Block::Glb => 0x0000,
-            Block::Cdma => 0x1000,
-            Block::Csc => 0x2000,
-            Block::Cmac => 0x3000,
-            Block::Cacc => 0x4000,
-            Block::Sdp => 0x5000,
-            Block::Pdp => 0x6000,
-            Block::Cdp => 0x7000,
-            Block::Rubik => 0x8000,
-            Block::Bdma => 0x9000,
-        }
+        (self as u32) << 12
     }
 
     /// Block decoding of a CSB byte address.
     #[must_use]
     pub fn of_addr(addr: u32) -> Option<Block> {
-        Block::ALL
-            .into_iter()
-            .find(|b| addr >> 12 == b.base() >> 12)
+        Block::ALL.get((addr >> 12) as usize).copied()
     }
 
     /// Interrupt bit index in `GLB_INTR_STATUS` for engines that raise
@@ -109,8 +99,6 @@ impl Block {
 // --- GLB registers --------------------------------------------------------
 /// Hardware version (RO).
 pub const GLB_HW_VERSION: u32 = 0x0000;
-/// Interrupt mask (1 = masked).
-pub const GLB_INTR_MASK: u32 = 0x0004;
 /// Interrupt set (write 1 to raise, for tests).
 pub const GLB_INTR_SET: u32 = 0x0008;
 /// Interrupt status (write 1 to clear).
@@ -122,129 +110,20 @@ pub const HW_VERSION_VALUE: u32 = 0x0001_51A0;
 // --- Common per-engine register offsets (within each block) ---------------
 /// Engine status (RO): 0 idle, 1 running.
 pub const REG_STATUS: u32 = 0x00;
-/// Producer/consumer pointer (stored, single-group model).
-pub const REG_POINTER: u32 = 0x04;
 /// Operation enable: writing 1 launches the configured operation.
 pub const REG_OP_ENABLE: u32 = 0x08;
 
-// --- CDMA ------------------------------------------------------------------
-/// Input feature DRAM address.
-pub const CDMA_DATAIN_ADDR: u32 = 0x14;
-/// Input feature size: `width | height << 16`.
-pub const CDMA_DATAIN_SIZE0: u32 = 0x18;
-/// Input feature channels.
-pub const CDMA_DATAIN_SIZE1: u32 = 0x1C;
-/// Weight DRAM address.
-pub const CDMA_WEIGHT_ADDR: u32 = 0x20;
-/// Weight bytes.
-pub const CDMA_WEIGHT_BYTES: u32 = 0x24;
-/// Convolution stride.
-pub const CDMA_CONV_STRIDE: u32 = 0x28;
-/// Zero padding.
-pub const CDMA_ZERO_PADDING: u32 = 0x2C;
-/// Input activation scale (f32 bits, INT8 mode).
-pub const CDMA_IN_SCALE: u32 = 0x30;
-/// Weight scale (f32 bits, INT8 mode).
-pub const CDMA_WT_SCALE: u32 = 0x34;
+// Each operation's `D_*` configuration registers (from offset 0x14) are
+// its descriptor's field table in [`crate::descriptor`].
 
-// --- CSC -------------------------------------------------------------------
-/// Output size: `width | height << 16`.
-pub const CSC_DATAOUT_SIZE0: u32 = 0x14;
-/// Output channels (kernels).
-pub const CSC_DATAOUT_SIZE1: u32 = 0x18;
-/// Kernel size: `kw | kh << 16`.
-pub const CSC_WEIGHT_SIZE0: u32 = 0x1C;
-/// Convolution group count.
-pub const CSC_GROUPS: u32 = 0x20;
-
-// --- CMAC ------------------------------------------------------------------
-/// Misc control: bit 0 precision (0 = INT8, 1 = FP16).
-pub const CMAC_MISC: u32 = 0x14;
-
-// --- SDP -------------------------------------------------------------------
-/// Source select: 0 = flying (from CACC), 1 = memory.
-pub const SDP_SRC: u32 = 0x14;
-/// Source DRAM address (memory mode).
-pub const SDP_SRC_ADDR: u32 = 0x18;
-/// Second source address (eltwise).
-pub const SDP_SRC2_ADDR: u32 = 0x1C;
-/// Destination DRAM address.
-pub const SDP_DST_ADDR: u32 = 0x20;
-/// Surface size: `width | height << 16`.
-pub const SDP_SIZE0: u32 = 0x24;
-/// Channels.
-pub const SDP_SIZE1: u32 = 0x28;
-/// Per-channel bias/scale table DRAM address (8 bytes per channel:
-/// f32 scale then f32 shift).
-pub const SDP_BS_ADDR: u32 = 0x2C;
-/// Flags: bit0 ReLU, bit1 bias table, bit2 eltwise add.
-pub const SDP_FLAGS: u32 = 0x30;
-/// Output scale (f32 bits, INT8 mode).
-pub const SDP_OUT_SCALE: u32 = 0x34;
-/// Input scale (f32 bits; for memory-mode INT8 sources).
-pub const SDP_IN_SCALE: u32 = 0x38;
-/// Second-input scale (f32 bits, eltwise INT8).
-pub const SDP_IN2_SCALE: u32 = 0x3C;
-/// Precision: 0 INT8, 1 FP16.
-pub const SDP_PRECISION: u32 = 0x40;
-
-/// [`SDP_FLAGS`] bit: apply ReLU.
+/// [`SdpDesc::flags`](crate::descriptor::SdpDesc::flags) bit: apply ReLU.
 pub const SDP_FLAG_RELU: u32 = 1 << 0;
-/// [`SDP_FLAGS`] bit: apply the per-channel bias/scale table.
+/// [`SdpDesc::flags`](crate::descriptor::SdpDesc::flags) bit: apply the
+/// per-channel bias/scale table.
 pub const SDP_FLAG_BIAS: u32 = 1 << 1;
-/// [`SDP_FLAGS`] bit: element-wise add of the second source.
+/// [`SdpDesc::flags`](crate::descriptor::SdpDesc::flags) bit: element-wise
+/// add of the second source.
 pub const SDP_FLAG_ELTWISE: u32 = 1 << 2;
-
-// --- PDP -------------------------------------------------------------------
-/// Source DRAM address.
-pub const PDP_SRC_ADDR: u32 = 0x14;
-/// Destination DRAM address.
-pub const PDP_DST_ADDR: u32 = 0x18;
-/// Input size: `width | height << 16`.
-pub const PDP_SIZE_IN: u32 = 0x1C;
-/// Channels.
-pub const PDP_CHANNELS: u32 = 0x20;
-/// Pooling control: bit0 kind (0 max, 1 avg), bits 8..16 kernel,
-/// bits 16..24 stride, bits 24..32 pad.
-pub const PDP_POOLING: u32 = 0x24;
-/// Output size: `width | height << 16`.
-pub const PDP_SIZE_OUT: u32 = 0x28;
-/// Precision: 0 INT8, 1 FP16.
-pub const PDP_PRECISION: u32 = 0x2C;
-/// Input scale (f32 bits, INT8 average pooling rounding).
-pub const PDP_IN_SCALE: u32 = 0x30;
-
-// --- CDP -------------------------------------------------------------------
-/// Source DRAM address.
-pub const CDP_SRC_ADDR: u32 = 0x14;
-/// Destination DRAM address.
-pub const CDP_DST_ADDR: u32 = 0x18;
-/// Surface size: `width | height << 16`.
-pub const CDP_SIZE: u32 = 0x1C;
-/// Channels.
-pub const CDP_CHANNELS: u32 = 0x20;
-/// LRN window (local size, odd).
-pub const CDP_LRN_SIZE: u32 = 0x24;
-/// LRN alpha (f32 bits).
-pub const CDP_ALPHA: u32 = 0x28;
-/// LRN beta (f32 bits).
-pub const CDP_BETA: u32 = 0x2C;
-/// LRN k (f32 bits).
-pub const CDP_K: u32 = 0x30;
-/// Precision: 0 INT8, 1 FP16.
-pub const CDP_PRECISION: u32 = 0x34;
-/// Input scale (f32 bits, INT8).
-pub const CDP_IN_SCALE: u32 = 0x38;
-/// Output scale (f32 bits, INT8).
-pub const CDP_OUT_SCALE: u32 = 0x3C;
-
-// --- RUBIK / BDMA ----------------------------------------------------------
-/// Source DRAM address.
-pub const COPY_SRC_ADDR: u32 = 0x14;
-/// Destination DRAM address.
-pub const COPY_DST_ADDR: u32 = 0x18;
-/// Length in bytes.
-pub const COPY_LEN: u32 = 0x1C;
 
 #[cfg(test)]
 mod tests {

@@ -63,23 +63,18 @@ mod tests {
 
     fn conv_desc(in_c: u32, out_c: u32, hw: u32, k: u32, groups: u32) -> ConvDesc {
         ConvDesc {
-            src: 0,
             in_w: hw,
             in_h: hw,
             in_c,
-            wt_addr: 0,
             wt_bytes: out_c * (in_c / groups) * k * k,
             stride: 1,
-            pad: 0,
             out_w: hw - k + 1,
             out_h: hw - k + 1,
             out_c,
             kw: k,
             kh: k,
             groups,
-            in_scale: 1.0,
-            wt_scale: 1.0,
-            precision: Precision::Int8,
+            ..ConvDesc::default()
         }
     }
 
@@ -146,19 +141,10 @@ mod tests {
         let small = HwConfig::nv_small();
         let full = HwConfig::nv_full();
         let d = SdpDesc {
-            src_mode: crate::descriptor::SdpSrc::Flying,
-            src: 0,
-            src2: 0,
-            dst: 0,
             w: 32,
             h: 32,
             c: 16,
-            bs_addr: 0,
-            flags: 0,
-            out_scale: 1.0,
-            in_scale: 1.0,
-            in2_scale: 1.0,
-            precision: Precision::Int8,
+            ..SdpDesc::default()
         };
         let ts = sdp_cycles(&small, &d) - small.op_latency;
         let tf = sdp_cycles(&full, &d) - full.op_latency;

@@ -9,14 +9,11 @@ use rvnv_nvdla::regs;
 
 fn conv_desc(in_c: u32, hw: u32, out_c: u32, k: u32) -> ConvDesc {
     ConvDesc {
-        src: 0,
         in_w: hw,
         in_h: hw,
         in_c,
-        wt_addr: 0,
         wt_bytes: out_c * in_c * k * k,
         stride: 1,
-        pad: 0,
         out_w: hw - k + 1,
         out_h: hw - k + 1,
         out_c,
@@ -25,7 +22,7 @@ fn conv_desc(in_c: u32, hw: u32, out_c: u32, k: u32) -> ConvDesc {
         groups: 1,
         in_scale: 1.0,
         wt_scale: 1.0,
-        precision: Precision::Int8,
+        ..ConvDesc::default()
     }
 }
 
@@ -77,18 +74,15 @@ proptest! {
         src in proptest::collection::vec(any::<u8>(), 16..=16)
     ) {
         let mk = |kind| PdpDesc {
-            src: 0,
-            dst: 0,
             in_w: 4,
             in_h: 4,
             c: 1,
             kind,
             k: 2,
             stride: 2,
-            pad: 0,
             out_w: 2,
             out_h: 2,
-            precision: Precision::Int8,
+            ..PdpDesc::default()
         };
         let max_out = pdp::compute(&mk(PoolKind::Max), &src);
         let avg_out = pdp::compute(&mk(PoolKind::Avg), &src);
@@ -106,19 +100,13 @@ proptest! {
         vals in proptest::collection::vec(-100.0f32..100.0, 1..64)
     ) {
         let d = SdpDesc {
-            src_mode: SdpSrc::Flying,
-            src: 0,
-            src2: 0,
-            dst: 0,
             w: vals.len() as u32,
             h: 1,
             c: 1,
-            bs_addr: 0,
             flags: regs::SDP_FLAG_RELU,
             out_scale: 1.0,
-            in_scale: 1.0,
-            in2_scale: 1.0,
             precision: Precision::Fp16,
+            ..SdpDesc::default()
         };
         let once = sdp::apply(&d, vals.clone(), None, None);
         let once_vals = rvnv_nvdla::engines::to_real(&once, Precision::Fp16, 1.0);
@@ -135,18 +123,13 @@ proptest! {
     ) {
         let d = SdpDesc {
             src_mode: SdpSrc::Memory,
-            src: 0,
-            src2: 0,
-            dst: 0,
             w: 8,
             h: 1,
             c: 1,
-            bs_addr: 0,
             flags: regs::SDP_FLAG_ELTWISE,
             out_scale: 1.0,
-            in_scale: 1.0,
-            in2_scale: 1.0,
             precision: Precision::Fp16,
+            ..SdpDesc::default()
         };
         let ab = sdp::apply(&d, a.clone(), Some(b.clone()), None);
         let ba = sdp::apply(&d, b, Some(a), None);

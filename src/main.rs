@@ -1256,19 +1256,8 @@ fn cmd_traces() -> Result<(), AnyError> {
             assembly: asm,
             image,
         };
-        // Minimal artifacts shell for the harness.
-        let net = rv_nvdla::prelude::Model::LeNet5.build(1);
-        let mut opt = CompileOptions::int8();
-        opt.calib_inputs = 1;
-        let mut artifacts = compile(&net, &opt)?;
-        artifacts.commands = trace.commands.clone();
-        artifacts.weights = trace.preload.clone();
-        artifacts.input_len = 0;
-        artifacts.output_len = 0;
-        artifacts.output_shape = rvnv_nn::Shape::new(0, 0, 0);
-
         let mut soc = Soc::new(SocConfig::zcu102_nv_small());
-        let result = soc.run_firmware(&artifacts, &[], &fw)?;
+        let result = soc.run_firmware(&trace.artifacts(), &[], &fw)?;
         let mut ok = true;
         for (addr, bytes) in &trace.expect {
             ok &= soc.with_dram_peek(*addr, bytes.len(), |got| got == bytes.as_slice());

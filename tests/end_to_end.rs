@@ -270,6 +270,34 @@ fn firmware_images_are_pinned() {
     assert_eq!(got, PINS, "{got:#x?}");
 }
 
+/// A value too wide for its register field is a compile error naming
+/// the field, never a corrupted word: a 65,536-wide surface overflows
+/// the 16-bit width, a 300×300 window the 8-bit pool kernel.
+#[test]
+fn values_wider_than_their_register_fields_do_not_compile() {
+    let compile_one = |input: Shape, op: Op| {
+        let mut net = Network::new("wide", input);
+        let x = net.input();
+        net.add("op", op, &[x]).unwrap();
+        compile(&net, &CompileOptions::fp16())
+            .unwrap_err()
+            .to_string()
+    };
+    let e = compile_one(Shape::new(1, 1, 1 << 16), Op::Relu);
+    assert!(e.contains("`op`: SdpDesc.w = 65536"), "{e}");
+    let (kind, k, stride, pad) = (PoolKind::Max, 300, 1, 0);
+    let e = compile_one(
+        Shape::new(1, 300, 300),
+        Op::Pool {
+            kind,
+            k,
+            stride,
+            pad,
+        },
+    );
+    assert!(e.contains("`op`: PdpDesc.k = 300"), "{e}");
+}
+
 #[test]
 fn resnet18_int8_runs_functionally_on_the_soc() {
     let net = zoo::resnet18_cifar(3);

@@ -4,7 +4,7 @@
 
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::traces;
-use rvnv_compiler::{compile, Artifacts, CompileOptions};
+use rvnv_compiler::{compile, CompileOptions};
 use rvnv_nn::{zoo, Tensor};
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{Soc, SocConfig};
@@ -77,22 +77,9 @@ fn run_trace_on_soc(trace: &traces::TestTrace) {
         assembly: asm,
         image,
     };
-    // Wrap the trace in a pseudo-Artifacts so the SoC harness can
-    // preload and run it: a zero-length input at a scratch address.
-    let net = zoo::lenet5(1);
-    let mut artifacts: Artifacts =
-        compile(&net, &CompileOptions::int8()).expect("artifact scaffold");
-    artifacts.commands = trace.commands.clone();
-    artifacts.weights = trace.preload.clone();
-    artifacts.input_len = 0;
-    artifacts.input_addr = 0xF000;
-    artifacts.output_addr = 0xF000;
-    artifacts.output_len = 0;
-    artifacts.output_shape = rvnv_nn::Shape::new(0, 0, 0);
-
     let mut soc = Soc::new(SocConfig::zcu102_nv_small());
     let result = soc
-        .run_firmware(&artifacts, &[], &fw)
+        .run_firmware(&trace.artifacts(), &[], &fw)
         .unwrap_or_else(|e| panic!("{}: {e}", trace.name));
     for (addr, bytes) in &trace.expect {
         let got = soc.dram_peek(*addr, bytes.len());
