@@ -8,7 +8,7 @@
 //! megabytes of weights.
 //!
 //! The cache is in-memory only. Cross-process persistence needs real
-//! `serde` (the vendored derives are no-ops — see ROADMAP "Real serde");
+//! `serde` (the vendored derives are no-ops — see ROADMAP item 11);
 //! the key type is already stable and printable so a disk layer can slot
 //! in underneath later.
 

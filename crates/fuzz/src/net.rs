@@ -5,12 +5,14 @@
 //! identical cycles, retired instructions, pipeline and engine
 //! accounting, and op schedule length — the output alone is never
 //! computed. Here the same equality must hold for networks nobody
-//! hand-tuned the compiler for. Before the runs, the compiled command
-//! stream is replayed into a register file and every `OP_ENABLE` must
-//! latch descriptors the hardware accepts ([`Launch::decode`]) whose
-//! output sizes follow the layer shape rules: the compiler never emits
-//! an operation the accelerator rejects, and no register field lands
-//! in the wrong bits.
+//! hand-tuned the compiler for, and the bytes the accelerator books
+//! ([`rvnv_nvdla::NvdlaStats::total_dma_bytes`], the sum of its ops'
+//! plans) must be the bytes its DBB port carried. Before the runs, the
+//! compiled command stream is replayed into a register file and every
+//! `OP_ENABLE` must latch descriptors the hardware accepts
+//! ([`Launch::decode`]) whose output sizes follow the layer shape rules:
+//! the compiler never emits an operation the accelerator rejects, and no
+//! register field lands in the wrong bits.
 //!
 //! A plan that fails to build or compile is a passing case, not a
 //! counterexample — the generator only emits buildable plans, but the
@@ -19,6 +21,7 @@
 
 use std::collections::HashMap;
 
+use rvnv_bus::MasterId;
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{compile, CompileOptions, ConfigCmd};
 use rvnv_nn::tensor::Tensor;
@@ -98,6 +101,12 @@ impl FuzzTarget for NetTarget {
         }
         if f.nvdla != t.nvdla {
             diffs.push("engine op/cycle accounting diverged".into());
+        }
+        // Conservation: every byte the plans booked crossed the DBB port.
+        let port = timing.dram_path().lock().port_stats(MasterId::NvdlaDbb);
+        let (booked, carried) = (t.nvdla.total_dma_bytes(), port.bytes);
+        if booked != carried {
+            diffs.push(format!("DBB bytes booked {booked} != carried {carried}"));
         }
         if diffs.is_empty() {
             Ok(())

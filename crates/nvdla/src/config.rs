@@ -101,22 +101,6 @@ impl HwConfig {
         }
     }
 
-    /// MACs available at the given precision (FP16 halves the array).
-    ///
-    /// # Panics
-    ///
-    /// Panics if FP16 is requested on a configuration without FP16.
-    #[must_use]
-    pub fn macs(&self, precision: Precision) -> u32 {
-        match precision {
-            Precision::Int8 => self.atomic_c * self.atomic_k,
-            Precision::Fp16 => {
-                assert!(self.fp16, "{} does not implement FP16", self.name);
-                self.atomic_c * self.atomic_k / 2
-            }
-        }
-    }
-
     /// Whether this configuration can execute at `precision`.
     #[must_use]
     pub fn supports(&self, precision: Precision) -> bool {
@@ -146,22 +130,15 @@ mod tests {
     #[test]
     fn small_has_64_int8_macs() {
         let c = HwConfig::nv_small();
-        assert_eq!(c.macs(Precision::Int8), 64);
+        assert_eq!(c.atomic_c * c.atomic_k, 64);
         assert!(!c.supports(Precision::Fp16));
     }
 
     #[test]
-    fn full_has_2048_int8_and_1024_fp16_macs() {
+    fn full_has_2048_int8_macs_and_fp16() {
         let c = HwConfig::nv_full();
-        assert_eq!(c.macs(Precision::Int8), 2048);
-        assert_eq!(c.macs(Precision::Fp16), 1024);
+        assert_eq!(c.atomic_c * c.atomic_k, 2048);
         assert!(c.supports(Precision::Fp16));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not implement FP16")]
-    fn small_fp16_macs_panics() {
-        let _ = HwConfig::nv_small().macs(Precision::Fp16);
     }
 
     #[test]

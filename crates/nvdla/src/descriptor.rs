@@ -327,18 +327,6 @@ descriptor! {
 }
 
 impl ConvDesc {
-    /// Output elements.
-    #[must_use]
-    pub fn out_elems(&self) -> usize {
-        (self.out_c * self.out_h * self.out_w) as usize
-    }
-
-    /// Input feature bytes at this precision.
-    #[must_use]
-    pub fn feature_bytes(&self) -> usize {
-        (self.in_c * self.in_h * self.in_w * self.precision.bytes()) as usize
-    }
-
     /// The convolution's shape, as the kernels take it.
     #[must_use]
     pub fn geom(&self) -> ConvGeom {
@@ -411,7 +399,7 @@ impl SdpDesc {
     /// Surface elements.
     #[must_use]
     pub fn elems(&self) -> usize {
-        (self.c * self.h * self.w) as usize
+        self.c as usize * self.h as usize * self.w as usize
     }
 
     /// Whether flag `bit` is set.
@@ -454,7 +442,7 @@ impl PdpDesc {
     /// Output elements.
     #[must_use]
     pub fn out_elems(&self) -> usize {
-        (self.c * self.out_h * self.out_w) as usize
+        self.c as usize * self.out_h as usize * self.out_w as usize
     }
 }
 
@@ -481,7 +469,7 @@ impl CdpDesc {
     /// Surface elements.
     #[must_use]
     pub fn elems(&self) -> usize {
-        (self.c * self.h * self.w) as usize
+        self.c as usize * self.h as usize * self.w as usize
     }
 }
 

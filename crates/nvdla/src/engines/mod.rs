@@ -7,7 +7,27 @@ pub mod pdp;
 pub mod sdp;
 
 use crate::config::Precision;
+use crate::descriptor::Launch;
 use rvnv_nn::F16;
+
+/// Run `launch`'s kernel on the bytes its plan's reads fetched, indexed
+/// by [`crate::plan::Purpose`], and return the bytes it writes back.
+///
+/// # Panics
+///
+/// Panics if an operand is shorter than the descriptor implies, which a
+/// plan's reads rule out.
+#[must_use]
+pub fn run(launch: &Launch, operands: [Vec<u8>; 4]) -> Vec<u8> {
+    let [feature, weight, bias, rhs] = operands;
+    match launch {
+        Launch::Conv(cd, d) => sdp::apply(d, conv::compute(cd, &feature, &weight), &bias, &rhs),
+        Launch::Sdp(d) => sdp::apply(d, to_real(&feature, d.precision, d.in_scale), &bias, &rhs),
+        Launch::Pdp(d) => pdp::compute(d, &feature),
+        Launch::Cdp(d) => cdp::compute(d, &feature),
+        Launch::Copy(..) => feature,
+    }
+}
 
 /// Decode a packed byte buffer into real (f32) values.
 ///

@@ -8,52 +8,29 @@
 use crate::descriptor::SdpDesc;
 use crate::regs;
 
-/// Per-channel `(scale, shift)` pairs from the bias/scale table.
-pub type BsTable = Vec<(f32, f32)>;
-
-/// Parse a raw bias/scale table buffer (8 bytes per channel:
-/// f32 scale, f32 shift, little-endian).
-#[must_use]
-pub fn parse_bs_table(bytes: &[u8]) -> BsTable {
-    bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let scale = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            let shift = f32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            (scale, shift)
-        })
-        .collect()
-}
-
-/// Apply the SDP pipeline to a surface of real values.
-///
-/// `input` is in NCHW order with `desc.c * desc.h * desc.w` elements;
-/// `input2` must be `Some` iff the eltwise flag is set; `bs` must be
-/// `Some` iff the bias flag is set. Returns the packed output bytes at
-/// the descriptor's precision.
+/// Apply the SDP pipeline to `input`, a surface of real values in NCHW
+/// order, and return the packed output at the descriptor's precision.
+/// `bias` is the per-channel table (8 bytes per channel: f32 scale, then
+/// f32 shift, little-endian) and `eltwise` the packed second source;
+/// each is read only when its flag is set.
 ///
 /// # Panics
 ///
-/// Panics if required operands are missing or sized wrong.
+/// Panics if `input`, or an operand the flags call for, is shorter than
+/// the surface.
 #[must_use]
-pub fn apply(
-    desc: &SdpDesc,
-    input: Vec<f32>,
-    input2: Option<Vec<f32>>,
-    bs: Option<&BsTable>,
-) -> Vec<u8> {
+pub fn apply(desc: &SdpDesc, input: Vec<f32>, bias: &[u8], eltwise: &[u8]) -> Vec<u8> {
     let elems = desc.elems();
     assert_eq!(input.len(), elems, "SDP input size");
     let plane = (desc.h * desc.w) as usize;
     let mut vals = input;
 
     let table = desc.has(regs::SDP_FLAG_BIAS).then(|| {
-        let table = bs.expect("bias flag set but no table");
-        assert!(table.len() >= desc.c as usize, "bias table too short");
-        table
+        assert!(bias.len() >= desc.c as usize * 8, "bias table too short");
+        bias
     });
     let rhs = desc.has(regs::SDP_FLAG_ELTWISE).then(|| {
-        let rhs = input2.expect("eltwise flag set but no second input");
+        let rhs = super::to_real(eltwise, desc.precision, desc.in2_scale);
         assert_eq!(rhs.len(), elems, "SDP eltwise size");
         rhs
     });
@@ -67,7 +44,8 @@ pub fn apply(
         let span = c * plane..(c + 1) * plane;
         let ch = &mut vals[span.clone()];
         if let Some(table) = table {
-            let (scale, shift) = table[c];
+            let f32_at = |i: usize| f32::from_le_bytes([0, 1, 2, 3].map(|k| table[8 * c + i + k]));
+            let (scale, shift) = (f32_at(0), f32_at(4));
             for v in ch.iter_mut() {
                 *v = *v * scale + shift;
             }
@@ -103,11 +81,16 @@ mod tests {
         }
     }
 
+    /// The table packs each channel's f32 scale then shift,
+    /// little-endian.
     #[test]
     fn bias_table_is_per_channel() {
         let d = desc(2, 1, regs::SDP_FLAG_BIAS, Precision::Fp16, 1.0);
-        let bs = vec![(1.0, 10.0), (2.0, -1.0)];
-        let out = apply(&d, vec![1.0, 3.0], None, Some(&bs));
+        let bs: Vec<u8> = [1.0f32, 10.0, 2.0, -1.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let out = apply(&d, vec![1.0, 3.0], &bs, &[]);
         let vals = super::super::to_real(&out, Precision::Fp16, 1.0);
         assert_eq!(vals, vec![11.0, 5.0]);
     }
@@ -115,7 +98,7 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let d = desc(1, 2, regs::SDP_FLAG_RELU, Precision::Fp16, 1.0);
-        let out = apply(&d, vec![-3.0, 2.0, -0.5, 0.0], None, None);
+        let out = apply(&d, vec![-3.0, 2.0, -0.5, 0.0], &[], &[]);
         let vals = super::super::to_real(&out, Precision::Fp16, 1.0);
         assert_eq!(vals, vec![0.0, 2.0, 0.0, 0.0]);
     }
@@ -129,7 +112,8 @@ mod tests {
             Precision::Fp16,
             1.0,
         );
-        let out = apply(&d, vec![-3.0], Some(vec![1.0]), None);
+        let rhs = super::super::from_real(&[1.0], Precision::Fp16, 1.0);
+        let out = apply(&d, vec![-3.0], &[], &rhs);
         let vals = super::super::to_real(&out, Precision::Fp16, 1.0);
         assert_eq!(vals, vec![0.0]);
     }
@@ -137,28 +121,17 @@ mod tests {
     #[test]
     fn int8_output_requantizes() {
         let d = desc(1, 1, 0, Precision::Int8, 0.5);
-        let out = apply(&d, vec![10.0], None, None);
+        let out = apply(&d, vec![10.0], &[], &[]);
         assert_eq!(out[0] as i8, 20); // 10 / 0.5
         let d = desc(1, 1, 0, Precision::Int8, 0.01);
-        let out = apply(&d, vec![10.0], None, None);
+        let out = apply(&d, vec![10.0], &[], &[]);
         assert_eq!(out[0] as i8, 127, "saturates");
     }
 
     #[test]
-    fn bs_table_parses_pairs() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&2.0f32.to_le_bytes());
-        bytes.extend_from_slice(&(-1.0f32).to_le_bytes());
-        bytes.extend_from_slice(&0.5f32.to_le_bytes());
-        bytes.extend_from_slice(&3.0f32.to_le_bytes());
-        let t = parse_bs_table(&bytes);
-        assert_eq!(t, vec![(2.0, -1.0), (0.5, 3.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no second input")]
+    #[should_panic(expected = "SDP eltwise size")]
     fn missing_eltwise_operand_panics() {
         let d = desc(1, 1, regs::SDP_FLAG_ELTWISE, Precision::Fp16, 1.0);
-        let _ = apply(&d, vec![1.0], None, None);
+        let _ = apply(&d, vec![1.0], &[], &[]);
     }
 }

@@ -13,8 +13,9 @@
 //! * functional engines ([`engines`]): the convolution pipeline
 //!   (CDMA/CSC/CMAC/CACC), SDP (bias/BN/ReLU/eltwise), PDP (pooling),
 //!   CDP (LRN) and RUBIK/BDMA copies,
-//! * a dataflow-accurate timing model ([`timing`]) parameterized by the
-//!   hardware configuration ([`config::HwConfig`]),
+//! * a dataflow-accurate timing model: [`plan::plan`] turns each decoded
+//!   launch into what it moves and costs on a hardware configuration
+//!   ([`config::HwConfig`]), and the accelerator issues that plan,
 //! * DMA through any [`rvnv_bus::Target`], so DRAM latency, width
 //!   conversion and arbitration are inherited from the SoC's bus models.
 //!
@@ -27,8 +28,8 @@
 //! ```
 //! use rvnv_bus::{Request, Target};
 //! use rvnv_bus::sram::Sram;
-//! use rvnv_nvdla::descriptor::{Descriptor, PdpDesc, PoolKind};
-//! use rvnv_nvdla::{config::HwConfig, regs, regs::Block, Nvdla, Precision};
+//! use rvnv_nvdla::descriptor::{Descriptor, PdpDesc};
+//! use rvnv_nvdla::{config::HwConfig, regs, regs::Block, Nvdla};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut dla = Nvdla::new(HwConfig::nv_small(), Sram::new(4096));
@@ -39,13 +40,11 @@
 //!     in_w: 2,
 //!     in_h: 2,
 //!     c: 1,
-//!     kind: PoolKind::Max,
 //!     k: 2,
 //!     stride: 2,
-//!     pad: 0,
 //!     out_w: 1,
 //!     out_h: 1,
-//!     precision: Precision::Int8,
+//!     ..PdpDesc::default() // INT8 max pooling, no padding
 //! };
 //! let launch = (Block::Pdp.base() + regs::REG_OP_ENABLE, 1);
 //! let mut t = 0;
@@ -67,8 +66,8 @@
 pub mod config;
 pub mod descriptor;
 pub mod engines;
+pub mod plan;
 pub mod regs;
-pub mod timing;
 
 mod nvdla;
 

@@ -15,10 +15,10 @@ use rvnv_bus::{
 };
 
 use crate::config::HwConfig;
-use crate::descriptor::{CdpDesc, ConvDesc, CopyDesc, Launch, PdpDesc, SdpDesc, SdpSrc};
-use crate::engines::{self, cdp, conv, pdp, sdp};
+use crate::descriptor::{Launch, SdpSrc};
+use crate::engines;
+use crate::plan::{self, OpPlan, Purpose, Step};
 use crate::regs::{self, Block};
-use crate::timing;
 
 /// Per-engine activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -217,16 +217,9 @@ impl<D: Target> Nvdla<D> {
     /// Promote events whose completion time has passed into the
     /// interrupt status register.
     fn promote(&mut self, now: Cycle) {
-        let mut status = self.intr_status;
-        self.events.retain(|e| {
-            if e.done_at <= now {
-                status |= e.bits;
-                false
-            } else {
-                true
-            }
-        });
-        self.intr_status = status;
+        let due = self.events.iter().filter(|e| e.done_at <= now);
+        self.intr_status |= due.fold(0, |bits, e| bits | e.bits);
+        self.events.retain(|e| e.done_at > now);
     }
 
     fn engine_busy_until(&self, block: Block) -> Cycle {
@@ -241,8 +234,6 @@ impl<D: Target> Nvdla<D> {
         BusError::SlaveError { addr, reason }
     }
 
-    // --- DMA helpers -------------------------------------------------------
-
     /// MCIF issues bounded bursts, each when the previous one completes,
     /// and each pays the memory round trip: one transfer is one train
     /// handed to the DBB in a single call.
@@ -254,233 +245,91 @@ impl<D: Target> Nvdla<D> {
         self.dbb.burst(addr, payload.in_bursts(chunk), at)
     }
 
-    /// Fetch `len` bytes for `block`. A timing-only accelerator issues
-    /// the same bursts length-only and returns an empty buffer.
-    fn dma_read(
-        &mut self,
-        block: Block,
-        addr: u32,
-        len: usize,
-        at: Cycle,
-    ) -> Result<(Vec<u8>, Cycle), BusError> {
-        let mut buf = Vec::new();
-        let t = if self.functional {
-            buf = vec![0u8; len];
-            self.dma(addr, Payload::read(&mut buf), at)?
-        } else {
-            self.dma(addr, Payload::length_only(len, false), at)?
-        };
-        self.engine_stats_mut(block).dma_read_bytes += len as u64;
-        Ok((buf, t))
-    }
-
-    /// Store a `len`-byte result for `block`: `data` when the engine
-    /// computed one, length-only bursts when it ran timing-only.
-    fn dma_write(
-        &mut self,
-        block: Block,
-        addr: u32,
-        len: usize,
-        data: Option<&[u8]>,
-        at: Cycle,
-    ) -> Result<Cycle, BusError> {
-        debug_assert!(data.is_none_or(|bytes| bytes.len() == len));
-        let payload = match data {
-            Some(bytes) => Payload::write(bytes),
-            None => Payload::length_only(len, true),
-        };
-        let t = self.dma(addr, payload, at)?;
-        self.engine_stats_mut(block).dma_write_bytes += len as u64;
-        Ok(t)
-    }
-
-    // --- Launches ----------------------------------------------------------
-
-    /// Count one operation of `block` and its compute cycles.
-    fn count(&mut self, block: Block, compute: u64) -> &mut EngineStats {
-        let st = self.engine_stats_mut(block);
-        st.ops += 1;
-        st.compute_cycles += compute;
-        st
-    }
-
-    /// Book an operation on `blocks` from `start` to `done`: the engines
-    /// are busy until `done`, their interrupt bits rise then, and the
-    /// timeline records it under the first block. Returns `done`.
-    fn complete(&mut self, blocks: &[Block], start: Cycle, done: Cycle) -> Cycle {
-        let mut bits = 0;
-        for &block in blocks {
-            self.busy_until.insert(block, done);
-            bits |= 1
-                << block
-                    .intr_bit()
-                    .expect("a launching engine has an interrupt bit");
-        }
-        self.events.push(Event {
-            done_at: done,
-            bits,
-        });
-        let block = blocks[0];
-        self.timeline.push(OpTrace { block, start, done });
-        done
-    }
-
-    /// Read SDP operands (bias table / eltwise source) and apply the SDP
-    /// pipeline to `acc_real` (ignored when timing-only), writing the
-    /// result. Returns the write-done cycle.
-    fn sdp_emit(&mut self, sd: &SdpDesc, acc_real: Vec<f32>, at: Cycle) -> Result<Cycle, BusError> {
-        let mut t = at;
-        let bs = if sd.has(regs::SDP_FLAG_BIAS) {
-            let (raw, t2) = self.dma_read(Block::Sdp, sd.bs_addr, sd.c as usize * 8, t)?;
-            t = t2;
-            Some(sdp::parse_bs_table(&raw))
-        } else {
-            None
-        };
-        let input2 = if sd.has(regs::SDP_FLAG_ELTWISE) {
-            let bytes = sd.elems() * sd.precision.bytes() as usize;
-            let (raw, t2) = self.dma_read(Block::Sdp, sd.src2, bytes, t)?;
-            t = t2;
-            Some(engines::to_real(&raw, sd.precision, sd.in2_scale))
-        } else {
-            None
-        };
-        let out = self
-            .functional
-            .then(|| sdp::apply(sd, acc_real, input2, bs.as_ref()));
-        let compute = timing::sdp_cycles(&self.cfg, sd);
-        self.count(Block::Sdp, compute);
-        let bytes = sd.elems() * sd.precision.bytes() as usize;
-        self.dma_write(Block::Sdp, sd.dst, bytes, out.as_deref(), t + compute)
-    }
-
-    fn launch_conv(
-        &mut self,
-        cd: &ConvDesc,
-        sd: &SdpDesc,
-        addr: u32,
-        now: Cycle,
-    ) -> Result<Cycle, BusError> {
-        if !self.sdp_armed || sd.src_mode != SdpSrc::Flying {
-            return Err(Self::slave_err(
-                addr,
-                "conv launched without armed flying SDP",
-            ));
-        }
-        if sd.elems() != cd.out_elems() {
-            return Err(Self::slave_err(
-                addr,
-                "SDP surface does not match conv output",
-            ));
-        }
-        self.sdp_armed = false;
-        let start = now
-            .max(self.engine_busy_until(Block::Cacc))
-            .max(self.engine_busy_until(Block::Sdp));
-
-        // Feature + weight fetch (CDMA).
-        let (feature, t1) = self.dma_read(Block::Cacc, cd.src, cd.feature_bytes(), start)?;
-        let (weights, mut t) = self.dma_read(Block::Cacc, cd.wt_addr, cd.wt_bytes as usize, t1)?;
-        // CBUF overflow: weights stream in passes, re-fetching the
-        // feature tile each extra pass.
-        for _ in 1..timing::cbuf_passes(&self.cfg, cd.wt_bytes) {
-            let (_, t2) = self.dma_read(Block::Cacc, cd.src, cd.feature_bytes(), t)?;
-            t = t2;
-        }
-
-        let acc = if self.functional {
-            conv::compute(cd, &feature, &weights)
-        } else {
-            Vec::new()
-        };
-        let compute = timing::conv_cycles(&self.cfg, cd);
-        self.count(Block::Cacc, compute).macs += cd.macs();
-        let done = self.sdp_emit(sd, acc, t + compute)?;
-        Ok(self.complete(&[Block::Cacc, Block::Sdp], start, done))
-    }
-
-    fn launch_sdp_standalone(&mut self, sd: &SdpDesc, now: Cycle) -> Result<Cycle, BusError> {
-        let start = now.max(self.engine_busy_until(Block::Sdp));
-        let bytes = sd.elems() * sd.precision.bytes() as usize;
-        let (raw, t) = self.dma_read(Block::Sdp, sd.src, bytes, start)?;
-        let input = engines::to_real(&raw, sd.precision, sd.in_scale);
-        let done = self.sdp_emit(sd, input, t)?;
-        Ok(self.complete(&[Block::Sdp], start, done))
-    }
-
-    fn launch_pdp(&mut self, d: &PdpDesc, now: Cycle) -> Result<Cycle, BusError> {
-        let start = now.max(self.engine_busy_until(Block::Pdp));
-        let in_bytes = (d.c * d.in_h * d.in_w * d.precision.bytes()) as usize;
-        let (raw, t) = self.dma_read(Block::Pdp, d.src, in_bytes, start)?;
-        let out = self.functional.then(|| pdp::compute(d, &raw));
-        let out_bytes = d.out_elems() * d.precision.bytes() as usize;
-        let compute = timing::pdp_cycles(&self.cfg, d);
-        self.count(Block::Pdp, compute);
-        let done = self.dma_write(Block::Pdp, d.dst, out_bytes, out.as_deref(), t + compute)?;
-        Ok(self.complete(&[Block::Pdp], start, done))
-    }
-
-    fn launch_cdp(&mut self, d: &CdpDesc, now: Cycle) -> Result<Cycle, BusError> {
-        let start = now.max(self.engine_busy_until(Block::Cdp));
-        let bytes = d.elems() * d.precision.bytes() as usize;
-        let (raw, t) = self.dma_read(Block::Cdp, d.src, bytes, start)?;
-        let out = self.functional.then(|| cdp::compute(d, &raw));
-        let compute = timing::cdp_cycles(&self.cfg, d);
-        self.count(Block::Cdp, compute);
-        let done = self.dma_write(Block::Cdp, d.dst, bytes, out.as_deref(), t + compute)?;
-        Ok(self.complete(&[Block::Cdp], start, done))
-    }
-
-    fn launch_copy(&mut self, block: Block, d: CopyDesc, now: Cycle) -> Result<Cycle, BusError> {
-        let start = now.max(self.engine_busy_until(block));
-        let len = d.len as usize;
-        let (raw, t) = self.dma_read(block, d.src, len, start)?;
-        let data = self.functional.then_some(&raw[..]);
-        let done = self.dma_write(block, d.dst, len, data, t + self.cfg.op_latency)?;
-        self.count(block, 0);
-        Ok(self.complete(&[block], start, done))
-    }
-
-    fn handle_op_enable(
-        &mut self,
-        block: Block,
-        addr: u32,
-        value: u32,
-        now: Cycle,
-    ) -> Result<(), BusError> {
-        if value & 1 == 0 {
-            return Ok(());
-        }
-        let launch = Launch::decode(block, |a| self.regs.get(&a).copied().unwrap_or(0))
-            .map_err(|e| Self::slave_err(addr, e.reason()))?;
-        let precision = match &launch {
-            Some(Launch::Conv(d, _)) => Some(d.precision),
-            Some(Launch::Sdp(d)) if d.src_mode == SdpSrc::Memory => Some(d.precision),
-            Some(Launch::Pdp(d)) => Some(d.precision),
-            Some(Launch::Cdp(d)) => Some(d.precision),
-            _ => None,
-        };
-        if precision.is_some_and(|p| !self.cfg.supports(p)) {
-            return Err(Self::slave_err(
-                addr,
-                "precision not implemented in this config",
-            ));
-        }
-        match launch {
-            Some(Launch::Conv(cd, sd)) => self.launch_conv(&cd, &sd, addr, now),
-            Some(Launch::Sdp(sd)) if sd.src_mode == SdpSrc::Flying => {
-                self.sdp_armed = true;
-                Ok(now)
+    /// Put `op` on the DBB from `now`, once its engines are free: each
+    /// transfer as DMA trains, each compute as a delay, each booked to
+    /// its engine. When functional, the launch's kernel runs on the
+    /// fetched bytes before the write-back; timing-only, every train is
+    /// length-only and nothing surface-sized is allocated. The engines
+    /// interrupt when the write completes.
+    fn issue(&mut self, op: &OpPlan, launch: &Launch, now: Cycle) -> Result<(), BusError> {
+        let busy_until = op.blocks().map(|b| self.engine_busy_until(b));
+        let start = busy_until.fold(now, Cycle::max);
+        let (mut t, mut operands) = (start, <[Vec<u8>; 4]>::default());
+        for step in op.steps() {
+            let x = match *step {
+                Step::Transfer(x) => x,
+                Step::Compute {
+                    block,
+                    cycles,
+                    compute_cycles,
+                    macs,
+                } => {
+                    let st = self.engine_stats_mut(block);
+                    st.ops += 1;
+                    st.compute_cycles += compute_cycles;
+                    st.macs += macs;
+                    t += cycles;
+                    continue;
+                }
+            };
+            let (len, functional) = (x.len as usize, self.functional);
+            if x.purpose == Purpose::Output {
+                let out = functional.then(|| engines::run(launch, std::mem::take(&mut operands)));
+                let payload = out.as_deref();
+                let payload = payload.map_or(Payload::length_only(len, true), Payload::write);
+                t = self.dma(x.addr, payload, t)?;
+                self.engine_stats_mut(x.block).dma_write_bytes += x.len;
+                continue;
             }
-            Some(Launch::Sdp(sd)) => self.launch_sdp_standalone(&sd, now),
-            Some(Launch::Pdp(d)) => self.launch_pdp(&d, now),
-            Some(Launch::Cdp(d)) => self.launch_cdp(&d, now),
-            Some(Launch::Copy(block, d)) => self.launch_copy(block, d, now),
+            for _ in 0..x.repeat {
+                let mut buf = vec![0; if functional { len } else { 0 }];
+                let payload = if functional {
+                    Payload::read(&mut buf)
+                } else {
+                    Payload::length_only(len, false)
+                };
+                t = self.dma(x.addr, payload, t)?;
+                if let Some(operand) = operands.get_mut(x.purpose as usize) {
+                    *operand = buf;
+                }
+            }
+            self.engine_stats_mut(x.block).dma_read_bytes += x.len * u64::from(x.repeat);
+        }
+        let mut bits = 0;
+        for block in op.blocks() {
+            self.busy_until.insert(block, t);
+            bits |= 1 << block.intr_bit().expect("a launching engine interrupts");
+        }
+        self.events.push(Event { done_at: t, bits });
+        let (block, done) = (op.blocks().next().unwrap_or(Block::Glb), t);
+        self.timeline.push(OpTrace { block, start, done });
+        Ok(())
+    }
+
+    /// Decode what enabling `block` (by a write to `addr`) launches, plan
+    /// it and issue it.
+    fn launch(&mut self, block: Block, addr: u32, now: Cycle) -> Result<(), BusError> {
+        let launch = match Launch::decode(block, |a| self.regs.get(&a).copied().unwrap_or(0)) {
+            Err(e) => return Err(Self::slave_err(addr, e.reason())),
             // CDMA/CSC/CMAC enables are accepted (parts of the conv
             // pipeline); the pipeline launches on the CACC enable.
-            None => Ok(now),
+            Ok(None) => return Ok(()),
+            Ok(Some(Launch::Sdp(sd))) if sd.src_mode == SdpSrc::Flying => {
+                self.sdp_armed = true;
+                return Ok(());
+            }
+            Ok(Some(launch)) => launch,
+        };
+        let op = plan::plan(&launch, &self.cfg);
+        if let Launch::Conv(..) = launch {
+            // Reported after the precision and before the geometry.
+            if !self.sdp_armed && op != Err(plan::UNSUPPORTED) {
+                return Err(Self::slave_err(addr, plan::UNARMED));
+            }
+            self.sdp_armed &= op.is_err();
         }
-        .map(drop)
+        let op = op.map_err(|reason| Self::slave_err(addr, reason))?;
+        self.issue(&op, &launch, now)
     }
 }
 
@@ -533,18 +382,13 @@ impl<D: Target> Target for Nvdla<D> {
                 self.stats.csb_writes += 1;
                 let v = v as u32;
                 match (block, offset) {
-                    (Block::Glb, regs::GLB_INTR_STATUS) => {
-                        self.intr_status &= !v; // write-1-to-clear
-                    }
-                    (Block::Glb, regs::GLB_INTR_SET) => {
-                        self.intr_status |= v;
-                    }
-                    (_, regs::REG_OP_ENABLE) => {
-                        self.regs.insert(req.addr, v);
-                        self.handle_op_enable(block, req.addr, v, now)?;
-                    }
+                    (Block::Glb, regs::GLB_INTR_STATUS) => self.intr_status &= !v, // write-1-to-clear
+                    (Block::Glb, regs::GLB_INTR_SET) => self.intr_status |= v,
                     _ => {
                         self.regs.insert(req.addr, v);
+                        if offset == regs::REG_OP_ENABLE && v & 1 == 1 {
+                            self.launch(block, req.addr, now)?;
+                        }
                     }
                 }
                 Ok(Response::ack(done_at))
@@ -583,7 +427,7 @@ impl<D: Target> Target for Nvdla<D> {
 mod tests {
     use super::*;
     use crate::config::Precision;
-    use crate::descriptor::Descriptor;
+    use crate::descriptor::{CdpDesc, ConvDesc, CopyDesc, Descriptor, PdpDesc, SdpDesc};
     use rvnv_bus::dram::Dram;
     use rvnv_bus::sram::Sram;
 
@@ -991,32 +835,185 @@ mod tests {
         assert_eq!(&f.dbb_mut().bytes()[0x304..0x308], &[0, 0, 0, 0]);
     }
 
-    /// Timing-only moves no bytes: over a conv (flying SDP), a
-    /// standalone SDP and a PDP, the DBB sees the functional run's
-    /// transfers — same addresses, lengths, burst trains, directions,
-    /// order — and every one of them length-only, so no launch path had
-    /// a surface to allocate, fill or free.
+    /// One launch of every kind: a conv whose weights take three CBUF
+    /// passes, through a flying SDP with bias and eltwise; a standalone
+    /// SDP; a PDP; a CDP; a BDMA copy and an empty RUBIK copy.
+    fn every_launch() -> Vec<Launch> {
+        let (mut conv, mut flying) = simple_conv(Precision::Int8);
+        (conv.wt_addr, conv.wt_bytes) = (0x1_0000, 150_000);
+        flying.flags |= regs::SDP_FLAG_BIAS | regs::SDP_FLAG_ELTWISE;
+        (flying.bs_addr, flying.src2) = (0x900, 0x980);
+        let memory = SdpDesc {
+            src_mode: SdpSrc::Memory,
+            src: 0x400,
+            ..flying.clone()
+        };
+        let lrn = CdpDesc {
+            src: 0xA00,
+            dst: 0xB00,
+            w: 4,
+            h: 4,
+            c: 3,
+            local_size: 3,
+            beta: 0.75,
+            k: 1.0,
+            in_scale: 1.0,
+            out_scale: 1.0,
+            ..CdpDesc::default()
+        };
+        let copy = |src, len| CopyDesc {
+            src,
+            dst: 0xC00,
+            len,
+        };
+        vec![
+            Launch::Conv(conv, flying),
+            Launch::Sdp(memory),
+            Launch::Pdp(pool_desc()),
+            Launch::Cdp(lrn),
+            Launch::Copy(Block::Bdma, copy(0x10, 4)),
+            Launch::Copy(Block::Rubik, copy(0x20, 0)),
+        ]
+    }
+
+    /// The register writes that program `launch`, and the blocks whose
+    /// enables start it.
+    fn launch_writes(launch: &Launch) -> (Vec<(u32, u32)>, &[Block]) {
+        match launch {
+            Launch::Conv(c, s) => (writes(&(c.clone(), s.clone())), ConvDesc::LAUNCH),
+            Launch::Sdp(d) => (d.encode().unwrap(), SdpDesc::LAUNCH),
+            Launch::Pdp(d) => (d.encode().unwrap(), PdpDesc::LAUNCH),
+            Launch::Cdp(d) => (d.encode().unwrap(), CdpDesc::LAUNCH),
+            Launch::Copy(b, d) => (d.encode_on(*b).unwrap(), std::slice::from_ref(b)),
+        }
+    }
+
+    /// `op`'s transfers as the DBB must see them, in order: one
+    /// (address, length) per train, empty ones left out.
+    fn trains(op: &OpPlan) -> Vec<(u32, usize)> {
+        let transfers = op.steps().filter_map(|step| match step {
+            Step::Transfer(x) => Some(x),
+            Step::Compute { .. } => None,
+        });
+        transfers
+            .flat_map(|x| std::iter::repeat_n(x, x.repeat as usize))
+            .filter(|x| x.len > 0)
+            .map(|x| (x.addr, x.len as usize))
+            .collect()
+    }
+
+    /// The plan is what the fabric sees. Over every launch kind, the
+    /// DBB is handed exactly each plan's transfers in order (re-fetches
+    /// as separate trains) and the books hold the plans' bytes; a
+    /// timing-only run issues the same trains — same bursts, directions,
+    /// cycles and books — every one length-only, so no launch had a
+    /// surface to allocate, fill or free.
     #[test]
     fn timing_only_issues_the_same_bursts_length_only() {
+        let cfg = HwConfig::nv_small();
+        let plans: Vec<OpPlan> = every_launch()
+            .iter()
+            .map(|l| plan::plan(l, &cfg).unwrap())
+            .collect();
+        let refetch = plans[0].steps().find_map(|step| match step {
+            Step::Transfer(x) if x.purpose == Purpose::Refetch => Some(x.repeat),
+            _ => None,
+        });
+        assert_eq!(refetch, Some(2), "three CBUF passes");
+        let want: Vec<(u32, usize)> = plans.iter().flat_map(trains).collect();
+        let plan_bytes: u64 = plans
+            .iter()
+            .flat_map(trains)
+            .map(|(_, len)| len as u64)
+            .sum();
         let bursts_of = |functional: bool| {
             let mut n = small();
             n.set_functional(functional);
-            program_simple_conv(&mut n);
-            program_eltwise(&mut n, 1_000);
-            program_pool(&mut n, 2_000);
+            let mut t = 0;
+            for launch in every_launch() {
+                let (writes, blocks) = launch_writes(&launch);
+                t = program(&mut n, writes, blocks, t).unwrap();
+            }
             (n.idle_at(0), n.stats().clone(), n.dbb_mut().bursts.clone())
         };
         let (f_done, f_stats, functional) = bursts_of(true);
         let (t_done, t_stats, timing) = bursts_of(false);
-        assert!(functional.len() >= 8, "three ops move operands and results");
         assert!(functional.iter().all(|b| b.carries_bytes));
         assert!(timing.iter().all(|b| !b.carries_bytes));
+        for seen in [&functional, &timing] {
+            let got: Vec<(u32, usize)> = seen.iter().map(|b| (b.addr, b.len)).collect();
+            assert_eq!(got, want);
+        }
         let shape = |b: &Seen| (b.addr, b.len, b.bursts, b.write);
         assert_eq!(
             timing.iter().map(shape).collect::<Vec<_>>(),
             functional.iter().map(shape).collect::<Vec<_>>()
         );
+        assert_eq!(f_stats.total_dma_bytes(), plan_bytes);
+        assert_eq!(f_stats.total_ops(), 7, "the conv books CACC and SDP");
         assert_eq!((t_done, t_stats), (f_done, f_stats));
+    }
+
+    /// A descriptor whose every field fits its register but whose sizes
+    /// pass the 32-bit address space is a slave error, never a wrapped
+    /// or overflowing `u32` product: a 65,536-channel pool of 65,535²
+    /// planes, a conv with that feature, a standalone SDP with that
+    /// surface, and a copy off the top of memory.
+    #[test]
+    fn sizes_past_the_address_space_are_slave_errors() {
+        let huge = PdpDesc {
+            c: 65_536,
+            in_h: 65_535,
+            in_w: 65_535,
+            k: 1,
+            stride: 1,
+            out_w: 1,
+            out_h: 1,
+            ..pool_desc()
+        };
+        let (conv, flying) = simple_conv(Precision::Int8);
+        let (c, h, w) = (65_536, 65_535, 65_535);
+        let conv = ConvDesc {
+            in_c: c,
+            in_h: h,
+            in_w: w,
+            out_c: 1,
+            out_h: 1,
+            out_w: 1,
+            wt_bytes: c,
+            ..conv
+        };
+        let flying = SdpDesc {
+            c: 1,
+            h: 1,
+            w: 1,
+            ..flying
+        };
+        let memory = SdpDesc {
+            src_mode: SdpSrc::Memory,
+            c,
+            h,
+            w,
+            ..flying.clone()
+        };
+        let copy = CopyDesc {
+            src: 0xFFFF_FF00,
+            dst: 0,
+            len: 0x200,
+        };
+        for launch in [
+            Launch::Pdp(huge),
+            Launch::Conv(conv, flying),
+            Launch::Sdp(memory),
+            Launch::Copy(Block::Bdma, copy),
+        ] {
+            let mut n = small();
+            let (writes, blocks) = launch_writes(&launch);
+            let e = program(&mut n, writes, blocks, 0);
+            let want = "DMA transfer passes the 32-bit address space";
+            assert_eq!(reason(e), want, "{launch:?}");
+            assert_eq!(n.stats().total_ops(), 0);
+        }
     }
 
     #[test]

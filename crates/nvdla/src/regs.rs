@@ -64,35 +64,20 @@ impl Block {
     }
 
     /// Interrupt bit index in `GLB_INTR_STATUS` for engines that raise
-    /// interrupts (`None` for pass-through blocks).
+    /// interrupts, CACC through BDMA in address order (`None` for
+    /// pass-through blocks).
     #[must_use]
     pub fn intr_bit(self) -> Option<u32> {
-        match self {
-            Block::Cacc => Some(0),
-            Block::Sdp => Some(1),
-            Block::Pdp => Some(2),
-            Block::Cdp => Some(3),
-            Block::Rubik => Some(4),
-            Block::Bdma => Some(5),
-            _ => None,
-        }
+        (self as u32).checked_sub(Block::Cacc as u32)
     }
 
     /// Short lower-case name as used in VP log lines.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Block::Glb => "glb",
-            Block::Cdma => "cdma",
-            Block::Csc => "csc",
-            Block::Cmac => "cmac_a",
-            Block::Cacc => "cacc",
-            Block::Sdp => "sdp",
-            Block::Pdp => "pdp",
-            Block::Cdp => "cdp",
-            Block::Rubik => "rubik",
-            Block::Bdma => "bdma",
-        }
+        const NAMES: [&str; 10] = [
+            "glb", "cdma", "csc", "cmac_a", "cacc", "sdp", "pdp", "cdp", "rubik", "bdma",
+        ];
+        NAMES[self as usize]
     }
 }
 

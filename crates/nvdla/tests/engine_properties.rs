@@ -108,10 +108,10 @@ proptest! {
             precision: Precision::Fp16,
             ..SdpDesc::default()
         };
-        let once = sdp::apply(&d, vals.clone(), None, None);
+        let once = sdp::apply(&d, vals.clone(), &[], &[]);
         let once_vals = rvnv_nvdla::engines::to_real(&once, Precision::Fp16, 1.0);
         prop_assert!(once_vals.iter().all(|&v| v >= 0.0));
-        let twice = sdp::apply(&d, once_vals.clone(), None, None);
+        let twice = sdp::apply(&d, once_vals.clone(), &[], &[]);
         prop_assert_eq!(once, twice, "relu is idempotent");
     }
 
@@ -131,8 +131,12 @@ proptest! {
             precision: Precision::Fp16,
             ..SdpDesc::default()
         };
-        let ab = sdp::apply(&d, a.clone(), Some(b.clone()), None);
-        let ba = sdp::apply(&d, b, Some(a), None);
+        // The second source is packed FP16: round both to FP16 first.
+        let pack = |v: &[f32]| rvnv_nvdla::engines::from_real(v, Precision::Fp16, 1.0);
+        let round = |v: &[f32]| rvnv_nvdla::engines::to_real(&pack(v), Precision::Fp16, 1.0);
+        let (a, b) = (round(&a), round(&b));
+        let ab = sdp::apply(&d, a.clone(), &[], &pack(&b));
+        let ba = sdp::apply(&d, b.clone(), &[], &pack(&a));
         prop_assert_eq!(ab, ba);
     }
 }

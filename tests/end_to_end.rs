@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: the complete bare-metal flow from a
 //! layer graph to verified SoC output.
 
+use rvnv_bus::MasterId;
 use rvnv_compiler::codegen::{generate_machine_code, CodegenOptions, WaitMode};
 use rvnv_compiler::trace::{parse_config_file, write_config_file};
-use rvnv_compiler::{compile, CompileOptions};
+use rvnv_compiler::{compile, CompileOptions, VirtualPlatform};
 use rvnv_nn::exec::Executor;
 use rvnv_nn::graph::{Network, Op, PoolKind};
 use rvnv_nn::tensor::{Shape, WeightTensor};
 use rvnv_nn::{zoo, Tensor};
+use rvnv_nvdla::regs::Block;
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::paper::{self, Table, Unit};
 use rvnv_soc::soc::{Soc, SocConfig};
@@ -230,6 +232,51 @@ fn table2_layers_are_unfused_hardware_ops() {
         let fp16 = compile(&net, &paper::table3_compile_options()).expect("fp16 compile");
         let cycles = paper::vp_cycles(&mut paper::table3_vp(), &fp16).expect("vp run");
         assert_eq!(cycles, ours(Table::III, model, Unit::SocCycles), "{name}");
+    }
+}
+
+/// The SoC and the VP drive one accelerator: for the same artifacts, a
+/// timing-only SoC frame (CSB writes from the core's firmware) and a
+/// timing-only VP replay (from the command list) book equal statistics
+/// for every engine block — ops, compute cycles, DMA bytes and MACs —
+/// and the SoC's DBB port carries exactly the booked bytes.
+#[test]
+fn soc_and_vp_book_the_same_engine_work() {
+    let nv_small = (CompileOptions::int8(), SocConfig::zcu102_timing_only());
+    let nv_full = (
+        CompileOptions::fp16(),
+        SocConfig::zcu102_nv_full_timing_only(),
+    );
+    let cases = [
+        (zoo::Model::LeNet5, nv_small.clone()),
+        (zoo::Model::ResNet18, nv_small),
+        (zoo::Model::LeNet5, nv_full),
+    ];
+    for (model, (mut options, config)) in cases {
+        options.calib_inputs = 1;
+        let net = model.build(11);
+        let artifacts = compile(&net, &options).expect("compile");
+        let input = artifacts.quantize_input(&Tensor::random(net.input_shape(), 5));
+        let fw = Firmware::build(&artifacts).expect("firmware assembles");
+        let mut soc = Soc::new(config.clone());
+        let frame = soc
+            .run_firmware(&artifacts, &input, &fw)
+            .expect("SoC frame");
+        let mut vp = VirtualPlatform::new(config.hw, 256 << 20);
+        vp.set_functional(false);
+        vp.run(&artifacts, &input, false).expect("VP replay");
+        let (name, vp) = (model.name(), vp.nvdla().stats());
+        assert!(frame.nvdla.total_ops() > 0);
+        for block in Block::ALL {
+            assert_eq!(
+                frame.nvdla.engine(block),
+                vp.engine(block),
+                "{name} {block:?}"
+            );
+        }
+        // What the engines booked is what crossed the DBB port.
+        let port = soc.dram_path().lock().port_stats(MasterId::NvdlaDbb);
+        assert_eq!(frame.nvdla.total_dma_bytes(), port.bytes, "{name}");
     }
 }
 
