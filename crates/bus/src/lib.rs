@@ -247,41 +247,41 @@ impl<T: Target + ?Sized> Target for Box<T> {
 /// The SoC wires several masters (the µRISC-V AHB port, the NVDLA DBB) to
 /// the same slaves; `Shared` provides cheaply clonable ownership.
 #[derive(Debug)]
-pub struct Shared<T: ?Sized>(std::sync::Arc<parking_lot::Mutex<T>>);
+pub struct Shared<T>(std::sync::Arc<std::sync::Mutex<T>>);
 
 impl<T> Shared<T> {
     /// Wrap a target for shared ownership.
     pub fn new(inner: T) -> Self {
-        Shared(std::sync::Arc::new(parking_lot::Mutex::new(inner)))
+        Shared(std::sync::Arc::new(std::sync::Mutex::new(inner)))
     }
 
-    /// Lock and access the inner device.
-    pub fn lock(&self) -> parking_lot::MutexGuard<'_, T> {
-        self.0.lock()
+    /// Lock and access the inner device (a panicked holder's lock is taken over as is).
+    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-impl<T: ?Sized> Clone for Shared<T> {
+impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
         Shared(self.0.clone())
     }
 }
 
-impl<T: Reset + ?Sized> Reset for Shared<T> {
+impl<T: Reset> Reset for Shared<T> {
     fn reset(&mut self) {
-        self.0.lock().reset();
+        self.lock().reset();
     }
 }
 
-impl<T: Target + ?Sized> Target for Shared<T> {
+impl<T: Target> Target for Shared<T> {
     fn access(&mut self, req: &Request, now: Cycle) -> Result<Response, BusError> {
-        self.0.lock().access(req, now)
+        self.lock().access(req, now)
     }
     fn read_lease(&self, addr: u32, now: Cycle) -> Option<Cycle> {
-        self.0.lock().read_lease(addr, now)
+        self.lock().read_lease(addr, now)
     }
     fn burst(&mut self, addr: u32, payload: Payload<'_>, now: Cycle) -> Result<Cycle, BusError> {
-        self.0.lock().burst(addr, payload, now)
+        self.lock().burst(addr, payload, now)
     }
 }
 

@@ -7,10 +7,8 @@
 //! behind [`Arc`]s that sweeps can share across threads without cloning
 //! megabytes of weights.
 //!
-//! The cache is in-memory only. Cross-process persistence needs real
-//! `serde` (the vendored derives are no-ops — see ROADMAP item 11);
-//! the key type is already stable and printable so a disk layer can slot
-//! in underneath later.
+//! The cache is in-memory only; the key type is stable and printable
+//! so a disk layer can slot in underneath later.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -1305,7 +1305,7 @@ pub fn simulate(
 /// track whose `queue_wait` spans sum to the pool's queue-wait total,
 /// and a "poolN CLASS autoscaler" track of instant `autoscale` markers.
 /// Arming the tracer is observationally free: the report is
-/// byte-identical to [`simulate`]'s (proptested).
+/// byte-identical to [`simulate`]'s (a property test in `tests/fleet.rs`).
 ///
 /// # Panics
 ///

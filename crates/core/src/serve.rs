@@ -1183,7 +1183,7 @@ pub fn simulate(
 /// `queue` track carries one `queue_wait` span per served request whose
 /// cycles sum to the report's queue-wait total. Arming the tracer is
 /// observationally free: the report is byte-identical to [`simulate`]'s
-/// (proptested, and pinned by the `determinism_fingerprint` CI gate).
+/// (checked by `fuzz serve`, pinned by the `determinism_fingerprint` gate).
 ///
 /// # Panics
 ///
@@ -1865,7 +1865,8 @@ mod tests {
         );
     }
 
-    /// Found by the chaos proptest (`tests/properties.rs`): a request
+    /// Found by a chaos property test, whose checks are now `fuzz
+    /// serve`'s plan legs (they catch this bug at seed 9): a request
     /// that crashed on one worker and failed over could be picked up by
     /// a pool-mate that had sat idle since before the request arrived —
     /// its clock still behind the arrival — and `queue_wait` underflowed.

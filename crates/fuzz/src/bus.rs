@@ -1,10 +1,9 @@
 //! `bus` target: seeded random programs over the SoC's composed DRAM
 //! path — `Arbiter<ClockCrossing<SmartConnect<FaultInjector<Dram>>>>`,
 //! with the DBB's 64→32 `WidthConverter` in front — checked against a
-//! host-side predicting mirror, the style of
-//! `crates/bus/tests/fuzz_fabric.rs` made shrinkable: the program is
-//! plain data ([`BusOp`] steps), so the delete-chunk pass can drop
-//! steps and replay the remainder against a freshly-predicted mirror.
+//! host-side predicting mirror. The program is plain data ([`BusOp`]
+//! steps), so the delete-chunk pass can drop steps and replay the
+//! remainder against a freshly-predicted mirror.
 //!
 //! Invariants per program: hostile accesses fail only with the exact
 //! typed [`BusError`] the mirror predicts, successful reads match a
@@ -12,7 +11,11 @@
 //! images survive a reset exactly when the mirror saw no write land in
 //! them, completion times never run backwards, the arbiter/DRAM
 //! counters conserve burst by burst, and a second execution of the same
-//! program produces a bit-identical event fingerprint. A quarter of the
+//! program produces a bit-identical event fingerprint. The DBB's single
+//! beats cross the width converter, which splits each double into two
+//! words: a double needs only word alignment there, a torn double at
+//! the end of DRAM lands its first word, and the split counter equals
+//! the doubles issued. A quarter of the
 //! programs preload no images, so the DRAM starts unbacked and the
 //! shadow holds it to losing no byte when it backs itself.
 //!
@@ -58,11 +61,27 @@
 //! any other ratio the crossing rounds burst by burst and the DRAM
 //! steps each one. Which of the two ran is checked too: the DRAM's
 //! stepped-burst counter must equal the mirror's prediction.
+//!
+//! **Chaos.** Every program runs twice more under `chaos_plan`: bit
+//! flips, error responses and latency spikes, by the lottery and at
+//! fixed access indices. Reads may now come back flipped, so read data
+//! goes unchecked; writes land unflipped, so the shadow still holds
+//! the device's contents. The mirror still predicts every wrong-side,
+//! misaligned and out-of-range error; any other error must be
+//! [`BusError::Injected`] at the address of a beat or burst the master
+//! issued, no later than the mirror's own failure, and ends the
+//! transaction there. The injector's ledger must balance the mirror's:
+//! its accesses are the beats and bursts that passed the mux (a
+//! wrong-side beat never reaches it), its errors the injected errors
+//! the masters saw, and it never counts more faults than accesses. The
+//! two runs' fingerprints must be equal. Whenever a plan is armed —
+//! the chaos plan, or the spike plan of two programs in three — the
+//! ledger is checked the same way.
 
 use rvnv_bus::arbiter::{Arbiter, PortStats};
 use rvnv_bus::cdc::ClockCrossing;
 use rvnv_bus::dram::{Dram, DramStats, DramTiming, RangeSet};
-use rvnv_bus::fault::{FaultInjector, FaultPlan, FaultStats};
+use rvnv_bus::fault::{FaultInjector, FaultKind, FaultPlan, FaultStats};
 use rvnv_bus::smartconnect::{Side, SmartConnect};
 use rvnv_bus::width::WidthConverter;
 use rvnv_bus::{AccessSize, BusError, Cycle, MasterId, Payload, Request, Reset, Target};
@@ -86,7 +105,23 @@ fn image_bytes(id: u64, len: usize) -> Vec<u8> {
     (0..len).map(|j| mix64(id ^ j as u64) as u8 | 1).collect()
 }
 
-fn build_fabric(prog: &BusProgram) -> Fabric {
+/// The chaos leg's plan: bit flips, error responses and latency spikes
+/// from the lottery, and one of each at a fixed access index.
+fn chaos_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 0xC4A05,
+        flip_per_million: 60_000,
+        error_per_million: 60_000,
+        spike_per_million: 40_000,
+        spike_cycles: 700,
+        ..FaultPlan::default()
+    }
+    .at(3, FaultKind::ErrorResponse)
+    .at(11, FaultKind::BitFlip { mask: 0xFF })
+    .at(23, FaultKind::LatencySpike { cycles: 1_234 })
+}
+
+fn build_fabric(prog: &BusProgram, mode: Mode) -> Fabric {
     let mut dram = Dram::new(BUS_DRAM_BYTES, DramTiming::mig_ddr4());
     if prog.images {
         for (id, offset, len) in IMAGES {
@@ -98,7 +133,9 @@ fn build_fabric(prog: &BusProgram) -> Fabric {
         }
     }
     let mut shim = FaultInjector::new(dram);
-    if prog.armed {
+    if mode == Mode::Chaos {
+        shim.arm(chaos_plan());
+    } else if prog.armed {
         // Spikes only: they stretch completions, which the mirror does
         // not predict, and leave data and outcomes alone, which it does.
         shim.arm(FaultPlan {
@@ -373,6 +410,9 @@ enum Mode {
     Swapped,
     /// Every transfer walked burst by burst by the harness.
     Walked,
+    /// As generated, under [`chaos_plan`]: reads may come back flipped
+    /// and any access may fail with an injected error.
+    Chaos,
 }
 
 /// Deliberate oracle mutations, used only by the harness's own
@@ -413,7 +453,7 @@ impl BusTarget {
 
     /// Execute the program once in `mode`, checking every prediction.
     fn execute(&self, prog: &BusProgram, mode: Mode) -> Result<Outcome, String> {
-        let mut f = build_fabric(prog);
+        let mut f = build_fabric(prog, mode);
         mux_of(&mut f).switch_to(Side::Soc);
         let mut owner = Side::Soc;
         let mut shadow = vec![0u8; BUS_DRAM_BYTES];
@@ -428,7 +468,13 @@ impl BusTarget {
         let mut burst_writes = RangeSet::new();
         let mut attempts = [0u64; 3];
         let mut ok_bytes = [0u64; 3];
-        let (mut singles_ok, mut bursts_ok) = (0u64, 0u64);
+        let (mut singles_ok, mut bursts_ok, mut splits) = (0u64, 0u64, 0u64);
+        let chaos = mode == Mode::Chaos;
+        let armed = chaos || prog.armed;
+        // The injector's ledger, which survives resets: accesses that
+        // passed the mux (wrong-side beats never reach the shim) and
+        // the injected errors the masters saw.
+        let (mut reached, mut injected) = (0u64, 0u64);
         // A train's layers re-issue at a constant offset when the SoC
         // clock is a multiple of the DDR's: the DRAM then steps only
         // its first and last burst. Cumulative, like the counter.
@@ -447,54 +493,93 @@ impl BusTarget {
                 } => {
                     let master = MASTERS[master as usize % 3];
                     let size = SIZES[size as usize % 4];
-                    let n = size.bytes();
+                    let n = size.bytes() as usize;
                     let req = if write {
                         Request::write(addr, data, size)
                     } else {
                         Request::read(addr, size)
                     }
                     .with_master(master);
-                    let expect = self.classify(owner, master, addr, size);
-                    let mi = midx(master);
-                    attempts[mi] += 1;
-                    let result = arbiter(&mut f).access(&req, now);
+                    // The DBB's beats cross the 64→32 converter, which
+                    // splits a double into two words, issued in order.
+                    let dbb = master == MasterId::NvdlaDbb;
+                    let beats: &[(u32, AccessSize)] = if dbb && size == AccessSize::Double {
+                        splits += 1;
+                        &[(0, AccessSize::Word), (4, AccessSize::Word)]
+                    } else {
+                        &[(0, size)]
+                    };
+                    let at = |j: usize| addr.wrapping_add(beats[j].0);
+                    let expect = |j: usize| self.classify(owner, master, at(j), beats[j].1);
+                    let predicted = (0..beats.len()).find(|&j| expect(j) != Expect::Ok);
+                    let result = if dbb {
+                        f.access(&req, now)
+                    } else {
+                        arbiter(&mut f).access(&req, now)
+                    };
                     timeline.push(result.as_ref().map(|r| r.done_at).map_err(Clone::clone));
+                    // The beat that failed, if any: the mirror's, or the
+                    // shim's under chaos — no later than the mirror's.
+                    let failing = match &result {
+                        Ok(_) => predicted.map_or(Ok(None), |j| {
+                            Err(format!(
+                                "mirror predicted {:?} at {:#x}, fabric succeeded",
+                                expect(j),
+                                at(j)
+                            ))
+                        }),
+                        Err(BusError::Injected { addr: a, .. }) if chaos => (0..beats.len())
+                            .find(|&j| at(j) == *a)
+                            .filter(|&j| {
+                                predicted.is_none_or(|k| j < k || expect(k) != Expect::WrongSide)
+                            })
+                            .map(Some)
+                            .ok_or_else(|| format!("injected error at {a:#x}, issued {addr:#x}")),
+                        Err(e) => {
+                            let j = predicted.unwrap_or(0);
+                            check_error(expect(j), at(j), e).map(|()| Some(j))
+                        }
+                    }
+                    .map_err(|m| format!("op {i}: {m}"))?;
+                    injected += u64::from(matches!(result, Err(BusError::Injected { .. })));
+                    let tried = failing.map_or(beats.len(), |j| j + 1);
+                    attempts[midx(master)] += tried as u64;
+                    if side_of(master) == owner {
+                        reached += tried as u64;
+                    }
+                    // The beats before the failing one landed.
+                    for &(off, beat) in &beats[..failing.unwrap_or(beats.len())] {
+                        let (off, m) = (off as usize, beat.bytes() as usize);
+                        let o = addr as usize + off;
+                        if write {
+                            shadow[o..o + m].copy_from_slice(&data.to_le_bytes()[off..off + m]);
+                            residency.note_write(o, m);
+                        }
+                        ok_bytes[midx(master)] += m as u64;
+                        singles_ok += 1;
+                    }
                     match result {
                         Ok(resp) => {
-                            if expect != Expect::Ok {
-                                return Err(format!(
-                                    "op {i}: mirror predicted {expect:?} at {addr:#x}, \
-                                     fabric succeeded"
-                                ));
-                            }
                             if resp.done_at < now {
                                 return Err(format!("op {i}: time ran backwards"));
                             }
-                            let (o, n) = (addr as usize, n as usize);
-                            if write {
-                                shadow[o..o + n].copy_from_slice(&data.to_le_bytes()[..n]);
-                                residency.note_write(o, n);
-                            } else {
-                                let mut want = [0u8; 8];
+                            // Under chaos a read may come back flipped.
+                            if !write && !chaos {
+                                let (o, mut want) = (addr as usize, [0u8; 8]);
                                 want[..n].copy_from_slice(&shadow[o..o + n]);
-                                if resp.data != u64::from_le_bytes(want) {
+                                let want = u64::from_le_bytes(want);
+                                if resp.data != want {
                                     return Err(format!(
                                         "op {i}: read at {addr:#x} diverged from the shadow \
-                                         model ({:#x} != {:#x})",
-                                        resp.data,
-                                        u64::from_le_bytes(want)
+                                         model ({:#x} != {want:#x})",
+                                        resp.data
                                     ));
                                 }
                             }
-                            ok_bytes[mi] += n as u64;
-                            singles_ok += 1;
                             fp = mix64(fp ^ resp.done_at ^ resp.data.rotate_left(17));
                             now = resp.done_at;
                         }
-                        Err(e) => {
-                            check_error(expect, addr, &e).map_err(|m| format!("op {i}: {m}"))?;
-                            fp = mix64(fp ^ u64::from(addr));
-                        }
+                        Err(_) => fp = mix64(fp ^ u64::from(addr)),
                     }
                 }
                 BusOp::Burst {
@@ -513,76 +598,89 @@ impl BusTarget {
                     let master = MASTERS[master as usize % 3];
                     let len = len as usize;
                     let shape = bursts_of(len, burst);
-                    let failing = (shape.iter())
+                    let oor = (shape.iter())
                         .position(|&(off, n)| addr as usize + off + n > BUS_DRAM_BYTES);
-                    let landed = failing.map_or(len, |j| shape[j].0);
-                    let mi = midx(master);
-                    attempts[mi] += failing.map_or(shape.len(), |j| j + 1) as u64;
-                    ok_bytes[mi] += landed as u64;
-                    bursts_ok += failing.unwrap_or(shape.len()) as u64;
                     let walked = mode == Mode::Walked;
-                    predicted_steps += if walked || prog.armed || failing.is_some() {
+                    let carried = len_only == (mode == Mode::Swapped);
+                    let wbuf: Vec<u8> = if carried && write {
+                        (0..len)
+                            .map(|j| (mix64(fill ^ j as u64) & 0xFF) as u8)
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let mut rbuf = vec![0u8; if carried && !write { len } else { 0 }];
+                    let payload = if !carried {
+                        Payload::length_only(len, write)
+                    } else if write {
+                        Payload::write(&wbuf)
+                    } else {
+                        Payload::read(&mut rbuf)
+                    };
+                    let result = transfer(&mut f, master, addr, payload, burst, walked, now);
+                    timeline.push(result.clone());
+                    // The burst that failed, if any: the mirror's, or the
+                    // shim's under chaos — no later than the mirror's.
+                    let failing = match &result {
+                        Ok(_) => oor.map_or(Ok(None), |_| {
+                            Err(format!(
+                                "out-of-range transfer at {addr:#x}+{len} succeeded"
+                            ))
+                        }),
+                        Err(BusError::Injected { addr: a, .. }) if chaos => (shape.iter())
+                            .position(|&(off, _)| addr as usize + off == *a as usize)
+                            .filter(|&j| oor.is_none_or(|k| j <= k))
+                            .map(Some)
+                            .ok_or_else(|| format!("injected error at {a:#x}, issued {addr:#x}")),
+                        Err(e) if oor.is_none() => {
+                            Err(format!("in-range transfer at {addr:#x}+{len} failed: {e}"))
+                        }
+                        Err(e) => check_error(Expect::OutOfRange, addr, e).map(|()| oor),
+                    }
+                    .map_err(|m| format!("op {i}: {m}"))?;
+                    injected += u64::from(matches!(result, Err(BusError::Injected { .. })));
+                    let landed_bursts = failing.unwrap_or(shape.len());
+                    let landed = failing.map_or(len, |j| shape[j].0);
+                    // Every burst tried passed the mux and reached the shim.
+                    let (mi, tried) = (midx(master), failing.map_or(shape.len(), |j| j + 1));
+                    attempts[mi] += tried as u64;
+                    reached += tried as u64;
+                    ok_bytes[mi] += landed as u64;
+                    bursts_ok += landed_bursts as u64;
+                    predicted_steps += if walked || armed || failing.is_some() {
                         // One burst per DRAM entry: each one is stepped.
-                        failing.unwrap_or(shape.len())
+                        landed_bursts
                     } else if shape.len() > 2 && closed_form {
                         2
                     } else {
                         shape.len()
                     } as u64;
                     let (o, end) = (addr as usize, addr as usize + landed);
-                    let result = if len_only != (mode == Mode::Swapped) {
-                        let payload = Payload::length_only(len, write);
-                        transfer(&mut f, master, addr, payload, burst, walked, now)
-                    } else if write {
-                        let buf: Vec<u8> = (0..len)
-                            .map(|j| (mix64(fill ^ j as u64) & 0xFF) as u8)
-                            .collect();
-                        let payload = Payload::write(&buf);
-                        let r = transfer(&mut f, master, addr, payload, burst, walked, now);
-                        if landed > 0 {
-                            shadow[o..end].copy_from_slice(&buf[..landed]);
+                    if landed > 0 {
+                        if !wbuf.is_empty() {
+                            shadow[o..end].copy_from_slice(&wbuf[..landed]);
                         }
-                        r
-                    } else {
-                        let mut buf = vec![0u8; len];
-                        let payload = Payload::read(&mut buf);
-                        let r = transfer(&mut f, master, addr, payload, burst, walked, now);
-                        if landed > 0 && buf[..landed] != shadow[o..end] {
+                        // Under chaos a read may come back flipped.
+                        if !rbuf.is_empty() && !chaos && rbuf[..landed] != shadow[o..end] {
                             return Err(format!(
                                 "op {i}: burst read at {addr:#x}+{len} diverged from the \
                                  shadow model"
                             ));
                         }
-                        r
-                    };
-                    if write && landed > 0 {
-                        residency.note_write(o, landed);
-                        burst_writes.insert(o, end);
+                        if write {
+                            residency.note_write(o, landed);
+                            burst_writes.insert(o, end);
+                        }
                     }
-                    timeline.push(result.clone());
                     match result {
                         Ok(done) => {
-                            if failing.is_some() {
-                                return Err(format!(
-                                    "op {i}: out-of-range transfer at {addr:#x}+{len} succeeded"
-                                ));
-                            }
                             if done < now {
                                 return Err(format!("op {i}: time ran backwards"));
                             }
                             fp = mix64(fp ^ done);
                             now = done;
                         }
-                        Err(e) => {
-                            if failing.is_none() {
-                                return Err(format!(
-                                    "op {i}: in-range transfer at {addr:#x}+{len} failed: {e}"
-                                ));
-                            }
-                            check_error(Expect::OutOfRange, addr, &e)
-                                .map_err(|m| format!("op {i}: {m}"))?;
-                            fp = mix64(fp ^ u64::from(addr));
-                        }
+                        Err(_) => fp = mix64(fp ^ u64::from(addr)),
                     }
                 }
                 BusOp::Switch { soc } => {
@@ -598,6 +696,7 @@ impl BusTarget {
                     ok_bytes = [0; 3];
                     singles_ok = 0;
                     bursts_ok = 0;
+                    splits = 0;
                     // Modeled time is the master's clock; no rewind.
                 }
                 BusOp::Advance(d) => now += u64::from(d),
@@ -640,6 +739,23 @@ impl BusTarget {
                 dram.bursts
             ));
         }
+        if f.beats_split() != splits {
+            return Err(format!(
+                "width converter split {} beats, {splits} doubles issued",
+                f.beats_split()
+            ));
+        }
+        let faults = mux_of(&mut f).dram_mut().stats();
+        if armed && (faults.accesses, faults.errors) != (reached, injected) {
+            return Err(format!(
+                "fault ledger {faults:?}, mirror saw {reached} accesses reach the shim \
+                 and {injected} injected errors"
+            ));
+        }
+        if faults.total() > faults.accesses {
+            return Err(format!("more faults than accesses: {faults:?}"));
+        }
+        fp = mix64(fp ^ faults.flips ^ faults.spikes.rotate_left(32));
         let contents = mux_of(&mut f)
             .dram_mut()
             .inner()
@@ -773,7 +889,18 @@ impl FuzzTarget for BusTarget {
         let walked = self
             .execute(prog, Mode::Walked)
             .map_err(|m| format!("with every transfer walked burst by burst: {m}"))?;
-        check_train_contract(&first, &walked)
+        check_train_contract(&first, &walked)?;
+        let chaos =
+            (self.execute(prog, Mode::Chaos)).map_err(|m| format!("under the chaos plan: {m}"))?;
+        let again = (self.execute(prog, Mode::Chaos))
+            .map_err(|m| format!("under the chaos plan, replayed: {m}"))?;
+        if chaos.fp != again.fp {
+            return Err(format!(
+                "chaos replay diverged: fingerprint {:#x} then {:#x}",
+                chaos.fp, again.fp
+            ));
+        }
+        Ok(())
     }
 
     fn shrink(&self, input: BusProgram, fails: &dyn Fn(&BusProgram) -> bool) -> BusProgram {
@@ -787,5 +914,182 @@ impl FuzzTarget for BusTarget {
 
     fn size(input: &BusProgram) -> usize {
         input.ops.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Named regressions: counterexamples found while fuzzing, and
+    //! fabric behaviours the mirror relies on, pinned whatever the
+    //! generator's distribution does later. Each is a [`BusProgram`]
+    //! literal run through every leg of `check` where the fabric
+    //! reaches the case, a direct call otherwise.
+
+    use super::*;
+
+    fn program(ops: Vec<BusOp>) -> BusProgram {
+        BusProgram {
+            soc_mhz: 100,
+            armed: false,
+            images: false,
+            ops,
+        }
+    }
+
+    fn read(master: u8, addr: u32, size: u8) -> BusOp {
+        BusOp::Single {
+            master,
+            write: false,
+            addr,
+            size,
+            data: 0,
+        }
+    }
+
+    fn holds(ops: Vec<BusOp>) {
+        let prog = program(ops);
+        if let Err(m) = BusTarget::default().check(&prog) {
+            panic!("{m}\n{prog:#?}");
+        }
+    }
+
+    /// Found by the width-converter program: the converter computed
+    /// sub-beat addresses with unchecked `+`, so a DBB double at the
+    /// top of the 32-bit space panicked instead of surfacing the typed
+    /// out-of-range rejection from below. A double straddling the end
+    /// of DRAM is torn: its first word lands.
+    #[test]
+    fn regression_wide_beat_at_the_top_of_the_address_space_is_rejected_not_a_panic() {
+        holds(vec![
+            read(1, 0xFFFF_FFF8, 3),
+            BusOp::Single {
+                master: 1,
+                write: true,
+                addr: BUS_DRAM_BYTES as u32 - 4,
+                size: 3,
+                data: u64::MAX,
+            },
+        ]);
+    }
+
+    /// A CPU beat while the PS owns the SmartConnect is a typed
+    /// rejection naming its address, and the arbiter still counts the
+    /// grant (the master won the bus; the mux said no).
+    #[test]
+    fn regression_wrong_side_single_beat_is_a_typed_rejection() {
+        holds(vec![BusOp::Switch { soc: false }, read(0, 0x100, 2)]);
+    }
+
+    /// An out-of-range burst reports the true device size, so a
+    /// recovery layer can tell "bad pointer" from "model too small".
+    #[test]
+    fn regression_out_of_range_burst_reports_the_true_device_size() {
+        holds(vec![BusOp::Burst {
+            master: 1,
+            write: false,
+            addr: BUS_DRAM_BYTES as u32 - 32,
+            len: 64,
+            burst: 0,
+            fill: 0,
+            len_only: false,
+        }]);
+    }
+
+    /// A zero-length burst completes, moves nothing and never goes
+    /// backwards in time.
+    #[test]
+    fn regression_zero_length_burst_is_harmless() {
+        holds(vec![
+            BusOp::Advance(17),
+            BusOp::Burst {
+                master: 2,
+                write: true,
+                addr: 0x40,
+                len: 0,
+                burst: 0,
+                fill: 0,
+                len_only: false,
+            },
+        ]);
+    }
+
+    /// Behavioural pin: a double at a word- but not double-aligned
+    /// address succeeds behind the 64→32 converter, which re-expresses
+    /// it as two aligned words, and is `Misaligned` on a bare port.
+    #[test]
+    fn regression_misaligned_double_is_legal_behind_the_converter_only() {
+        holds(vec![
+            BusOp::Single {
+                master: 1,
+                write: true,
+                addr: 0x14,
+                size: 3,
+                data: 0xAABB_CCDD_1122_3344,
+            },
+            read(1, 0x14, 3),
+            read(0, 0x14, 3),
+        ]);
+    }
+
+    /// The injector's fault stream survives a board reset by contract:
+    /// the error scheduled at access 3 fires on the first access after
+    /// the reset, and the ledger spans both sides of it.
+    #[test]
+    fn regression_fault_stream_survives_board_reset() {
+        let ops = vec![
+            read(0, 0, 2),
+            read(0, 4, 2),
+            read(0, 8, 2),
+            BusOp::Reset,
+            BusOp::Switch { soc: true },
+            read(0, 0, 2),
+        ];
+        let out = (BusTarget::default().execute(&program(ops.clone()), Mode::Chaos))
+            .expect("chaos leg holds");
+        assert_eq!(
+            out.timeline[3],
+            Err(BusError::Injected { addr: 0, access: 3 })
+        );
+        holds(ops);
+    }
+
+    /// Promoted from the planted-mutation shakedown (base seed 0): a
+    /// double at `0x1cbc6a` on the 1 MiB DRAM is both misaligned and
+    /// out of range, and the fabric checks alignment first.
+    #[test]
+    fn regression_alignment_outranks_range_in_error_precedence() {
+        holds(vec![read(0, 0x001c_bc6a, 3)]);
+    }
+
+    /// Disarming keeps the ledger for post-mortem reads and stops
+    /// counting; re-arming restarts the access counter and the ledger,
+    /// so the scheduled error fires at access 3 again.
+    #[test]
+    fn disarm_keeps_the_ledger_and_rearm_restarts_it() {
+        let mut f = build_fabric(&program(Vec::new()), Mode::Chaos);
+        mux_of(&mut f).switch_to(Side::Soc);
+        let run = |f: &mut Fabric, n: u32| -> Vec<Result<u64, BusError>> {
+            (0..n)
+                .map(|a| {
+                    arbiter(f)
+                        .access(&Request::read32(4 * a), 0)
+                        .map(|r| r.data)
+                })
+                .collect()
+        };
+        let first = run(&mut f, 4);
+        assert!(matches!(
+            first[3],
+            Err(BusError::Injected { access: 3, .. })
+        ));
+        let ledger = mux_of(&mut f).dram_mut().stats();
+        assert_eq!(ledger.accesses, 4);
+        mux_of(&mut f).dram_mut().disarm();
+        assert!(run(&mut f, 8).iter().all(Result::is_ok), "disarmed");
+        assert_eq!(mux_of(&mut f).dram_mut().stats(), ledger, "disarm keeps it");
+        mux_of(&mut f).dram_mut().arm(chaos_plan());
+        assert_eq!(mux_of(&mut f).dram_mut().stats(), FaultStats::default());
+        assert_eq!(run(&mut f, 4), first, "re-arm replays the stream");
+        assert_eq!(mux_of(&mut f).dram_mut().stats(), ledger);
     }
 }

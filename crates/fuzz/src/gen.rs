@@ -172,8 +172,7 @@ pub enum BusOp {
     Lag(u16),
 }
 
-/// DRAM size every bus program runs against (1 MiB, matching the bus
-/// crate's own fuzz suite).
+/// DRAM size every bus program runs against (1 MiB).
 pub const BUS_DRAM_BYTES: usize = 1 << 20;
 
 /// A random bus program and the fabric it runs on: the SoC clock
@@ -200,8 +199,7 @@ const SWEEP_MHZ: [u16; 8] = [50, 75, 100, 125, 150, 175, 200, 250];
 /// which a train's middle bursts run in closed form.
 const MULTIPLE_MHZ: [u16; 4] = [100, 200, 300, 400];
 
-/// A seeded bus program in the quiet-program distribution of
-/// `crates/bus/tests/fuzz_fabric.rs`: mostly singles, a quarter block
+/// A seeded bus program: mostly singles, a quarter block
 /// transfers (half of them burst trains, a third length-only, some
 /// running off the end of DRAM, some starting in the row the previous
 /// access left open), occasional ownership flips, resets, idle gaps
@@ -319,7 +317,7 @@ pub enum LayerPlan {
     /// Fully connected head (terminal).
     Fc {
         /// Output dimension.
-        out: u8,
+        out: u16,
     },
 }
 
@@ -469,8 +467,10 @@ impl NetPlan {
 
 /// A seeded random small network plan: 1–5 layers over a tiny input
 /// (≤ 4 channels, ≤ 14×14), convs/norms/pools in the body, optionally
-/// an FC head. Small enough that a full compile + two simulated
-/// inferences per case stays in the tens-of-milliseconds range.
+/// an FC head of up to 10 outputs — or, on a third of the heads, of
+/// enough outputs that its weights pass half the CBUF. Small enough
+/// that a full compile + two simulated inferences per case stays in
+/// the tens-of-milliseconds range.
 #[must_use]
 pub fn net_plan(seed: u64) -> NetPlan {
     let mut rng = SplitMix64::new(seed);
@@ -512,19 +512,30 @@ pub fn net_plan(seed: u64) -> NetPlan {
             }
         }
     }
-    let _ = c;
     if rng.chance(1, 3) {
         layers.push(LayerPlan::GlobalAvgPool);
+        hw = 1;
     }
     if rng.chance(1, 2) || layers.is_empty() {
         layers.push(LayerPlan::Fc {
-            out: rng.range(1, 10) as u8,
+            out: rng.range(1, 10) as u16,
         });
+    }
+    let weight_seed = rng.next_u64();
+    // One head in three carries more INT8 weights than half of
+    // nv_small's 128 KiB CBUF, so the conv that lowers it re-fetches
+    // its features. Drawn last: the rest of the plan is the seed's
+    // either way.
+    let least = (64 << 10) / (c * hw * hw) as u64 + 1;
+    if let Some(LayerPlan::Fc { out }) = layers.last_mut() {
+        if rng.chance(1, 3) && least < 1 << 15 {
+            *out = rng.range(least, least + least / 4) as u16;
+        }
     }
     NetPlan {
         in_c,
         in_hw,
-        weight_seed: rng.next_u64(),
+        weight_seed,
         layers,
     }
 }
@@ -671,6 +682,23 @@ mod tests {
             }
         }
         assert_eq!(built, 100);
+    }
+
+    /// The `net` target reaches the CBUF re-fetch path: enough plans
+    /// end in an FC head whose INT8 weights pass half of nv_small's
+    /// 128 KiB CBUF.
+    #[test]
+    fn generated_net_plans_reach_the_cbuf_refetch() {
+        let refetching = (1..=500u64)
+            .filter(|&seed| {
+                let net = net_plan(seed).build().expect("generated plans build");
+                net.nodes().iter().any(|n| match &n.op {
+                    Op::FullyConnected { weights, .. } => weights.len() > 64 << 10,
+                    _ => false,
+                })
+            })
+            .count();
+        assert!(refetching >= 25, "{refetching} of 500 plans re-fetch");
     }
 
     #[test]

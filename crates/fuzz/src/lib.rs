@@ -13,9 +13,10 @@
 //! base_seed, budget)`; case `i` uses seed `base_seed + i`, and a
 //! failure prints a one-line `rv-nvdla fuzz <target> --seed S` command
 //! that re-derives, re-fails, and re-shrinks the exact same input.
-//! The vendored `proptest` stub can generate but cannot shrink, so
-//! shrinking is hand-rolled in [`shrink`]: delete-chunk over element
-//! lists, bisection over scalar knobs.
+//! Shrinking is hand-rolled in [`shrink`]: delete-chunk over element
+//! lists, bisection over scalar knobs. This is the workspace's one
+//! shrinker; the property tests elsewhere are seeded loops whose
+//! inputs are small enough to print whole.
 //!
 //! Targets: `riscv`, `bus`, `net`, `batch`, `serve`, `fleet`, `conv` —
 //! see each module for the oracle it enforces.

@@ -1,11 +1,10 @@
 //! Hand-rolled, deterministic counterexample shrinking.
 //!
-//! The vendored `proptest` stub cannot shrink, so a failing property
-//! used to hand you an unminimized blob. These two passes are the whole
-//! replacement: [`shrink_elements`] is a ddmin-style delete-chunk pass
-//! over a sequence (drop half, then quarters, … then single elements,
-//! looping to a fixed point), [`shrink_scalar`] halves a number toward
-//! a floor. Both are fully deterministic — given the same failing
+//! The workspace's one shrinker, so a failing fuzz case never hands
+//! you an unminimized blob. Two passes: [`shrink_elements`] is a
+//! ddmin-style delete-chunk pass over a sequence (drop half, then
+//! quarters, … then single elements, looping to a fixed point), and
+//! [`shrink_scalar`] halves a number toward a floor. Both are fully deterministic — given the same failing
 //! input and the same oracle they always land on the same minimum — so
 //! a one-line `rv-nvdla fuzz <target> --seed S` command re-derives the
 //! exact minimized repro from nothing but the seed.

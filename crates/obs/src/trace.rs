@@ -186,8 +186,8 @@ impl Trace {
         self.spans.iter().filter(|s| s.kind == kind).count()
     }
 
-    /// Structural well-formedness, shared by the proptests and the CI
-    /// trace checker:
+    /// Structural well-formedness, shared by the property tests, the
+    /// fuzz targets and the CI trace checker:
     ///
     /// * every span's track id resolves and `end >= start`,
     /// * every child lies within `[parent.start, parent.end]` and its

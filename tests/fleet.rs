@@ -17,11 +17,10 @@
 
 use std::sync::OnceLock;
 
-use proptest::prelude::*;
-
 use rv_nvdla::prelude::*;
 use rvnv_soc::fleet::{self, FleetOutcome, PoolProfile, SocClass};
 use rvnv_soc::serve::ServiceModel;
+use rvnv_util::SplitMix64;
 
 const HZ: u64 = 100_000_000;
 
@@ -63,26 +62,32 @@ fn route_of(ix: usize) -> RoutePolicy {
     ][ix % 3]
 }
 
-proptest! {
-    /// Every offered request resolves exactly once, whatever the pool
-    /// shapes, service costs, routing policy, traffic shape or load.
-    #[test]
-    fn conservation_offered_splits_into_served_dropped_shed(
-        pool_params in proptest::collection::vec(
-            (1usize..4, 1usize..6, 100_000u64..2_000_000), 1..4),
-        route_ix in 0usize..3,
-        shape_ix in 0usize..4,
-        rate in 50u64..800,
-        seed in 0u64..1000,
-    ) {
+/// Every offered request resolves exactly once, whatever the pool
+/// shapes, service costs, routing policy, traffic shape or load.
+#[test]
+fn conservation_offered_splits_into_served_dropped_shed() {
+    for seed in 0..256 {
+        let mut rng = SplitMix64::new(seed);
+        let pool_params: Vec<(usize, usize, u64)> = (0..rng.range(1, 3))
+            .map(|_| {
+                let workers = rng.range(1, 3) as usize;
+                let queue = rng.range(1, 5) as usize;
+                (workers, queue, rng.range(100_000, 1_999_999))
+            })
+            .collect();
+        let (route_ix, shape_ix) = (rng.below(3) as usize, rng.below(4) as usize);
+        let rate = rng.range(50, 799);
         let models = 2;
-        let pools: Vec<PoolSpec> = pool_params.iter().map(|&(w, q, _)| PoolSpec {
-            workers: w,
-            min_workers: w,
-            max_workers: w,
-            queue_depth: q,
-            ..PoolSpec::default()
-        }).collect();
+        let pools: Vec<PoolSpec> = pool_params
+            .iter()
+            .map(|&(w, q, _)| PoolSpec {
+                workers: w,
+                min_workers: w,
+                max_workers: w,
+                queue_depth: q,
+                ..PoolSpec::default()
+            })
+            .collect();
         let profiles: Vec<PoolProfile> = pool_params
             .iter()
             .map(|&(_, _, svc)| flat_profile(svc, (0..models).collect()))
@@ -93,46 +98,74 @@ proptest! {
             shape: shape_of(shape_ix),
             rate_rps: rate,
             duration_ms: 100,
-            seed,
+            seed: rng.below(1000),
             slo_us: 1_000,
             ..FleetSpec::default()
         };
+        let tag = format!("seed {seed}: service {pool_params:?}, {spec:?}");
         let names = model_names(models);
         let trace = fleet::shaped_trace(
-            spec.shape, spec.rate_rps, spec.duration_cycles(HZ), models, spec.seed, HZ);
+            spec.shape,
+            spec.rate_rps,
+            spec.duration_cycles(HZ),
+            models,
+            spec.seed,
+            HZ,
+        );
         let offered = trace.requests.len() as u64;
         let r = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
-        prop_assert_eq!(r.offered, offered);
+        assert_eq!(r.offered, offered, "{tag}");
         let routed: u64 = r.per_pool.iter().map(|p| p.routed).sum();
-        prop_assert_eq!(r.offered, r.shed + routed, "balancer books must balance");
+        assert_eq!(
+            r.offered,
+            r.shed + routed,
+            "balancer books must balance, {tag}"
+        );
         for p in &r.per_pool {
-            prop_assert_eq!(p.routed, p.served + p.dropped, "pool books must balance");
+            assert_eq!(
+                p.routed,
+                p.served + p.dropped,
+                "pool books must balance, {tag}"
+            );
         }
-        prop_assert_eq!(r.served + r.dropped + r.shed, r.offered);
-        prop_assert_eq!(r.records.len() as u64, offered, "one record per request");
+        assert_eq!(r.served + r.dropped + r.shed, r.offered, "{tag}");
+        assert_eq!(
+            r.records.len() as u64,
+            offered,
+            "one record per request, {tag}"
+        );
     }
+}
 
-    /// No routing policy ever places a request in a pool that does not
-    /// host its model — residency is structural, not probabilistic.
-    #[test]
-    fn routing_never_leaves_a_models_resident_pools(
-        subset_bits in proptest::collection::vec(1usize..8, 1..3),
-        route_ix in 0usize..3,
-        rate in 100u64..600,
-        seed in 0u64..1000,
-    ) {
+/// No routing policy ever places a request in a pool that does not
+/// host its model — residency is structural, not probabilistic.
+#[test]
+fn routing_never_leaves_a_models_resident_pools() {
+    for seed in 0..256 {
+        let mut rng = SplitMix64::new(seed);
+        let subset_bits: Vec<usize> = (0..rng.range(1, 2))
+            .map(|_| rng.range(1, 7) as usize)
+            .collect();
+        let route_ix = rng.below(3) as usize;
+        let rate = rng.range(100, 599);
         let models = 3;
         // Pool 0 hosts everything (every model needs a home); the rest
         // host arbitrary nonempty subsets.
         let mut residency: Vec<Vec<usize>> = vec![(0..models).collect()];
         residency.extend(subset_bits.iter().map(|bits| {
-            (0..models).filter(|m| bits & (1 << m) != 0).collect::<Vec<_>>()
+            (0..models)
+                .filter(|m| bits & (1 << m) != 0)
+                .collect::<Vec<_>>()
         }));
-        let pools: Vec<PoolSpec> = residency.iter().enumerate().map(|(i, res)| PoolSpec {
-            models: if i == 0 { None } else { Some(res.clone()) },
-            queue_depth: 4,
-            ..PoolSpec::default()
-        }).collect();
+        let pools: Vec<PoolSpec> = residency
+            .iter()
+            .enumerate()
+            .map(|(i, res)| PoolSpec {
+                models: if i == 0 { None } else { Some(res.clone()) },
+                queue_depth: 4,
+                ..PoolSpec::default()
+            })
+            .collect();
         let profiles: Vec<PoolProfile> = residency
             .iter()
             .map(|res| flat_profile(400_000, res.clone()))
@@ -142,37 +175,43 @@ proptest! {
             route: route_of(route_ix),
             rate_rps: rate,
             duration_ms: 100,
-            seed,
+            seed: rng.below(1000),
             slo_us: 1_000,
             ..FleetSpec::default()
         };
         let names = model_names(models);
         let trace = fleet::shaped_trace(
-            spec.shape, spec.rate_rps, spec.duration_cycles(HZ), models, spec.seed, HZ);
+            spec.shape,
+            spec.rate_rps,
+            spec.duration_cycles(HZ),
+            models,
+            spec.seed,
+            HZ,
+        );
         let r = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
         for rec in &r.records {
             let pool = match rec.outcome {
                 FleetOutcome::Served { pool, .. } | FleetOutcome::Dropped { pool } => pool,
                 FleetOutcome::Shed => continue,
             };
-            prop_assert!(
+            assert!(
                 residency[pool].contains(&rec.model),
-                "request for model {} landed in pool {} with residency {:?}",
-                rec.model, pool, residency[pool]
+                "seed {seed}: request for model {} landed in pool {pool}, {spec:?}",
+                rec.model,
             );
         }
     }
+}
 
-    /// The autoscaler never leaves `[min, max]`, and the whole seeded
-    /// experiment is bit-identical run-to-run.
-    #[test]
-    fn autoscaler_stays_in_bounds_and_reruns_bit_identically(
-        workers in 1usize..3,
-        headroom in 0usize..4,
-        shape_ix in 0usize..4,
-        rate in 200u64..2000,
-        seed in 0u64..1000,
-    ) {
+/// The autoscaler never leaves `[min, max]`, and the whole seeded
+/// experiment is bit-identical run-to-run.
+#[test]
+fn autoscaler_stays_in_bounds_and_reruns_bit_identically() {
+    for seed in 0..256 {
+        let mut rng = SplitMix64::new(seed);
+        let (workers, headroom) = (rng.range(1, 2) as usize, rng.below(4) as usize);
+        let shape_ix = rng.below(4) as usize;
+        let rate = rng.range(200, 1999);
         let pools = vec![PoolSpec {
             workers,
             min_workers: 1,
@@ -186,52 +225,72 @@ proptest! {
             shape: shape_of(shape_ix),
             rate_rps: rate,
             duration_ms: 150,
-            seed,
+            seed: rng.below(1000),
             slo_us: 10_000,
             scale_window_ms: 10,
             ..FleetSpec::default()
         };
+        let tag = format!("seed {seed}: {spec:?}");
         let names = model_names(2);
         let trace = fleet::shaped_trace(
-            spec.shape, spec.rate_rps, spec.duration_cycles(HZ), 2, spec.seed, HZ);
+            spec.shape,
+            spec.rate_rps,
+            spec.duration_cycles(HZ),
+            2,
+            spec.seed,
+            HZ,
+        );
         let a = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
         let p = &a.per_pool[0];
-        prop_assert!(p.workers_low >= 1, "never scales to zero");
-        prop_assert!(p.workers_high <= workers + headroom, "never exceeds max");
-        prop_assert!(p.workers_low <= p.workers_high);
-        prop_assert!(p.workers_high >= p.workers_start, "the envelope includes the start");
-        prop_assert!(
+        assert!(p.workers_low >= 1, "never scales to zero, {tag}");
+        assert!(
+            p.workers_high <= workers + headroom,
+            "never exceeds max, {tag}"
+        );
+        assert!(p.workers_low <= p.workers_high, "{tag}");
+        assert!(
+            p.workers_high >= p.workers_start,
+            "the envelope includes the start, {tag}"
+        );
+        assert!(
             (p.workers_low..=p.workers_high).contains(&p.workers_final),
-            "final count within the observed envelope"
+            "final count within the observed envelope, {tag}"
         );
         let b = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
-        prop_assert_eq!(a, b, "seeded fleet sim must be deterministic");
+        assert_eq!(a, b, "seeded fleet sim must be deterministic, {tag}");
     }
 }
 
-proptest! {
-    /// Arming a tracer is byte-invisible to the fleet simulation, the
-    /// emitted spans are structurally well-formed, and span accounting
-    /// reconciles per pool: worker-track cycles sum to the pool's busy
-    /// time, queue-wait spans to its served requests' waits, and the
-    /// autoscaler track carries one instant per scaling decision.
-    #[test]
-    fn traced_fleet_sim_is_invisible_and_reconciles(
-        pool_params in proptest::collection::vec(
-            (1usize..3, 1usize..6, 100_000u64..1_000_000, 0usize..3), 1..3),
-        route_ix in 0usize..3,
-        shape_ix in 0usize..4,
-        rate in 100u64..1500,
-        seed in 0u64..1000,
-    ) {
+/// Arming a tracer is byte-invisible to the fleet simulation, the
+/// emitted spans are structurally well-formed, and span accounting
+/// reconciles per pool: worker-track cycles sum to the pool's busy
+/// time, queue-wait spans to its served requests' waits, and the
+/// autoscaler track carries one instant per scaling decision.
+#[test]
+fn traced_fleet_sim_is_invisible_and_reconciles() {
+    for seed in 0..256 {
+        let mut rng = SplitMix64::new(seed);
+        let pool_params: Vec<(usize, usize, u64, usize)> = (0..rng.range(1, 2))
+            .map(|_| {
+                let workers = rng.range(1, 2) as usize;
+                let queue = rng.range(1, 5) as usize;
+                let svc = rng.range(100_000, 999_999);
+                (workers, queue, svc, rng.below(3) as usize)
+            })
+            .collect();
+        let (route_ix, shape_ix) = (rng.below(3) as usize, rng.below(4) as usize);
+        let rate = rng.range(100, 1499);
         let models = 2;
-        let pools: Vec<PoolSpec> = pool_params.iter().map(|&(w, q, _, headroom)| PoolSpec {
-            workers: w,
-            min_workers: 1,
-            max_workers: w + headroom,
-            queue_depth: q,
-            ..PoolSpec::default()
-        }).collect();
+        let pools: Vec<PoolSpec> = pool_params
+            .iter()
+            .map(|&(w, q, _, headroom)| PoolSpec {
+                workers: w,
+                min_workers: 1,
+                max_workers: w + headroom,
+                queue_depth: q,
+                ..PoolSpec::default()
+            })
+            .collect();
         let profiles: Vec<PoolProfile> = pool_params
             .iter()
             .map(|&(_, _, svc, _)| flat_profile(svc, (0..models).collect()))
@@ -242,21 +301,34 @@ proptest! {
             shape: shape_of(shape_ix),
             rate_rps: rate,
             duration_ms: 80,
-            seed,
+            seed: rng.below(1000),
             slo_us: 5_000,
             scale_window_ms: 10,
             ..FleetSpec::default()
         };
+        let tag = format!("seed {seed}: service {pool_params:?}, {spec:?}");
         let names = model_names(models);
         let trace = fleet::shaped_trace(
-            spec.shape, spec.rate_rps, spec.duration_cycles(HZ), models, spec.seed, HZ);
+            spec.shape,
+            spec.rate_rps,
+            spec.duration_cycles(HZ),
+            models,
+            spec.seed,
+            HZ,
+        );
         let tracer = Tracer::armed();
         let traced = fleet::simulate_traced(&trace, &profiles, &spec, &names, HZ, &tracer);
         let quiet = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
-        prop_assert_eq!(&traced, &quiet, "arming the tracer must be byte-invisible");
+        assert_eq!(
+            &traced, &quiet,
+            "arming the tracer must be byte-invisible, {tag}"
+        );
         let spans = tracer.snapshot();
         let well_formed = spans.validate();
-        prop_assert!(well_formed.is_ok(), "malformed trace: {:?}", well_formed);
+        assert!(
+            well_formed.is_ok(),
+            "malformed trace: {well_formed:?}, {tag}"
+        );
         for (p, pool) in traced.per_pool.iter().enumerate() {
             let worker_prefix = format!("pool{p} {} w", pool.class.name());
             let busy: u64 = spans
@@ -266,22 +338,34 @@ proptest! {
                 .filter(|(_, t)| t.name.starts_with(&worker_prefix))
                 .map(|(i, _)| spans.sum_cycles(TrackId(i as u32)))
                 .sum();
-            prop_assert_eq!(busy, pool.busy_cycles, "pool {} busy time", p);
+            assert_eq!(busy, pool.busy_cycles, "pool {p} busy time, {tag}");
             let queue = spans
                 .track_named(&format!("pool{p} {} queue", pool.class.name()))
                 .expect("one queue track per pool");
-            let waits: u64 = traced.records.iter().filter_map(|r| match r.outcome {
-                FleetOutcome::Served { pool: rp, queue_wait, .. } if rp == p => Some(queue_wait),
-                _ => None,
-            }).sum();
-            prop_assert_eq!(spans.sum_cycles(queue), waits, "pool {} queue waits", p);
+            let waits: u64 = traced
+                .records
+                .iter()
+                .filter_map(|r| match r.outcome {
+                    FleetOutcome::Served {
+                        pool: rp,
+                        queue_wait,
+                        ..
+                    } if rp == p => Some(queue_wait),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(
+                spans.sum_cycles(queue),
+                waits,
+                "pool {p} queue waits, {tag}"
+            );
             let auto = spans
                 .track_named(&format!("pool{p} {} autoscaler", pool.class.name()))
                 .expect("one autoscaler track per pool");
-            prop_assert_eq!(
+            assert_eq!(
                 spans.spans_on(auto).count() as u64,
                 pool.scale_ups + pool.scale_downs,
-                "pool {} autoscale instants", p
+                "pool {p} autoscale instants, {tag}"
             );
         }
     }
